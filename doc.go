@@ -74,9 +74,12 @@
 //   - inter-query: many goroutines each run their own query against shared
 //     relations (a server's natural shape);
 //   - intra-query: WithConcurrency(n) fans one join's tuple batches out
-//     across n workers, each borrowing its own handle; per-worker arena
-//     buffers make the result byte-identical to the sequential evaluation,
-//     including order.
+//     across n workers, each borrowing its own handle. Every join
+//     algorithm is one body parameterized by the worker count, running on
+//     one worker-crew driver shared with the sharded scatter/gather;
+//     sequential evaluation is that body at one worker, and per-worker
+//     arena buffers concatenated in batch order make the result
+//     byte-identical whatever n is, including order.
 //
 // Stats counters are atomic, so one *Stats may accumulate across
 // concurrent queries. Clone remains available to give a long-lived

@@ -31,6 +31,25 @@ func TestKNNJoinAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestSelectOuterJoinAllocsBounded holds the sequential outer join to the
+// same bound: the selection, one pre-sized result slice and the driver's
+// fixed set-up, nothing per selected tuple.
+func TestSelectOuterJoinAllocsBounded(t *testing.T) {
+	const kSel, kJoin = 10, 10
+	bounds := geom.NewRect(0, 0, 1000, 1000)
+	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(2000, bounds, 55))
+	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(2000, bounds, 56))
+	f := geom.Point{X: 500, Y: 500}
+
+	core.SelectOuterJoin(outer, inner, f, kSel, kJoin, 1, nil) // warm the searcher scratch
+	avg := testing.AllocsPerRun(20, func() {
+		core.SelectOuterJoin(outer, inner, f, kSel, kJoin, 1, nil)
+	})
+	if avg > 10 {
+		t.Errorf("SelectOuterJoin allocates %v per query, want ≤ 10 (result pre-sized, no per-tuple allocations)", avg)
+	}
+}
+
 func TestKNNJoinParallelMatchesSequentialAllocsAreBounded(t *testing.T) {
 	const k = 5
 	bounds := geom.NewRect(0, 0, 1000, 1000)

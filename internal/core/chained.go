@@ -60,125 +60,36 @@ func (q ChainedQEP) String() string {
 	}
 }
 
-// ChainedJoins evaluates the chained query with the chosen QEP. All QEPs
-// produce the same triple set (a property the tests enforce).
-func ChainedJoins(a, b, cRel *Relation, kAB, kBC int, qep ChainedQEP, c *stats.Counters) []Triple {
+// Chained evaluates the chained query with the chosen QEP, tuple batches
+// fanned out across workers (≤ 1: sequential). All QEPs produce the same
+// triples in the same order (a property the tests enforce), whatever the
+// worker count.
+func Chained(a, b, cRel *Relation, kAB, kBC int, qep ChainedQEP, workers int, c *stats.Counters) []Triple {
 	switch qep {
 	case ChainedRightDeep:
-		return chainedRightDeep(a, b, cRel, kAB, kBC, c)
-	case ChainedJoinIntersection:
-		return chainedJoinIntersection(a, b, cRel, kAB, kBC, 1, c)
-	case ChainedNestedJoin:
-		return chainedNestedJoin(a, b, cRel, kAB, kBC, false, c)
-	default: // ChainedAuto, ChainedNestedJoinCached
-		return chainedNestedJoin(a, b, cRel, kAB, kBC, true, c)
-	}
-}
-
-// chainedRightDeep is QEP1: materialize the full join (B ⋈kNN C) as a map
-// from b to its C-neighborhood, then probe it for every b produced by
-// (A ⋈kNN B). No output is produced until the inner join completes, and
-// neighborhoods are computed even for b values never selected by any a.
-func chainedRightDeep(a, b, cRel *Relation, kAB, kBC int, c *stats.Counters) []Triple {
-	bc := make(map[geom.Point][]geom.Point, b.Len())
-	b.ForEachPoint(func(bp geom.Point) {
-		nbr := cRel.S.Neighborhood(bp, kBC, c)
-		pts := make([]geom.Point, len(nbr.Points))
-		copy(pts, nbr.Points)
-		bc[bp] = pts
-	})
-
-	var out []Triple
-	a.ForEachPoint(func(ap geom.Point) {
-		nbrA := b.S.Neighborhood(ap, kAB, c)
-		for _, bp := range nbrA.Points {
-			for _, cp := range bc[bp] {
-				out = append(out, Triple{A: ap, B: bp, C: cp})
-			}
-		}
-	})
-	return out
-}
-
-// chainedJoinIntersection is QEP2: both joins run independently and their
-// pair sets are intersected on B. workers == 1 is fully sequential; any
-// other value fans each join's tuple batches out under KNNJoinParallel's
-// worker semantics (the joins themselves still run one after the other).
-func chainedJoinIntersection(a, b, cRel *Relation, kAB, kBC, workers int, c *stats.Counters) []Triple {
-	var abPairs, bcPairs []Pair
-	if workers == 1 {
-		abPairs = KNNJoin(a, b, kAB, c)
-		bcPairs = KNNJoin(b, cRel, kBC, c)
-	} else {
-		abPairs = KNNJoinParallel(a, b, kAB, workers, c)
-		bcPairs = KNNJoinParallel(b, cRel, kBC, workers, c)
-	}
-	cByB := groupRightsByLeft(bcPairs, neighborhoodLen(kBC, cRel))
-	var out []Triple
-	for _, pr := range abPairs {
-		for _, cp := range cByB[pr.Right] {
-			out = append(out, Triple{A: pr.Left, B: pr.Right, C: cp})
-		}
-	}
-	return out
-}
-
-// neighborhoodLen is the exact size of every neighborhood of inner at k:
-// min(k, |inner|).
-func neighborhoodLen(k int, inner *Relation) int {
-	if n := inner.Len(); n < k {
-		return n
-	}
-	return k
-}
-
-// groupRightsByLeft groups the Right components of pairs by their Left
-// point, capping each list at maxLen. B may hold duplicate coordinates
-// (e.g. co-located observations), and each duplicate instance contributes
-// an identical neighborhood run to the pair set; every neighborhood has
-// exactly maxLen entries, so the cap keeps the first full copy and drops
-// repeats, regardless of run interleaving — one list per distinct b value,
-// as the probing QEPs expect.
-func groupRightsByLeft(pairs []Pair, maxLen int) map[geom.Point][]geom.Point {
-	m := make(map[geom.Point][]geom.Point)
-	for _, pr := range pairs {
-		if lst := m[pr.Left]; len(lst) < maxLen {
-			m[pr.Left] = append(lst, pr.Right)
-		}
-	}
-	return m
-}
-
-// ChainedJoinsParallel evaluates the chained query with tuple batches
-// fanned out across workers holding pooled searcher handles. Every plan
-// returns results identical — including order — to its sequential form:
-//
-//   - right-deep materializes B ⋈ C with the parallel join, then fans the
-//     probe phase out over A's blocks;
-//   - join-intersection fans each of its two full joins out in turn;
-//   - the nested-join plans fan A's blocks out with a *per-worker*
-//     neighborhood cache (same answers; the shared sequential cache would
-//     serialize the workers, so hit counts are lower in exchange).
-func ChainedJoinsParallel(a, b, cRel *Relation, kAB, kBC int, qep ChainedQEP, workers int, c *stats.Counters) []Triple {
-	switch qep {
-	case ChainedRightDeep:
-		return chainedRightDeepParallel(a, b, cRel, kAB, kBC, workers, c)
+		return chainedRightDeep(a, b, cRel, kAB, kBC, workers, c)
 	case ChainedJoinIntersection:
 		return chainedJoinIntersection(a, b, cRel, kAB, kBC, workers, c)
 	case ChainedNestedJoin:
-		return chainedNestedJoinParallel(a, b, cRel, kAB, kBC, false, workers, c)
+		return chainedNestedJoin(a, b, cRel, kAB, kBC, false, workers, c)
 	default: // ChainedAuto, ChainedNestedJoinCached
-		return chainedNestedJoinParallel(a, b, cRel, kAB, kBC, true, workers, c)
+		return chainedNestedJoin(a, b, cRel, kAB, kBC, true, workers, c)
 	}
 }
 
-// chainedRightDeepParallel is QEP1 with both phases parallel: the inner
-// B ⋈ C join through KNNJoinParallel, the probe phase over A's blocks with
-// the materialized map shared read-only across workers.
-func chainedRightDeepParallel(a, b, cRel *Relation, kAB, kBC, workers int, c *stats.Counters) []Triple {
-	bcPairs := KNNJoinParallel(b, cRel, kBC, workers, c)
-	bc := groupRightsByLeft(bcPairs, neighborhoodLen(kBC, cRel))
-	return parallelEmit(&tripleArenas, blockGroups(a), b, workers, c, nil,
+// ChainedJoins is the sequential chained query.
+func ChainedJoins(a, b, cRel *Relation, kAB, kBC int, qep ChainedQEP, c *stats.Counters) []Triple {
+	return Chained(a, b, cRel, kAB, kBC, qep, 1, c)
+}
+
+// chainedRightDeep is QEP1: materialize the full join (B ⋈kNN C) as a map
+// from b to its C-neighborhood, then probe it — shared read-only across
+// workers — for every b produced by (A ⋈kNN B). No output is produced until
+// the inner join completes, and neighborhoods are computed even for b
+// values never selected by any a.
+func chainedRightDeep(a, b, cRel *Relation, kAB, kBC, workers int, c *stats.Counters) []Triple {
+	bc := groupRightsByLeft(Join(b, cRel, kBC, workers, c), min(kBC, cRel.Len()))
+	return emitGroups(&TripleArenas, blockGroups(a), b, workers, 0, c, nil,
 		func(h *Relation, ap geom.Point, dst []Triple, ctr *stats.Counters) []Triple {
 			nbrA := h.S.Neighborhood(ap, kAB, ctr)
 			for _, bp := range nbrA.Points {
@@ -190,64 +101,53 @@ func chainedRightDeepParallel(a, b, cRel *Relation, kAB, kBC, workers int, c *st
 		})
 }
 
-// chainedNestedJoin is QEP3: for every pair (a, b) of the first join,
-// compute (or fetch from the cache) the C-neighborhood of b. Only b values
-// that some a actually selects incur neighborhood computations.
-func chainedNestedJoin(a, b, cRel *Relation, kAB, kBC int, useCache bool, c *stats.Counters) []Triple {
-	var cache map[geom.Point][]geom.Point
-	if useCache {
-		cache = make(map[geom.Point][]geom.Point)
-	}
-
-	neighborhoodOfB := func(bp geom.Point) []geom.Point {
-		if useCache {
-			if pts, ok := cache[bp]; ok {
-				c.AddCacheHit()
-				return pts
-			}
-			c.AddCacheMiss()
-		}
-		nbr := cRel.S.Neighborhood(bp, kBC, c)
-		if !useCache {
-			// The caller consumes the result before the next query on this
-			// searcher, so the reusable buffer can be returned as-is.
-			return nbr.Points
-		}
-		pts := make([]geom.Point, len(nbr.Points))
-		copy(pts, nbr.Points)
-		cache[bp] = pts
-		return pts
-	}
-
+// chainedJoinIntersection is QEP2: both joins run independently (one after
+// the other, each fanned out) and their pair sets are intersected on B.
+func chainedJoinIntersection(a, b, cRel *Relation, kAB, kBC, workers int, c *stats.Counters) []Triple {
+	abPairs := Join(a, b, kAB, workers, c)
+	cByB := groupRightsByLeft(Join(b, cRel, kBC, workers, c), min(kBC, cRel.Len()))
 	var out []Triple
-	var bps []geom.Point // scratch: nbrA's buffer is clobbered when b and cRel share a searcher
-	a.ForEachPoint(func(ap geom.Point) {
-		nbrA := b.S.Neighborhood(ap, kAB, c)
-		bps = append(bps[:0], nbrA.Points...)
-		for _, bp := range bps {
-			for _, cp := range neighborhoodOfB(bp) {
-				out = append(out, Triple{A: ap, B: bp, C: cp})
-			}
+	for _, pr := range abPairs {
+		for _, cp := range cByB[pr.Right] {
+			out = append(out, Triple{A: pr.Left, B: pr.Right, C: cp})
 		}
-	})
+	}
 	return out
 }
 
-// chainedNestedJoinParallel fans QEP3 out over A's blocks through the
-// shared parallelRun driver. Each worker holds its own handles on B (from
-// the driver) and C (acquired by its worker factory) and, when caching,
-// its own neighborhood cache: the shared sequential cache would serialize
-// the crew behind a lock, so the parallel plan trades duplicate misses
-// across workers for lock-free probing. The emitted triples are identical
-// — including order — to the sequential nested join.
-func chainedNestedJoinParallel(a, b, cRel *Relation, kAB, kBC int, useCache bool, workers int, c *stats.Counters) []Triple {
-	groups := blockGroups(a)
-	if normalizeWorkers(workers, len(groups)) <= 1 {
-		return chainedNestedJoin(a, b, cRel, kAB, kBC, useCache, c)
+// groupRightsByLeft groups the Right components of pairs by their Left
+// point, capping each list at maxLen. B may hold duplicate coordinates
+// (e.g. co-located observations), and each duplicate instance contributes
+// an identical neighborhood run to the pair set; every neighborhood has
+// exactly maxLen = min(k, |inner|) entries, so the cap keeps the first full
+// copy and drops repeats, regardless of run interleaving — one list per
+// distinct b value, as the probing QEPs expect, each allocated once at its
+// final size.
+func groupRightsByLeft(pairs []Pair, maxLen int) map[geom.Point][]geom.Point {
+	m := make(map[geom.Point][]geom.Point)
+	for _, pr := range pairs {
+		lst, ok := m[pr.Left]
+		if !ok {
+			lst = make([]geom.Point, 0, maxLen)
+		}
+		if len(lst) < maxLen {
+			m[pr.Left] = append(lst, pr.Right)
+		}
 	}
+	return m
+}
 
-	return parallelRun(&tripleArenas, groups, b, workers, c,
-		func(hb *Relation, primary bool, ctr *stats.Counters) (worker[Triple], bool) {
+// chainedNestedJoin is QEP3: for every pair (a, b) of the first join,
+// compute (or fetch from the cache) the C-neighborhood of b, fanned out
+// over A's blocks. Only b values that some a actually selects incur
+// neighborhood computations. Each worker holds its own handles on B (from
+// the driver) and C (acquired by its worker factory) and, when caching, its
+// own neighborhood cache: a shared cache would serialize the crew behind a
+// lock, so a parallel run trades duplicate misses across workers (same
+// answers, lower hit counts) for lock-free probing.
+func chainedNestedJoin(a, b, cRel *Relation, kAB, kBC int, useCache bool, workers int, c *stats.Counters) []Triple {
+	return runGroups(&TripleArenas, blockGroups(a), b, workers, 0, c,
+		func(hb *Relation, primary bool, ctr *stats.Counters) (tupleWorker[Triple], bool) {
 			hc := cRel
 			var done func()
 			switch {
@@ -262,7 +162,7 @@ func chainedNestedJoinParallel(a, b, cRel *Relation, kAB, kBC int, useCache bool
 				// the crew's cancellation binding off the B handle.
 				hhc, err := cRel.TryAcquire()
 				if err != nil {
-					return worker[Triple]{}, false
+					return tupleWorker[Triple]{}, false
 				}
 				hhc.S.Bind(hb.S.Context())
 				hc = hhc
@@ -283,6 +183,9 @@ func chainedNestedJoinParallel(a, b, cRel *Relation, kAB, kBC int, useCache bool
 				}
 				nbr := hc.S.Neighborhood(bp, kBC, ctr)
 				if !useCache {
+					// The emit path consumes the result before the next
+					// query on this searcher, so the reusable buffer can be
+					// returned as-is.
 					return nbr.Points
 				}
 				pts := make([]geom.Point, len(nbr.Points))
@@ -292,8 +195,8 @@ func chainedNestedJoinParallel(a, b, cRel *Relation, kAB, kBC int, useCache bool
 			}
 
 			var bps []geom.Point // scratch: nbrA's buffer is clobbered when hb and hc share a searcher
-			return worker[Triple]{
-				emit: func(ap geom.Point, dst []Triple) []Triple {
+			return tupleWorker[Triple]{
+				emit: func(hb *Relation, ap geom.Point, dst []Triple, ctr *stats.Counters) []Triple {
 					nbrA := hb.S.Neighborhood(ap, kAB, ctr)
 					bps = append(bps[:0], nbrA.Points...)
 					for _, bp := range bps {

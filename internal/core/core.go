@@ -29,10 +29,13 @@
 //
 // Beyond the paper, the package provides the concurrency layer for serving
 // many queries over one shared index: a per-relation SearcherPool of
-// query-local handles (pool.go), and *Parallel variants of the join
-// algorithms that fan tuple batches out across pooled handles with
-// per-worker arena buffers (parallel.go). Every parallel variant returns
-// results byte-identical to its sequential counterpart, order included.
+// query-local handles (pool.go), and the one worker-crew driver every join
+// algorithm runs on (parallel.go). Each algorithm has a single body that
+// takes a worker count and fans its tuple batches out across pooled handles
+// with per-worker arena buffers; sequential execution is that body at
+// workers = 1, and the result — order included — does not depend on the
+// count. The sequential-signature names (KNNJoin, SelectInnerJoinCounting,
+// ChainedJoins, …) are one-line callers of those bodies.
 package core
 
 import (
@@ -100,7 +103,7 @@ func (r *Relation) Len() int { return r.Ix.Len() }
 
 // Checkpoint polls the searcher's cancellation binding (see
 // locality.Searcher.Checkpoint): a no-op on unbound handles, a
-// fault.Cancel panic once the bound context is done. The join drivers call
+// fault.Cancel panic once the bound context is done. The join driver calls
 // it once per claimed tuple group, so even groups whose emission never
 // probes the searcher (pruned or gated blocks) observe cancellation at
 // block granularity.

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"runtime"
+
 	"repro/internal/geom"
-	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -16,6 +17,18 @@ func KNNSelect(rel *Relation, f geom.Point, k int, c *stats.Counters) []geom.Poi
 	return out
 }
 
+// knnPairEmitter returns the plain kNN-join emitter: the neighborhood of
+// each outer point, as (outer, neighbor) pairs.
+func knnPairEmitter(k int) func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
+	return func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
+		nbr := h.S.Neighborhood(e1, k, ctr)
+		for _, e2 := range nbr.Points {
+			dst = append(dst, Pair{Left: e1, Right: e2})
+		}
+		return dst
+	}
+}
+
 // maxJoinPrealloc caps the up-front capacity reserved for a join's result
 // slice. The exact result size of a kNN-join is outer.Len()·min(k, |inner|),
 // but reserving it eagerly means one huge allocation for large outer
@@ -23,48 +36,46 @@ func KNNSelect(rel *Relation, f geom.Point, k int, c *stats.Counters) []geom.Poi
 // the slice geometrically as results actually materialize.
 const maxJoinPrealloc = 1 << 16
 
-// joinResultCap returns the initial capacity for a join result expected to
-// hold `exact` pairs.
-func joinResultCap(exact int) int {
-	if exact > maxJoinPrealloc {
-		return maxJoinPrealloc
-	}
-	return exact
-}
-
-// KNNJoin evaluates outer ⋈kNN inner: all pairs (e1, e2) with e1 from the
+// Join evaluates outer ⋈kNN inner: all pairs (e1, e2) with e1 from the
 // outer relation and e2 among the k nearest neighbors of e1 in the inner
-// relation. This is the paper's basic join building block; every point of
-// the outer relation incurs one neighborhood computation.
-func KNNJoin(outer, inner *Relation, k int, c *stats.Counters) []Pair {
+// relation, in outer scan order. This is the paper's basic join building
+// block; every point of the outer relation incurs one neighborhood
+// computation, fanned out over the outer relation's blocks across workers
+// (≤ 1: sequential; extra workers hold pooled searcher handles on the inner
+// relation, and the result does not depend on the count, order included).
+// The result is non-nil for valid k.
+func Join(outer, inner *Relation, k, workers int, c *stats.Counters) []Pair {
 	if k <= 0 {
 		return nil
 	}
-	out := make([]Pair, 0, joinResultCap(outer.Len()*min(k, inner.Len())))
-	// Same scan order as outer.ForEachPoint, unrolled one level so the join
-	// loop itself checkpoints cancellation once per outer block span.
-	for _, b := range outer.Ix.Blocks() {
-		inner.Checkpoint()
-		xs, ys := b.XYs()
-		for i := range xs {
-			e1 := geom.Point{X: xs[i], Y: ys[i]}
-			nbr := inner.S.Neighborhood(e1, k, c)
-			for _, e2 := range nbr.Points {
-				out = append(out, Pair{Left: e1, Right: e2})
-			}
-		}
+	sizeHint := min(outer.Len()*min(k, inner.Len()), maxJoinPrealloc)
+	out := emitGroups(&PairArenas, blockGroups(outer), inner, workers, sizeHint, c, nil, knnPairEmitter(k))
+	if out == nil {
+		out = []Pair{}
 	}
 	return out
 }
 
-// sortedPointSet returns the points of nbr as a canonically sorted slice for
-// binary-search membership tests. It replaces the per-query
-// map[geom.Point]struct{} intersection sets: neighborhoods are small (kσ
-// points), so a sorted slice probes faster than a hash map and the copy
-// doubles as the retained snapshot of a reusable searcher result.
-func sortedPointSet(nbr *locality.Neighborhood) []geom.Point {
-	out := make([]geom.Point, len(nbr.Points))
-	copy(out, nbr.Points)
+// KNNJoin is the sequential Join.
+func KNNJoin(outer, inner *Relation, k int, c *stats.Counters) []Pair {
+	return Join(outer, inner, k, 1, c)
+}
+
+// KNNJoinParallel is Join with workers <= 0 selecting GOMAXPROCS.
+func KNNJoinParallel(outer, inner *Relation, k, workers int, c *stats.Counters) []Pair {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return Join(outer, inner, k, workers, c)
+}
+
+// sortedPoints returns a canonically sorted copy of pts for binary-search
+// membership tests (ContainsPoint). Neighborhoods are small (kσ points), so
+// a sorted slice probes faster than a hash map, and the copy doubles as the
+// retained snapshot of a reusable searcher result.
+func sortedPoints(pts []geom.Point) []geom.Point {
+	out := make([]geom.Point, len(pts))
+	copy(out, pts)
 	SortPoints(out)
 	return out
 }
@@ -84,27 +95,4 @@ func ContainsPoint(set []geom.Point, p geom.Point) bool {
 		}
 	}
 	return lo < len(set) && set[lo] == p
-}
-
-// intersectPairs keeps the join pairs whose Right component belongs to sel
-// (a canonically sorted point set).
-func intersectPairs(pairs []Pair, sel []geom.Point) []Pair {
-	out := pairs[:0:0] // fresh slice, same capacity hint not needed
-	for _, pr := range pairs {
-		if ContainsPoint(sel, pr.Right) {
-			out = append(out, pr)
-		}
-	}
-	return out
-}
-
-// emitIntersection appends a pair (e1, i) for every point i present in both
-// the neighborhood and the sorted set, preserving nbrE1's order.
-func emitIntersection(dst []Pair, e1 geom.Point, nbrE1 *locality.Neighborhood, sel []geom.Point) []Pair {
-	for _, i := range nbrE1.Points {
-		if ContainsPoint(sel, i) {
-			dst = append(dst, Pair{Left: e1, Right: i})
-		}
-	}
-	return dst
 }

@@ -133,7 +133,7 @@ func TestLayoutEquivalenceAllShapes(t *testing.T) {
 
 				// Shape 2: kNN-select on the outer relation.
 				wantSOJ := sortedPairs(refKNNJoin(refKNN(aPts, f, kSel), bPts, kJoin))
-				if got := sortedPairs(core.SelectOuterJoin(a, b, f, kSel, kJoin, nil)); !reflect.DeepEqual(got, wantSOJ) {
+				if got := sortedPairs(core.SelectOuterJoin(a, b, f, kSel, kJoin, 1, nil)); !reflect.DeepEqual(got, wantSOJ) {
 					t.Fatalf("%s/seed %d: select-outer-join diverged from AoS reference", kind, seed)
 				}
 
@@ -187,9 +187,9 @@ func TestLayoutEquivalenceAllShapes(t *testing.T) {
 				}
 				wantRangeS := sortedPairs(wantRange)
 				for name, got := range map[string][]core.Pair{
-					"conceptual":    core.RangeInnerJoinConceptual(a, b, rng, kJoin, nil),
-					"counting":      core.RangeInnerJoinCounting(a, b, rng, kJoin, nil),
-					"block-marking": core.RangeInnerJoinBlockMarking(a, b, rng, kJoin, core.BlockMarkingOptions{}, nil),
+					"conceptual":    rangeJoin(core.AlgorithmConceptual, a, b, rng, kJoin, nil),
+					"counting":      rangeJoin(core.AlgorithmCounting, a, b, rng, kJoin, nil),
+					"block-marking": rangeJoin(core.AlgorithmBlockMarking, a, b, rng, kJoin, nil),
 				} {
 					if diff := sortedPairs(got); !reflect.DeepEqual(diff, wantRangeS) {
 						t.Fatalf("%s/seed %d: range-inner-join %s diverged from AoS reference", kind, seed, name)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,41 +10,46 @@ import (
 	"repro/internal/stats"
 )
 
-// This file implements the batched parallel execution driver shared by the
-// *Parallel variants of the join algorithms. The outer relation's tuples
-// are split into groups (index blocks, or fixed-size chunks of a selected
-// point list); a fixed crew of workers claims groups through an atomic
-// cursor, each worker holding a pooled searcher handle on the inner
-// relation. Workers append their results into a private *arena* drawn from
-// a process-wide pool and record one (start, end) span per group, so the
-// driver performs no per-group result allocation at all; the per-group
-// spans are concatenated once, in group order, which makes every parallel
-// result byte-identical to its sequential counterpart — including order.
+// This file implements the one execution driver every join algorithm runs
+// on — the algorithms of this package and the scatter/gather drivers of
+// internal/shard alike. Work is split into units (index blocks, or chunks
+// of a selected point list or of a first join's pairs); a fixed crew of
+// workers claims units through an atomic cursor, each worker built by a
+// factory that equips it with whatever it probes (a pooled searcher handle
+// here, one handle per shard there). Workers append their results into a
+// private *arena* drawn from a process-wide pool and record one (start,
+// end) span per unit, so the driver performs no per-unit result allocation
+// at all; the per-unit spans are concatenated once, in unit order, which
+// makes the result independent of the worker count — including order.
 //
-// Extra worker handles come from the inner relation's SearcherPool via
-// TryAcquire: on a bounded pool that is already at capacity the crew
-// degrades gracefully to fewer workers (worker 0 always runs on the
-// caller's own handle), rather than blocking or deadlocking.
+// Sequential execution is the crew of one: workers ≤ 1 runs the same worker
+// on the caller's goroutine, appending straight into the result slice. No
+// algorithm has a second, hand-written sequential body.
+//
+// A worker whose factory cannot equip it (a bounded pool at capacity)
+// stands down and the remaining crew drains the units; worker 0 always
+// runs, so the crew degrades gracefully rather than blocking or
+// deadlocking.
 
 // maxArenaRetain caps the capacity (in elements) of arenas returned to the
 // shared pool; oversized arenas from a huge join are left to the GC instead
 // of pinning their memory for the process lifetime.
 const maxArenaRetain = 1 << 18
 
-// arena is a worker-private append buffer recycled across parallel queries.
+// arena is a worker-private append buffer recycled across crew runs.
 type arena[T any] struct{ buf []T }
 
-// arenaPool recycles arenas of one element type.
-type arenaPool[T any] struct{ p sync.Pool }
+// ArenaPool recycles arenas of one element type.
+type ArenaPool[T any] struct{ p sync.Pool }
 
-func (ap *arenaPool[T]) get() *arena[T] {
+func (ap *ArenaPool[T]) get() *arena[T] {
 	if a, ok := ap.p.Get().(*arena[T]); ok {
 		return a
 	}
 	return new(arena[T])
 }
 
-func (ap *arenaPool[T]) put(a *arena[T]) {
+func (ap *ArenaPool[T]) put(a *arena[T]) {
 	if a == nil || cap(a.buf) > maxArenaRetain {
 		return
 	}
@@ -53,24 +57,25 @@ func (ap *arenaPool[T]) put(a *arena[T]) {
 	ap.p.Put(a)
 }
 
+// The arena pools of the two join row types.
 var (
-	pairArenas   arenaPool[Pair]
-	tripleArenas arenaPool[Triple]
+	PairArenas   ArenaPool[Pair]
+	TripleArenas ArenaPool[Triple]
 )
 
-// span records where one group's results landed: in which worker's arena
+// span records where one unit's results landed: in which worker's arena
 // and at which offsets.
 type span struct{ worker, start, end int }
 
 // concatSpans assembles the final result slice from per-worker arenas in
-// group order — the single allocation of the output path.
+// unit order — the single allocation of the output path.
 func concatSpans[T any](spans []span, arenas []*arena[T]) []T {
 	total := 0
 	for _, sp := range spans {
 		total += sp.end - sp.start
 	}
 	if total == 0 {
-		return nil // matches the sequential variants' nil empty result
+		return nil
 	}
 	out := make([]T, 0, total)
 	for _, sp := range spans {
@@ -79,86 +84,57 @@ func concatSpans[T any](spans []span, arenas []*arena[T]) []T {
 	return out
 }
 
-// normalizeWorkers resolves a worker-count request against the group count:
-// non-positive means GOMAXPROCS, and there is no point running more workers
-// than groups.
-func normalizeWorkers(workers, groups int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > groups {
-		workers = groups
-	}
-	return workers
+// Worker is one crew member's behavior in RunCrew: Emit appends the results
+// of work unit i to dst (polling cancellation first — the driver itself
+// holds nothing to poll), and Done (optional) releases what the worker
+// factory acquired.
+type Worker[T any] struct {
+	Emit func(i int, dst []T) []T
+	Done func()
 }
 
-// worker is one crew member's behavior in a parallelRun: emit produces the
-// results of one outer tuple, gate (optional) admits or skips a whole
-// group before its points are emitted, and done (optional) releases any
-// extra resources the worker factory acquired.
-type worker[T any] struct {
-	emit func(e1 geom.Point, dst []T) []T
-	gate func(gi int) bool
-	done func()
-}
-
-// tupleGroup is one unit of outer-tuple work for the parallel driver:
-// either a block span (scanned over the store's flat X/Y columns, no point
-// materialization up front) or an explicit point list (chunks of a selected
-// point set).
-type tupleGroup struct {
-	blk *index.Block
-	pts []geom.Point
-}
-
-// emitGroup runs wk.emit over every tuple of the group, appending to buf.
-func emitGroup[T any](g tupleGroup, wk worker[T], buf []T) []T {
-	if g.blk != nil {
-		xs, ys := g.blk.XYs()
-		for i := range xs {
-			buf = wk.emit(geom.Point{X: xs[i], Y: ys[i]}, buf)
-		}
-		return buf
-	}
-	for _, e1 := range g.pts {
-		buf = wk.emit(e1, buf)
-	}
-	return buf
-}
-
-// parallelRun fans groups out across a worker crew and returns the
-// concatenated per-group results in group order. newWorker builds each
-// crew member's behavior: it receives a searcher handle on inner (worker 0
-// — primary — runs on the caller's own handle, the rest borrow from
-// inner's pool) and a counter shard, and may acquire extra per-worker
-// state (more handles, caches) released via worker.done. Returning ok ==
-// false stands the worker down — the remaining crew drains the groups; the
-// primary worker must always succeed.
+// RunCrew runs units 0..units-1 on a crew of min(workers, units) workers
+// and returns their results concatenated in unit order; nothing emitted is
+// a nil slice. newWorker builds crew member w around its counter shard, on
+// the member's own goroutine; returning ok == false stands the worker down.
+// Worker 0 must always succeed (it may block for what it needs; the others
+// must not).
 //
-// workers <= 1 (after normalization against the group count) degenerates
-// to a sequential loop on the caller's goroutine with no arena machinery.
-func parallelRun[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, workers int,
-	c *stats.Counters,
-	newWorker func(h *Relation, primary bool, ctr *stats.Counters) (worker[T], bool)) []T {
+// workers ≤ 1 means sequential: worker 0 runs on the caller's goroutine,
+// counts straight into c and appends into one slice pre-sized to sizeHint
+// (0: grow on demand).
+//
+// Panic isolation: a worker never lets a panic — cooperative cancellation
+// (fault.Cancel) or a genuine crash — cross its goroutine boundary. The
+// first fault is parked, the abort flag stops the rest of the crew at their
+// next unit claim, and after the crew is joined (counter shards folded into
+// c, every worker's Done run) the fault re-panics on the caller's goroutine
+// for the public layer's recover. No partial result escapes.
+func RunCrew[T any](ap *ArenaPool[T], units, workers, sizeHint int, c *stats.Counters,
+	newWorker func(w int, ctr *stats.Counters) (Worker[T], bool)) []T {
 
-	workers = normalizeWorkers(workers, len(groups))
+	if units == 0 {
+		return nil
+	}
+	if workers > units {
+		workers = units
+	}
 	if workers <= 1 {
-		wk, _ := newWorker(inner, true, c)
-		if wk.done != nil {
-			defer wk.done()
+		wk, _ := newWorker(0, c)
+		if wk.Done != nil {
+			defer wk.Done()
 		}
 		var out []T
-		for gi, g := range groups {
-			inner.Checkpoint()
-			if wk.gate != nil && !wk.gate(gi) {
-				continue
-			}
-			out = emitGroup(g, wk, out)
+		if sizeHint > 0 {
+			out = make([]T, 0, sizeHint)
+		}
+		for i := 0; i < units; i++ {
+			out = wk.Emit(i, out)
 		}
 		return out
 	}
 
-	spans := make([]span, len(groups))
+	spans := make([]span, units)
 	arenas := make([]*arena[T], workers)
 	// Counter shards are individually allocated (not one contiguous slice)
 	// so adjacent workers' atomic increments do not false-share cache
@@ -172,13 +148,6 @@ func parallelRun[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, 
 		}
 	}
 	var cursor atomic.Int64
-
-	// Panic isolation: a worker never lets a panic — cooperative
-	// cancellation (fault.Cancel) or a genuine crash — cross its goroutine
-	// boundary. The first fault is parked in the slot, the abort flag stops
-	// the rest of the crew at their next group claim, and after the crew is
-	// joined (counters folded, handles released by the workers' own defers)
-	// the fault re-panics on the caller's goroutine for the public recover.
 	var flt fault.Slot
 	var abort atomic.Bool
 
@@ -193,48 +162,27 @@ func parallelRun[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, 
 					abort.Store(true)
 				}
 			}()
-			h := inner
-			if w > 0 {
-				hh, err := inner.TryAcquire()
-				if err != nil {
-					// Bounded pool at capacity: drop this worker; the
-					// remaining crew (at least worker 0) drains the groups.
-					return
-				}
-				defer hh.Release()
-				// Extra handles inherit the caller handle's cancellation
-				// binding, so every crew member checkpoints the same ctx.
-				hh.S.Bind(inner.S.Context())
-				h = hh
-			}
 			var ctr *stats.Counters
 			if counters != nil {
 				ctr = counters[w]
 			}
-			wk, ok := newWorker(h, w == 0, ctr)
+			wk, ok := newWorker(w, ctr)
 			if !ok {
 				return
 			}
-			if wk.done != nil {
-				defer wk.done()
+			if wk.Done != nil {
+				defer wk.Done()
 			}
 			a := ap.get()
 			arenas[w] = a
-			for {
-				if abort.Load() {
+			for !abort.Load() {
+				i := int(cursor.Add(1)) - 1
+				if i >= units {
 					return
-				}
-				gi := int(cursor.Add(1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				h.Checkpoint()
-				if wk.gate != nil && !wk.gate(gi) {
-					continue
 				}
 				start := len(a.buf)
-				a.buf = emitGroup(groups[gi], wk, a.buf)
-				spans[gi] = span{worker: w, start: start, end: len(a.buf)}
+				a.buf = wk.Emit(i, a.buf)
+				spans[i] = span{worker: w, start: start, end: len(a.buf)}
 			}
 		}(w)
 	}
@@ -243,42 +191,132 @@ func parallelRun[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, 
 	for _, shard := range counters {
 		c.Add(shard)
 	}
-	if r := flt.Load(); r != nil {
-		// Faulted: arenas go back to the pool, no partial result escapes,
-		// and the fault resumes its unwind on the caller's goroutine.
-		for _, a := range arenas {
-			ap.put(a)
-		}
-		panic(r)
+	var out []T
+	r := flt.Load()
+	if r == nil {
+		out = concatSpans(spans, arenas)
 	}
-	out := concatSpans(spans, arenas)
 	for _, a := range arenas {
 		ap.put(a)
+	}
+	if r != nil {
+		panic(r)
 	}
 	return out
 }
 
-// parallelEmit is parallelRun for the common case of stateless workers: a
-// per-point emit (and optional per-group gate) parameterized only by the
-// worker's handle and counter shard.
-func parallelEmit[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, workers int,
+// Chunks cuts n items into contiguous runs and yields each as [start, end),
+// in order: several runs per worker, so a slow one does not straggle the
+// crew; a sequential run (workers ≤ 1) keeps all items in one.
+func Chunks(n, workers int, yield func(start, end int)) {
+	chunk := n
+	if workers > 1 {
+		chunk = (n + workers*4 - 1) / (workers * 4)
+	}
+	for start := 0; start < n; start += chunk {
+		yield(start, min(start+chunk, n))
+	}
+}
+
+// tupleWorker is one crew member's per-tuple behavior in runGroups: emit
+// produces the results of one outer tuple, gate (optional) admits or skips
+// a whole group before its points are emitted — both run on the worker's
+// handle and counter shard — and done (optional) releases any extra
+// resources the worker factory acquired.
+type tupleWorker[T any] struct {
+	emit func(h *Relation, e1 geom.Point, dst []T, ctr *stats.Counters) []T
+	gate func(h *Relation, gi int, ctr *stats.Counters) bool
+	done func()
+}
+
+// tupleGroup is one unit of outer-tuple work: either a block span (scanned
+// over the store's flat X/Y columns, no point materialization up front) or
+// an explicit point list (chunks of a selected point set).
+type tupleGroup struct {
+	blk *index.Block
+	pts []geom.Point
+}
+
+// runGroups is RunCrew over outer-tuple groups probing one inner relation.
+// newWorker builds each crew member's behavior around a searcher handle on
+// inner — worker 0 (primary) runs on the caller's own handle, the rest
+// borrow from inner's pool with TryAcquire and stand down when a bounded
+// pool is at capacity — and may acquire extra per-worker state (more
+// handles, caches) released via tupleWorker.done. Every claimed group
+// starts with a cancellation checkpoint, so even groups whose emission
+// never probes the searcher (gated or empty blocks) observe cancellation.
+func runGroups[T any](ap *ArenaPool[T], groups []tupleGroup, inner *Relation, workers, sizeHint int,
+	c *stats.Counters,
+	newWorker func(h *Relation, primary bool, ctr *stats.Counters) (tupleWorker[T], bool)) []T {
+
+	return RunCrew(ap, len(groups), workers, sizeHint, c,
+		func(w int, ctr *stats.Counters) (Worker[T], bool) {
+			h := inner
+			if w > 0 {
+				hh, err := inner.TryAcquire()
+				if err != nil {
+					return Worker[T]{}, false
+				}
+				// Extra handles inherit the caller handle's cancellation
+				// binding, so every crew member checkpoints the same ctx.
+				hh.S.Bind(inner.S.Context())
+				h = hh
+			}
+			wk, ok := newWorker(h, w == 0, ctr)
+			if !ok {
+				if w > 0 {
+					h.Release()
+				}
+				return Worker[T]{}, false
+			}
+			crew := Worker[T]{Emit: func(gi int, dst []T) []T {
+				h.Checkpoint()
+				if wk.gate != nil && !wk.gate(h, gi, ctr) {
+					return dst
+				}
+				g := groups[gi]
+				if g.blk == nil {
+					for _, e1 := range g.pts {
+						dst = wk.emit(h, e1, dst, ctr)
+					}
+					return dst
+				}
+				xs, ys := g.blk.XYs()
+				for i := range xs {
+					dst = wk.emit(h, geom.Point{X: xs[i], Y: ys[i]}, dst, ctr)
+				}
+				return dst
+			}}
+			if w > 0 || wk.done != nil {
+				crew.Done = func() {
+					if wk.done != nil {
+						wk.done()
+					}
+					if w > 0 {
+						h.Release()
+					}
+				}
+			}
+			return crew, true
+		})
+}
+
+// emitGroups is runGroups for the common case of stateless workers: one
+// per-point emit (and optional per-group gate) shared by the whole crew.
+func emitGroups[T any](ap *ArenaPool[T], groups []tupleGroup, inner *Relation, workers, sizeHint int,
 	c *stats.Counters,
 	gate func(h *Relation, gi int, ctr *stats.Counters) bool,
 	emit func(h *Relation, e1 geom.Point, dst []T, ctr *stats.Counters) []T) []T {
 
-	return parallelRun(ap, groups, inner, workers, c,
-		func(h *Relation, _ bool, ctr *stats.Counters) (worker[T], bool) {
-			wk := worker[T]{emit: func(e1 geom.Point, dst []T) []T { return emit(h, e1, dst, ctr) }}
-			if gate != nil {
-				wk.gate = func(gi int) bool { return gate(h, gi, ctr) }
-			}
-			return wk, true
+	return runGroups(ap, groups, inner, workers, sizeHint, c,
+		func(*Relation, bool, *stats.Counters) (tupleWorker[T], bool) {
+			return tupleWorker[T]{emit: emit, gate: gate}, true
 		})
 }
 
 // pointGroups exposes a block list as emission groups (one span per
-// block), preserving block order so parallel results concatenate into the
-// sequential order. No points are materialized; workers scan the spans.
+// block), preserving block order. No points are materialized; workers scan
+// the spans.
 func pointGroups(blocks []*index.Block) []tupleGroup {
 	groups := make([]tupleGroup, len(blocks))
 	for i, b := range blocks {
@@ -293,59 +331,11 @@ func blockGroups(rel *Relation) []tupleGroup {
 	return pointGroups(rel.Ix.Blocks())
 }
 
-// pointChunks splits a point list into contiguous chunks sized for dynamic
-// load balancing across workers (several chunks per worker so a slow chunk
-// does not straggle the crew).
+// pointChunks splits a point list into Chunks groups.
 func pointChunks(pts []geom.Point, workers int) []tupleGroup {
-	if len(pts) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := (len(pts) + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	groups := make([]tupleGroup, 0, (len(pts)+chunk-1)/chunk)
-	for start := 0; start < len(pts); start += chunk {
-		end := start + chunk
-		if end > len(pts) {
-			end = len(pts)
-		}
+	var groups []tupleGroup
+	Chunks(len(pts), workers, func(start, end int) {
 		groups = append(groups, tupleGroup{pts: pts[start:end]})
-	}
+	})
 	return groups
-}
-
-// knnPairEmitter returns the plain kNN-join emitter: the neighborhood of
-// each outer point, as (outer, neighbor) pairs.
-func knnPairEmitter(k int) func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
-	return func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
-		nbr := h.S.Neighborhood(e1, k, ctr)
-		for _, e2 := range nbr.Points {
-			dst = append(dst, Pair{Left: e1, Right: e2})
-		}
-		return dst
-	}
-}
-
-// KNNJoinParallel evaluates outer ⋈kNN inner with the outer relation's
-// blocks fanned out across workers, each holding a pooled searcher handle
-// on the inner relation. The result is identical — including order — to the
-// sequential KNNJoin. workers <= 0 uses GOMAXPROCS; workers == 1 (or a
-// degenerate outer partition) falls back to the sequential join.
-func KNNJoinParallel(outer, inner *Relation, k, workers int, c *stats.Counters) []Pair {
-	if k <= 0 {
-		return nil
-	}
-	groups := blockGroups(outer)
-	if normalizeWorkers(workers, len(groups)) <= 1 {
-		return KNNJoin(outer, inner, k, c)
-	}
-	out := parallelEmit(&pairArenas, groups, inner, workers, c, nil, knnPairEmitter(k))
-	if out == nil {
-		out = []Pair{} // KNNJoin returns a non-nil slice for valid k
-	}
-	return out
 }

@@ -10,9 +10,10 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestKNNJoinParallelMatchesSequential checks the parallel join returns the
-// exact sequential result (same pairs, same order) for various worker
-// counts and index kinds. Run with -race to validate the synchronization.
+// TestKNNJoinParallelMatchesSequential checks the exported join wrappers
+// agree — same pairs, same order — for various worker counts (0 selects
+// GOMAXPROCS) and index kinds. Run with -race to validate the
+// synchronization.
 func TestKNNJoinParallelMatchesSequential(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 1000, 1000)
 	for _, kind := range testutil.AllIndexKinds {
@@ -35,26 +36,13 @@ func TestKNNJoinParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestKNNJoinParallelCounters(t *testing.T) {
-	bounds := geom.NewRect(0, 0, 100, 100)
-	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(300, bounds, 1311))
-	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(300, bounds, 1312))
-
-	var seq, par stats.Counters
-	core.KNNJoin(outer, inner, 3, &seq)
-	core.KNNJoinParallel(outer, inner, 3, 4, &par)
-
-	if par.Neighborhoods != seq.Neighborhoods {
-		t.Errorf("parallel neighborhoods = %d, sequential = %d", par.Neighborhoods, seq.Neighborhoods)
-	}
-	if par.PointsCompared != seq.PointsCompared {
-		t.Errorf("parallel points = %d, sequential = %d", par.PointsCompared, seq.PointsCompared)
-	}
-}
-
-// TestParallelVariantsMatchSequential checks that every *Parallel algorithm
-// returns the exact sequential result — same rows, same order — across
-// worker counts. Run with -race to validate the synchronization.
+// TestParallelVariantsMatchSequential sweeps the worker count over every
+// algorithm's one body: whatever the crew size, the rows (order and
+// nil-ness included) and the operation counters must equal the crew of
+// one. The cached nested join keeps one neighborhood cache per worker, so
+// its hit/miss split — and the neighborhood work behind each miss — varies
+// with the crew; there the cache-independent sums must hold. Run with -race
+// to validate the synchronization.
 func TestParallelVariantsMatchSequential(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 1000, 1000)
 	a := testutil.BuildRelation(t, testutil.Grid, testutil.ClusteredPoints(500, 5, 40, bounds, 1401))
@@ -62,83 +50,92 @@ func TestParallelVariantsMatchSequential(t *testing.T) {
 	cRel := testutil.BuildRelation(t, testutil.Grid, testutil.ClusteredPoints(400, 4, 50, bounds, 1403))
 	f := geom.Point{X: 400, Y: 600}
 	rng := geom.NewRect(300, 300, 700, 700)
+	nowhere := geom.NewRect(5000, 5000, 5010, 5010)
 	const kJoin, kSel = 4, 12
 
-	cases := []struct {
+	type entry struct {
 		name string
-		seq  func() any
-		par  func(workers int) any
-	}{
-		{"SelectInnerJoinConceptual",
-			func() any { return core.SelectInnerJoinConceptual(a, b, f, kJoin, kSel, nil) },
-			func(w int) any { return core.SelectInnerJoinConceptualParallel(a, b, f, kJoin, kSel, w, nil) }},
-		{"SelectInnerJoinCounting",
-			func() any { return core.SelectInnerJoinCounting(a, b, f, kJoin, kSel, nil) },
-			func(w int) any { return core.SelectInnerJoinCountingParallel(a, b, f, kJoin, kSel, w, nil) }},
-		{"SelectInnerJoinBlockMarking",
-			func() any {
-				return core.SelectInnerJoinBlockMarking(a, b, f, kJoin, kSel, core.BlockMarkingOptions{}, nil)
-			},
-			func(w int) any {
-				return core.SelectInnerJoinBlockMarkingParallel(a, b, f, kJoin, kSel, core.BlockMarkingOptions{}, w, nil)
-			}},
-		{"SelectOuterJoin",
-			func() any { return core.SelectOuterJoin(a, b, f, kSel, kJoin, nil) },
-			func(w int) any { return core.SelectOuterJoinParallel(a, b, f, kSel, kJoin, w, nil) }},
-		{"RangeInnerJoinConceptual",
-			func() any { return core.RangeInnerJoinConceptual(a, b, rng, kJoin, nil) },
-			func(w int) any { return core.RangeInnerJoinConceptualParallel(a, b, rng, kJoin, w, nil) }},
-		{"RangeInnerJoinCounting",
-			func() any { return core.RangeInnerJoinCounting(a, b, rng, kJoin, nil) },
-			func(w int) any { return core.RangeInnerJoinCountingParallel(a, b, rng, kJoin, w, nil) }},
-		{"RangeInnerJoinBlockMarking",
-			func() any { return core.RangeInnerJoinBlockMarking(a, b, rng, kJoin, core.BlockMarkingOptions{}, nil) },
-			func(w int) any {
-				return core.RangeInnerJoinBlockMarkingParallel(a, b, rng, kJoin, core.BlockMarkingOptions{}, w, nil)
-			}},
-		{"UnchainedConceptual",
-			func() any { return core.UnchainedConceptual(a, b, cRel, kJoin, kJoin, nil) },
-			func(w int) any { return core.UnchainedConceptualParallel(a, b, cRel, kJoin, kJoin, w, nil) }},
-		{"UnchainedBlockMarking",
-			func() any { return core.UnchainedBlockMarking(a, b, cRel, kJoin, kJoin, core.OrderAuto, nil) },
-			func(w int) any {
-				return core.UnchainedBlockMarkingParallel(a, b, cRel, kJoin, kJoin, core.OrderAuto, w, nil)
-			}},
+		run  func(workers int, c *stats.Counters) any
+	}
+	selectInner := func(name string, alg core.Algorithm) entry {
+		return entry{name, func(w int, c *stats.Counters) any {
+			return core.SelectInnerJoin(a, b, core.KNNSelection(b, f, kSel, c), kJoin, alg, core.BlockMarkingOptions{}, w, c)
+		}}
+	}
+	rangeInner := func(name string, alg core.Algorithm, q geom.Rect) entry {
+		return entry{name, func(w int, c *stats.Counters) any {
+			return core.SelectInnerJoin(a, b, core.RangeSelection(q), kJoin, alg, core.BlockMarkingOptions{}, w, c)
+		}}
+	}
+	cases := []entry{
+		{"KNNJoin", func(w int, c *stats.Counters) any { return core.KNNJoinParallel(a, b, kJoin, w, c) }},
+		selectInner("SelectInnerJoinConceptual", core.AlgorithmConceptual),
+		selectInner("SelectInnerJoinCounting", core.AlgorithmCounting),
+		selectInner("SelectInnerJoinBlockMarking", core.AlgorithmBlockMarking),
+		{"SelectOuterJoin", func(w int, c *stats.Counters) any { return core.SelectOuterJoin(a, b, f, kSel, kJoin, w, c) }},
+		rangeInner("RangeInnerJoinConceptual", core.AlgorithmConceptual, rng),
+		rangeInner("RangeInnerJoinCounting", core.AlgorithmCounting, rng),
+		rangeInner("RangeInnerJoinBlockMarking", core.AlgorithmBlockMarking, rng),
+		// Nothing selected: Conceptual filters a non-nil join down to an
+		// empty slice, the pruning algorithms emit nothing at all (nil).
+		rangeInner("EmptyRangeInnerJoinConceptual", core.AlgorithmConceptual, nowhere),
+		rangeInner("EmptyRangeInnerJoinCounting", core.AlgorithmCounting, nowhere),
+		rangeInner("EmptyRangeInnerJoinBlockMarking", core.AlgorithmBlockMarking, nowhere),
+		{"UnchainedConceptual", func(w int, c *stats.Counters) any {
+			return core.Unchained(a, b, cRel, kJoin, kJoin, false, core.OrderAuto, w, c)
+		}},
+		{"UnchainedBlockMarking", func(w int, c *stats.Counters) any {
+			return core.Unchained(a, b, cRel, kJoin, kJoin, true, core.OrderAuto, w, c)
+		}},
 	}
 	for _, qep := range []core.ChainedQEP{core.ChainedRightDeep, core.ChainedJoinIntersection,
 		core.ChainedNestedJoin, core.ChainedNestedJoinCached} {
 		qep := qep
-		cases = append(cases, struct {
-			name string
-			seq  func() any
-			par  func(workers int) any
-		}{"ChainedJoins/" + qep.String(),
-			func() any { return core.ChainedJoins(a, b, cRel, kJoin, kJoin, qep, nil) },
-			func(w int) any { return core.ChainedJoinsParallel(a, b, cRel, kJoin, kJoin, qep, w, nil) }})
+		cases = append(cases, entry{"ChainedJoins/" + qep.String(), func(w int, c *stats.Counters) any {
+			return core.Chained(a, b, cRel, kJoin, kJoin, qep, w, c)
+		}})
 	}
 
+	// Per-worker caches move probes between hits and misses; their sum, and
+	// the neighborhoods computed outside the cache (one per A tuple), do not
+	// move.
+	cacheInvariant := func(c *stats.Counters) stats.Counters {
+		if c.CacheHits+c.CacheMisses == 0 {
+			return c.Snapshot()
+		}
+		return stats.Counters{Neighborhoods: c.Neighborhoods - c.CacheMisses, CacheHits: c.CacheHits + c.CacheMisses}
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := tc.seq()
-			for _, workers := range []int{2, 4, 16} {
-				if got := tc.par(workers); !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d: parallel result diverges from sequential", workers)
+			var wantC stats.Counters
+			want := tc.run(1, &wantC)
+			for _, workers := range []int{2, 4, 16, 1000} {
+				var gotC stats.Counters
+				if got := tc.run(workers, &gotC); !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: result diverges from workers=1", workers)
+				}
+				if g, w := cacheInvariant(&gotC), cacheInvariant(&wantC); g != w {
+					t.Fatalf("workers=%d: counters %+v, want %+v", workers, g, w)
 				}
 			}
 		})
 	}
 }
 
+// TestKNNJoinParallelDegenerate pins the degenerate-k contracts at every
+// crew size: k ≤ 0 yields no pairs, an oversized k the whole inner relation
+// per outer point.
 func TestKNNJoinParallelDegenerate(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 10, 10)
 	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(5, bounds, 1321))
 	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(5, bounds, 1322))
 
-	if got := core.KNNJoinParallel(outer, inner, 0, 4, nil); len(got) != 0 {
-		t.Errorf("k=0 must return no pairs")
-	}
-	got := core.KNNJoinParallel(outer, inner, 10, 4, nil)
-	if len(got) != 25 {
-		t.Errorf("oversized k: %d pairs, want 25", len(got))
+	for _, workers := range []int{1, 4} {
+		if got := core.KNNJoinParallel(outer, inner, 0, workers, nil); len(got) != 0 {
+			t.Errorf("workers=%d: k=0 must return no pairs", workers)
+		}
+		if got := core.KNNJoinParallel(outer, inner, 10, workers, nil); len(got) != 25 {
+			t.Errorf("workers=%d: oversized k: %d pairs, want 25", workers, len(got))
+		}
 	}
 }

@@ -45,12 +45,11 @@ func TestQuickMarkContributingSoundness(t *testing.T) {
 		inner := quickRelation(seed+1, 200, bounds)
 		f := geom.Point{X: float64(seed%500+250) / 2, Y: 250}
 
-		nbrF := inner.S.Neighborhood(f, ks, nil)
-		if nbrF.Len() == 0 {
+		sel := KNNSelection(inner, f, ks, nil)
+		if sel.Contains == nil {
 			return true
 		}
-		contributing := markContributingBlocks(outer, inner, f, nbrF.FarthestDist(), kj,
-			BlockMarkingOptions{}, nil)
+		contributing := markContributingBlocks(outer, inner, sel, kj, BlockMarkingOptions{}, nil)
 		inContrib := make(map[geom.Point]bool)
 		for _, b := range contributing {
 			for p := range b.Points() {

@@ -12,6 +12,12 @@ import (
 
 var rsBounds = geom.NewRect(0, 0, 1000, 1000)
 
+// rangeJoin is the sequential range-selection inner join under one
+// algorithm.
+func rangeJoin(alg core.Algorithm, outer, inner *core.Relation, q geom.Rect, kJoin int, c *stats.Counters) []core.Pair {
+	return core.SelectInnerJoin(outer, inner, core.RangeSelection(q), kJoin, alg, core.BlockMarkingOptions{}, 1, c)
+}
+
 // TestRangeInnerJoinEquivalence checks the footnote-1 extension: the
 // Counting and Block-Marking adaptations for a range selection on the inner
 // relation return exactly the conceptual plan's pairs.
@@ -37,10 +43,10 @@ func TestRangeInnerJoinEquivalence(t *testing.T) {
 				q := geom.NewRect(cx-w/2, cy-h/2, cx+w/2, cy+h/2)
 				kJoin := 1 + rng.Intn(8)
 
-				want := core.RangeInnerJoinConceptual(outer, inner, q, kJoin, nil)
+				want := rangeJoin(core.AlgorithmConceptual, outer, inner, q, kJoin, nil)
 				core.SortPairs(want)
 
-				counting := core.RangeInnerJoinCounting(outer, inner, q, kJoin, nil)
+				counting := rangeJoin(core.AlgorithmCounting, outer, inner, q, kJoin, nil)
 				core.SortPairs(counting)
 				if !pairsEqual(counting, want) {
 					t.Fatalf("%s/%s rect=%v k=%d: range Counting differs (%d vs %d)",
@@ -48,8 +54,8 @@ func TestRangeInnerJoinEquivalence(t *testing.T) {
 				}
 
 				for _, exhaustive := range []bool{false, true} {
-					bm := core.RangeInnerJoinBlockMarking(outer, inner, q, kJoin,
-						core.BlockMarkingOptions{Exhaustive: exhaustive}, nil)
+					bm := core.SelectInnerJoin(outer, inner, core.RangeSelection(q), kJoin, core.AlgorithmBlockMarking,
+						core.BlockMarkingOptions{Exhaustive: exhaustive}, 1, nil)
 					core.SortPairs(bm)
 					if !pairsEqual(bm, want) {
 						t.Fatalf("%s/%s rect=%v k=%d exhaustive=%v: range Block-Marking differs (%d vs %d)",
@@ -73,7 +79,7 @@ func TestRangeInnerJoinPrunes(t *testing.T) {
 	q := geom.NewRect(0, 0, 80, 80)
 
 	var cc stats.Counters
-	res := core.RangeInnerJoinCounting(outer, inner, q, 5, &cc)
+	res := rangeJoin(core.AlgorithmCounting, outer, inner, q, 5, &cc)
 	if len(res) != 0 {
 		t.Fatalf("expected empty result, got %d pairs", len(res))
 	}
@@ -82,7 +88,7 @@ func TestRangeInnerJoinPrunes(t *testing.T) {
 	}
 
 	var bc stats.Counters
-	res = core.RangeInnerJoinBlockMarking(outer, inner, q, 5, core.BlockMarkingOptions{}, &bc)
+	res = rangeJoin(core.AlgorithmBlockMarking, outer, inner, q, 5, &bc)
 	if len(res) != 0 {
 		t.Fatalf("expected empty result, got %d pairs", len(res))
 	}
@@ -95,7 +101,7 @@ func TestRangeInnerJoinDegenerate(t *testing.T) {
 	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(20, rsBounds, 1221))
 	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(20, rsBounds, 1222))
 
-	if got := core.RangeInnerJoinCounting(outer, inner, geom.NewRect(0, 0, 10, 10), 0, nil); len(got) != 0 {
+	if got := rangeJoin(core.AlgorithmCounting, outer, inner, geom.NewRect(0, 0, 10, 10), 0, nil); len(got) != 0 {
 		t.Errorf("k=0 must give empty result")
 	}
 
@@ -103,7 +109,7 @@ func TestRangeInnerJoinDegenerate(t *testing.T) {
 	all := geom.NewRect(-10, -10, 1100, 1100)
 	want := core.KNNJoin(outer, inner, 3, nil)
 	core.SortPairs(want)
-	got := core.RangeInnerJoinCounting(outer, inner, all, 3, nil)
+	got := rangeJoin(core.AlgorithmCounting, outer, inner, all, 3, nil)
 	core.SortPairs(got)
 	if !pairsEqual(got, want) {
 		t.Errorf("all-covering rectangle: got %d pairs, want the raw join's %d", len(got), len(want))
@@ -111,7 +117,7 @@ func TestRangeInnerJoinDegenerate(t *testing.T) {
 
 	// Rectangle covering nothing: empty.
 	none := geom.NewRect(5000, 5000, 5010, 5010)
-	if got := core.RangeInnerJoinBlockMarking(outer, inner, none, 3, core.BlockMarkingOptions{}, nil); len(got) != 0 {
+	if got := rangeJoin(core.AlgorithmBlockMarking, outer, inner, none, 3, nil); len(got) != 0 {
 		t.Errorf("empty rectangle: got %d pairs, want 0", len(got))
 	}
 }

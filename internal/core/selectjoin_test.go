@@ -149,7 +149,7 @@ func TestOuterPushdownIsValid(t *testing.T) {
 	kSel, kJoin := 12, 3
 
 	// Pushed: select then join (what SelectOuterJoin does).
-	pushed := core.SelectOuterJoin(outer, inner, f, kSel, kJoin, nil)
+	pushed := core.SelectOuterJoin(outer, inner, f, kSel, kJoin, 1, nil)
 	core.SortPairs(pushed)
 
 	// Late: full join, then keep pairs whose Left survives the select.

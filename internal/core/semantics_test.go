@@ -175,7 +175,7 @@ func TestRangeInnerPushdownIsInvalid(t *testing.T) {
 	inner := testutil.BuildRelation(t, testutil.Grid, hotels)
 	kJoin := 2
 
-	correct := core.RangeInnerJoinConceptual(outer, inner, rng, kJoin, nil)
+	correct := rangeJoin(core.AlgorithmConceptual, outer, inner, rng, kJoin, nil)
 	core.SortPairs(correct)
 	wrong, err := core.InvalidRangeInnerPushdown(outer, inner, rng, kJoin, builder(testutil.Grid), nil)
 	if err != nil {

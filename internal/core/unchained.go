@@ -45,12 +45,52 @@ func (o JoinOrder) String() string {
 	}
 }
 
-// UnchainedConceptual is the conceptually correct QEP of Figure 10: both
-// joins run in full and their outputs are intersected on B.
-func UnchainedConceptual(a, b, cRel *Relation, kAB, kCB int, c *stats.Counters) []Triple {
-	abPairs := KNNJoin(a, b, kAB, c)
-	cbPairs := KNNJoin(cRel, b, kCB, c)
+// Unchained evaluates the query with both kNN-joins fanned out across
+// workers (≤ 1: sequential; the result does not depend on it, order
+// included).
+//
+// Without pruning it is the conceptually correct QEP of Figure 10: both
+// joins run in full and their outputs are intersected on B. With pruning it
+// is the optimized plan of Procedure 4: the first join runs in full; blocks
+// of B that received at least one join result are marked Candidate (all
+// others are Safe). The outer relation of the second join is then
+// preprocessed: a block is Non-Contributing when no Candidate block of B
+// lies within (r + diagonal) of its center, where r is the distance from
+// the center to its kSecond-th neighbor in B. Points of Non-Contributing
+// blocks never reach a Candidate b and are skipped. order chooses the first
+// join; OrderAuto applies the Section 4.1.2 heuristic (start with the
+// relation of smaller cluster coverage).
+func Unchained(a, b, cRel *Relation, kAB, kCB int, prune bool, order JoinOrder, workers int, c *stats.Counters) []Triple {
+	if !prune {
+		abPairs := Join(a, b, kAB, workers, c)
+		cbPairs := Join(cRel, b, kCB, workers, c)
+		return IntersectOnB(abPairs, cbPairs)
+	}
+	if order == OrderAuto {
+		if EstimateClusterCoverage(a) <= EstimateClusterCoverage(cRel) {
+			order = OrderABFirst
+		} else {
+			order = OrderCBFirst
+		}
+	}
+	if order == OrderABFirst {
+		abPairs := Join(a, b, kAB, workers, c)
+		cbPairs := prunedSecondJoin(cRel, b, kCB, abPairs, workers, c)
+		return IntersectOnB(abPairs, cbPairs)
+	}
+	cbPairs := Join(cRel, b, kCB, workers, c)
+	abPairs := prunedSecondJoin(a, b, kAB, cbPairs, workers, c)
 	return IntersectOnB(abPairs, cbPairs)
+}
+
+// UnchainedConceptual is the sequential conceptual plan of Figure 10.
+func UnchainedConceptual(a, b, cRel *Relation, kAB, kCB int, c *stats.Counters) []Triple {
+	return Unchained(a, b, cRel, kAB, kCB, false, OrderAuto, 1, c)
+}
+
+// UnchainedBlockMarking is the sequential Procedure 4 plan.
+func UnchainedBlockMarking(a, b, cRel *Relation, kAB, kCB int, order JoinOrder, c *stats.Counters) []Triple {
+	return Unchained(a, b, cRel, kAB, kCB, true, order, 1, c)
 }
 
 // IntersectOnB matches (a, b) pairs with (c, b) pairs sharing the same b —
@@ -119,70 +159,11 @@ func projectB(pairs []Pair) []geom.Point {
 	return out[:w]
 }
 
-// UnchainedBlockMarking is the optimized plan of Procedure 4. The first join
-// runs in full; blocks of B that received at least one join result are
-// marked Candidate (all others are Safe). The outer relation of the second
-// join is then preprocessed: a block is Non-Contributing when no Candidate
-// block of B lies within (r + diagonal) of its center, where r is the
-// distance from the center to its kSecond-th neighbor in B. Points of
-// Non-Contributing blocks never reach a Candidate b and are skipped.
-//
-// order chooses the first join; OrderAuto applies the Section 4.1.2
-// heuristic (start with the relation of smaller cluster coverage).
-func UnchainedBlockMarking(a, b, cRel *Relation, kAB, kCB int, order JoinOrder, c *stats.Counters) []Triple {
-	order = resolveJoinOrder(order, a, cRel)
-	if order == OrderABFirst {
-		abPairs := KNNJoin(a, b, kAB, c)
-		cbPairs := prunedSecondJoin(cRel, b, kCB, abPairs, c)
-		return IntersectOnB(abPairs, cbPairs)
-	}
-	cbPairs := KNNJoin(cRel, b, kCB, c)
-	abPairs := prunedSecondJoin(a, b, kAB, cbPairs, c)
-	return IntersectOnB(abPairs, cbPairs)
-}
-
-// resolveJoinOrder applies the Section 4.1.2 heuristic when the caller
-// left the order automatic: start with the join whose outer relation has
-// the smaller cluster coverage. Sequential and parallel plans share this
-// resolution so they always pick the same first join.
-func resolveJoinOrder(order JoinOrder, a, cRel *Relation) JoinOrder {
-	if order != OrderAuto {
-		return order
-	}
-	if EstimateClusterCoverage(a) <= EstimateClusterCoverage(cRel) {
-		return OrderABFirst
-	}
-	return OrderCBFirst
-}
-
-// UnchainedConceptualParallel is UnchainedConceptual with both full joins
-// fanned out across workers.
-func UnchainedConceptualParallel(a, b, cRel *Relation, kAB, kCB, workers int, c *stats.Counters) []Triple {
-	abPairs := KNNJoinParallel(a, b, kAB, workers, c)
-	cbPairs := KNNJoinParallel(cRel, b, kCB, workers, c)
-	return IntersectOnB(abPairs, cbPairs)
-}
-
-// UnchainedBlockMarkingParallel is the Procedure 4 plan with both the first
-// (full) join and the pruned second join fanned out across workers; the
-// per-block Contributing test runs on each worker's own handle. Results are
-// identical — including order — to UnchainedBlockMarking.
-func UnchainedBlockMarkingParallel(a, b, cRel *Relation, kAB, kCB int, order JoinOrder, workers int, c *stats.Counters) []Triple {
-	order = resolveJoinOrder(order, a, cRel)
-	if order == OrderABFirst {
-		abPairs := KNNJoinParallel(a, b, kAB, workers, c)
-		cbPairs := prunedSecondJoinParallel(cRel, b, kCB, abPairs, workers, c)
-		return IntersectOnB(abPairs, cbPairs)
-	}
-	cbPairs := KNNJoinParallel(cRel, b, kCB, workers, c)
-	abPairs := prunedSecondJoinParallel(a, b, kAB, cbPairs, workers, c)
-	return IntersectOnB(abPairs, cbPairs)
-}
-
-// prunedSecondJoinParallel fans the pruned second join out across workers:
-// the Contributing gate runs once per block on the claiming worker, and
-// points of Contributing blocks join as usual.
-func prunedSecondJoinParallel(second, b *Relation, k int, firstPairs []Pair, workers int, c *stats.Counters) []Pair {
+// prunedSecondJoin evaluates (second ⋈kNN b) restricted to points in
+// Contributing blocks, given the pairs produced by the first join: the
+// Contributing gate runs once per block on the claiming worker's own
+// handle, and points of Contributing blocks join as usual.
+func prunedSecondJoin(second, b *Relation, k int, firstPairs []Pair, workers int, c *stats.Counters) []Pair {
 	candidates := candidateBlocks(b, firstPairs)
 	blocks := second.Ix.Blocks()
 	gate := func(h *Relation, gi int, ctr *stats.Counters) bool {
@@ -196,32 +177,7 @@ func prunedSecondJoinParallel(second, b *Relation, k int, firstPairs []Pair, wor
 		}
 		return true
 	}
-	return parallelEmit(&pairArenas, pointGroups(blocks), b, workers, c, gate, knnPairEmitter(k))
-}
-
-// prunedSecondJoin evaluates (second ⋈kNN b) restricted to points in
-// Contributing blocks, given the pairs produced by the first join.
-func prunedSecondJoin(second, b *Relation, k int, firstPairs []Pair, c *stats.Counters) []Pair {
-	candidates := candidateBlocks(b, firstPairs)
-	var out []Pair
-	for _, blk := range second.Ix.Blocks() {
-		if blk.Count() == 0 {
-			continue
-		}
-		if !blockContributes(blk, b, k, candidates, c) {
-			c.AddBlocksPruned(1)
-			continue
-		}
-		xs, ys := blk.XYs()
-		for i := range xs {
-			p := geom.Point{X: xs[i], Y: ys[i]}
-			nbr := b.S.Neighborhood(p, k, c)
-			for _, q := range nbr.Points {
-				out = append(out, Pair{Left: p, Right: q})
-			}
-		}
-	}
-	return out
+	return emitGroups(&PairArenas, pointGroups(blocks), b, workers, 0, c, gate, knnPairEmitter(k))
 }
 
 // candidateBlocks returns the blocks of b's index holding at least one

@@ -2,8 +2,8 @@
 // cancellation and a deterministic fault-injection harness for chaos tests.
 //
 // Cancellation in this engine unwinds by panic: block-granularity
-// checkpoints (locality block loops, the parallel tuple-group driver, the
-// sharded scatter workers) panic with a *Cancel payload the moment the bound
+// checkpoints (locality block loops, the join crew's tuple-group and
+// scatter workers) panic with a *Cancel payload the moment the bound
 // context is done, deferred releases return every pooled handle on the way
 // up, and the public entry points recover the payload into a typed error.
 // Worker goroutines never let a panic cross their goroutine boundary:

@@ -285,8 +285,8 @@ func (s *Searcher) Bind(ctx context.Context) {
 }
 
 // Context returns the bound cancellation context, or nil when detached. The
-// parallel drivers read it off the caller's handle to propagate the binding
-// onto the extra handles they borrow.
+// join driver reads it off the caller's handle to propagate the binding onto
+// the extra handles its workers borrow.
 func (s *Searcher) Context() context.Context { return s.ctx }
 
 // Checkpoint is the cooperative cancellation (and fault-injection) point,
@@ -340,9 +340,13 @@ func (s *Searcher) Neighborhood(p geom.Point, k int, c *stats.Counters) *Neighbo
 // but a block enters the locality only if its MINDIST from p is at most
 // threshold. The returned set is the k closest points among the clipped
 // locality — NOT in general the true k-nearest neighbors of p. Its
-// guarantee (proved in DESIGN.md §3.6 and enforced by tests): intersecting
-// it with any point set whose members all lie within threshold of p yields
-// the same result as intersecting with the true neighborhood.
+// guarantee (enforced by tests): intersecting it with any point set whose
+// members all lie within threshold of p yields the same result as
+// intersecting with the true neighborhood. The clipping removes only blocks
+// with MINDIST > threshold, all of whose points are farther from p than any
+// such member q; so the locality points ranked ahead of q are the same with
+// and without clipping, q keeps its rank, and it makes the clipped top k
+// exactly when it makes the true one.
 func (s *Searcher) NeighborhoodClipped(p geom.Point, k int, threshold float64, c *stats.Counters) *Neighborhood {
 	return s.neighborhood(p, k, threshold*threshold, c)
 }
@@ -368,7 +372,7 @@ func (s *Searcher) NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64
 // point ranked closer to p than a within-threshold candidate is itself
 // within threshold, hence its block is admitted), which is all the
 // 2-kNN-select intersection needs. This is the repository's implementation
-// refinement over Procedure 5; see DESIGN.md §3.6.
+// refinement over Procedure 5.
 func (s *Searcher) NeighborhoodWithin(p geom.Point, k int, threshold float64, c *stats.Counters) *Neighborhood {
 	return s.neighborhoodWithinSq(p, k, threshold*threshold, c)
 }

@@ -149,7 +149,7 @@ func TestNeighborhoodHelpers(t *testing.T) {
 }
 
 // TestClippedNeighborhoodGuarantee encodes the 2-kNN-select soundness
-// property from DESIGN.md: for any point set P whose members all lie within
+// property argued at Searcher.NeighborhoodClipped: for any point set P whose members all lie within
 // `threshold` of the query point, P ∩ clipped = P ∩ trueKNN.
 func TestClippedNeighborhoodGuarantee(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 500, 500)

@@ -6,37 +6,25 @@ import (
 	"repro/internal/core"
 )
 
-// Algorithm identifies an evaluation strategy for a select-inner-join query.
-type Algorithm int
+// Algorithm identifies an evaluation strategy for a select-inner-join
+// query: the executor's own type, so the optimizer's choice is handed down
+// as is.
+type Algorithm = core.Algorithm
 
 // The select-inner-join strategies.
 const (
 	// Auto lets the optimizer choose by outer cardinality.
-	Auto Algorithm = iota
+	Auto = core.AlgorithmAuto
 
 	// Conceptual evaluates the full join, the full select, and intersects.
-	Conceptual
+	Conceptual = core.AlgorithmConceptual
 
 	// Counting is the per-tuple pruning algorithm (Procedure 1).
-	Counting
+	Counting = core.AlgorithmCounting
 
 	// BlockMarking is the per-block pruning algorithm (Procedures 2–3).
-	BlockMarking
+	BlockMarking = core.AlgorithmBlockMarking
 )
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case Conceptual:
-		return "conceptual"
-	case Counting:
-		return "counting"
-	case BlockMarking:
-		return "block-marking"
-	default:
-		return "auto"
-	}
-}
 
 // DefaultCountingThreshold is the outer-relation cardinality below which
 // Auto picks Counting for select-inner-join queries. Section 3.3 of the

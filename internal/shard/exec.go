@@ -2,14 +2,9 @@ package shard
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/geom"
-	"repro/internal/kernel"
 	"repro/internal/stats"
 )
 
@@ -19,22 +14,16 @@ import (
 // extension, over Group operands that may be sharded, un-sharded, or a mix.
 //
 // Scatter: the outer side's tuples — shard block spans, chunks of a selected
-// point list, or chunks of a first join's pairs — are claimed by a bounded
-// worker crew through an atomic cursor; each worker holds a probe (one
-// pooled searcher handle per inner shard) and generates candidates
-// per-shard, merging them into exact global neighborhoods.
+// point list, or chunks of a first join's pairs — are the work units of the
+// one worker crew the single-relation algorithms run on too (core.RunCrew);
+// each worker holds a probe (one pooled searcher handle per inner shard)
+// and generates candidates per-shard, merging them into exact global
+// neighborhoods.
 //
 // Gather: results are concatenated and canonically sorted (SortPairs /
-// SortTriples order), which makes the output deterministic regardless of
-// worker interleaving and — because every per-tuple result multiset is
-// exactly the single-relation one — byte-identical to the un-sharded
-// evaluation after the same sort. Workers append into private buffers, so
-// the only cross-worker synchronization on the result path is the final
-// concatenation.
-//
-// Extra workers degrade gracefully on bounded pools exactly like the core
-// parallel driver: worker 0 blocks until it holds a full probe, the rest
-// stand down if any inner shard's pool is at capacity.
+// SortTriples order), which — because every per-tuple result multiset is
+// exactly the single-relation one — makes the output byte-identical to the
+// un-sharded evaluation after the same sort.
 
 // unit is one claimable piece of outer-side work: a shard block (point
 // joins; local span or remote header with lazy fetch), a chunk of an
@@ -80,172 +69,64 @@ func blockUnits(ctx context.Context, g Group) []unit {
 	return units
 }
 
-// pointUnits cuts pts into contiguous chunks sized for dynamic load
-// balancing (several chunks per worker).
+// pointUnits cuts pts into core.Chunks units.
 func pointUnits(pts []geom.Point, workers int) []unit {
-	if len(pts) == 0 {
-		return nil
-	}
-	chunk := chunkSize(len(pts), workers)
-	units := make([]unit, 0, (len(pts)+chunk-1)/chunk)
-	for start := 0; start < len(pts); start += chunk {
-		end := min(start+chunk, len(pts))
+	var units []unit
+	core.Chunks(len(pts), workers, func(start, end int) {
 		units = append(units, unit{pts: pts[start:end]})
-	}
+	})
 	return units
 }
 
-// pairUnits cuts pairs into contiguous chunks, preserving order within each.
+// pairUnits cuts pairs into core.Chunks units, preserving order.
 func pairUnits(pairs []core.Pair, workers int) []unit {
-	if len(pairs) == 0 {
-		return nil
-	}
-	chunk := chunkSize(len(pairs), workers)
-	units := make([]unit, 0, (len(pairs)+chunk-1)/chunk)
-	for start := 0; start < len(pairs); start += chunk {
-		end := min(start+chunk, len(pairs))
+	var units []unit
+	core.Chunks(len(pairs), workers, func(start, end int) {
 		units = append(units, unit{pairs: pairs[start:end]})
-	}
+	})
 	return units
-}
-
-func chunkSize(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := (n + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	return chunk
 }
 
 // emitFn consumes one unit, appending results to dst.
 type emitFn[T any] func(u unit, dst []T) []T
 
-// scatter fans units out across min(workers, len(units)) workers, each
-// holding a probe on inner. newEmit builds a worker's emitter around its
-// probe and counter shard (per-worker state like the chained-join cache
-// lives in the closure). workers <= 1 runs sequentially on the caller's
-// goroutine. The concatenated results are returned in arbitrary unit order;
-// callers canonically sort in their gather step.
+// scatter fans units out on the core worker crew (core.RunCrew: atomic unit
+// cursor, per-worker arenas, counter shards, panic isolation, abort), each
+// worker holding a probe on inner: worker 0 blocks until it holds a full
+// probe, the rest stand down if any inner shard's pool is at capacity.
+// newEmit builds a worker's emitter around its probe and counter shard
+// (per-worker state like the chained-join cache lives in the closure).
+// workers <= 1 runs sequentially on the caller's goroutine. Results come
+// back concatenated in unit order; callers canonically sort in their gather
+// step.
 //
 // A non-nil ctx bounds the whole scatter: probes bind to it, every claimed
 // unit starts with a checkpoint, and expiry unwinds as a fault.Cancel panic
-// after all handles are released and stat deltas folded. Worker panics —
-// cooperative or genuine — never cross a goroutine boundary: the first
-// fault is parked, the crew aborts at its next claim, and the fault resumes
-// its unwind on the caller's goroutine once the crew is joined.
-func scatter[T any](ctx context.Context, units []unit, inner Group, workers int, c *stats.Counters,
-	newEmit func(pr *probe, ctr *stats.Counters) emitFn[T]) []T {
+// after all handles are released and stat deltas folded.
+func scatter[T any](ctx context.Context, ap *core.ArenaPool[T], units []unit, inner Group, workers int,
+	c *stats.Counters, newEmit func(pr *probe, ctr *stats.Counters) emitFn[T]) []T {
 
-	if len(units) == 0 {
-		return nil
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers <= 1 {
-		pr := acquire(ctx, inner)
-		defer pr.release(c)
-		emit := newEmit(pr, c)
-		var out []T
-		for _, u := range units {
-			pr.checkpoint()
-			out = emit(u, out)
-		}
-		return out
-	}
-
-	bufs := make([][]T, workers)
-	// Counter shards are individually allocated so adjacent workers' atomic
-	// increments do not false-share; nil when the caller asked for no stats.
-	var ctrs []*stats.Counters
-	if c != nil {
-		ctrs = make([]*stats.Counters, workers)
-		for w := range ctrs {
-			ctrs[w] = new(stats.Counters)
-		}
-	}
-	var cursor atomic.Int64
-	var flt fault.Slot
-	var abort atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					flt.Store(fault.WrapPanic(r))
-					abort.Store(true)
-				}
-			}()
+	return core.RunCrew(ap, len(units), workers, 0, c,
+		func(w int, ctr *stats.Counters) (core.Worker[T], bool) {
 			var pr *probe
 			if w == 0 {
 				pr = acquire(ctx, inner)
 			} else {
 				var ok bool
 				if pr, ok = tryAcquire(ctx, inner); !ok {
-					return // bounded pool at capacity; the crew degrades
+					return core.Worker[T]{}, false
 				}
 			}
-			var ctr *stats.Counters
-			if ctrs != nil {
-				ctr = ctrs[w]
-			}
-			defer pr.release(ctr)
 			emit := newEmit(pr, ctr)
-			for {
-				if abort.Load() {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(units) {
-					return
-				}
-				pr.checkpoint()
-				bufs[w] = emit(units[i], bufs[w])
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, ctr := range ctrs {
-		c.Add(ctr)
-	}
-	if r := flt.Load(); r != nil {
-		// Faulted: no partial result escapes; the fault resumes unwinding on
-		// the caller's goroutine for the public layer's recover.
-		panic(r)
-	}
-
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]T, 0, total)
-	for _, b := range bufs {
-		out = append(out, b...)
-	}
-	return out
+			return core.Worker[T]{
+				Emit: func(i int, dst []T) []T {
+					pr.checkpoint()
+					return emit(units[i], dst)
+				},
+				Done: func() { pr.release(ctr) },
+			}, true
+		})
 }
-
-// Strategy selects the candidate-generation plan for the select/range inner
-// join drivers, mirroring the single-relation algorithms: Conceptual (no
-// pruning), Counting (per-tuple count prune, Procedure 1 summed across
-// shards) and BlockMarking (per-outer-block Non-Contributing test, Theorem 1
-// applied with exact global neighborhoods).
-type Strategy int
-
-// The available strategies.
-const (
-	StrategyConceptual Strategy = iota
-	StrategyCounting
-	StrategyBlockMarking
-)
 
 // Select evaluates σ_{k,f} over the group: the exact global k nearest
 // neighbors of f, in ascending (distance, X, Y) order — byte-identical to
@@ -257,7 +138,7 @@ func Select(ctx context.Context, g Group, f geom.Point, k int, c *stats.Counters
 
 // selectWithRadius is Select returning also the distance from f to the
 // farthest selected point (0 for an empty result) — the threshold term the
-// select-inner-join block marking needs.
+// inner join's block marking needs.
 func selectWithRadius(ctx context.Context, g Group, f geom.Point, k int, c *stats.Counters) ([]geom.Point, float64) {
 	if k <= 0 {
 		return nil, 0
@@ -323,72 +204,73 @@ func Join(ctx context.Context, outer, inner Group, k, workers int, c *stats.Coun
 // (B-component grouping, chunked fan-out) and sort only their final
 // triples, so sorting the intermediate pair sets would be wasted work.
 func join(ctx context.Context, outer, inner Group, k, workers int, c *stats.Counters) []core.Pair {
-	return scatter(ctx, blockUnits(ctx, outer), inner, workers, c,
-		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
-			return func(u unit, dst []core.Pair) []core.Pair {
-				u.eachPoint(func(e1 geom.Point) {
-					nbr := pr.neighborhood(e1, k)
-					for _, e2 := range nbr.Points {
-						dst = append(dst, core.Pair{Left: e1, Right: e2})
-					}
-				})
-				return dst
-			}
-		})
+	return scatter(ctx, &core.PairArenas, blockUnits(ctx, outer), inner, workers, c, joinEmitter(k))
 }
 
-// SelectInnerJoin evaluates (outer ⋈kNN inner) ∩ (outer × σ_{kSel,f}(inner))
-// by scatter/gather. The select gathers first (exact global σ set); the join
-// side then fans outer blocks out with the chosen per-shard pruning
-// strategy. Results are the single-relation multiset in SortPairs order.
-func SelectInnerJoin(ctx context.Context, outer, inner Group, f geom.Point, kJoin, kSel int, strat Strategy, workers int, c *stats.Counters) []core.Pair {
-	if kJoin <= 0 || kSel <= 0 {
-		return nil
+// joinEmitter is the plain kNN-join emitter: the exact global neighborhood
+// of every point of the unit, as (point, neighbor) pairs.
+func joinEmitter(k int) func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
+	return func(pr *probe, _ *stats.Counters) emitFn[core.Pair] {
+		return func(u unit, dst []core.Pair) []core.Pair {
+			u.eachPoint(func(e1 geom.Point) {
+				nbr := pr.neighborhood(e1, k)
+				for _, e2 := range nbr.Points {
+					dst = append(dst, core.Pair{Left: e1, Right: e2})
+				}
+			})
+			return dst
+		}
 	}
-	sel, fFarthest := selectWithRadius(ctx, inner, f, kSel, c)
-	if len(sel) == 0 {
-		return nil
-	}
-	sorted := sortedSet(sel)
-	var selXs, selYs []float64
-	if strat == StrategyCounting {
-		// Only the Counting prune scans the flattened σ columns.
-		selXs, selYs = geom.FlatXYs(sel)
-	}
+}
 
-	out := scatter(ctx, blockUnits(ctx, outer), inner, workers, c,
+// KNNSelection gathers σ_{kSel,f} over the group (the exact global σ set)
+// and describes it for InnerJoin.
+func KNNSelection(ctx context.Context, g Group, f geom.Point, kSel int, c *stats.Counters) core.InnerSelection {
+	sel, farthest := selectWithRadius(ctx, g, f, kSel, c)
+	return core.NewKNNSelection(f, sel, farthest)
+}
+
+// InnerJoin evaluates (outer ⋈kNN inner) ∩ (outer × σ(inner)) by
+// scatter/gather, for a kNN-select (KNNSelection) or a range
+// (core.RangeSelection — the footnote-1 extension) alike: outer blocks fan
+// out with the chosen pruning algorithm, mirroring the single-relation
+// ones — Conceptual (no pruning), Counting (per-tuple count prune,
+// Procedure 1 summed across shards) and Block-Marking (per-outer-block
+// Non-Contributing test; Theorem 1 applied with the exact global
+// neighborhood of the block center, so the bound holds for the whole
+// logical relation, not just one shard — and a remote block it discards is
+// never fetched). Results are the single-relation multiset in SortPairs
+// order.
+func InnerJoin(ctx context.Context, outer, inner Group, sel core.InnerSelection, kJoin int, alg core.Algorithm,
+	workers int, c *stats.Counters) []core.Pair {
+
+	if kJoin <= 0 || sel.Contains == nil {
+		return nil
+	}
+	blockMarking := alg == core.AlgorithmBlockMarking || alg == core.AlgorithmAuto
+	out := scatter(ctx, &core.PairArenas, blockUnits(ctx, outer), inner, workers, c,
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
 			return func(u unit, dst []core.Pair) []core.Pair {
-				if strat == StrategyBlockMarking && u.blk.isBlock() {
+				if blockMarking {
 					if u.blk.Count() == 0 {
 						return dst
 					}
-					// Theorem 1 with the exact global neighborhood of the
-					// block center: the NC bound holds for the whole logical
-					// relation, not just one shard.
 					center := u.blk.Center()
 					nbr := pr.neighborhood(center, kJoin)
-					if nbr.Len() == kJoin && nbr.FarthestDist()+u.blk.Diagonal()+fFarthest < center.Dist(f) {
+					if nbr.Len() == kJoin && sel.NonContributing(center, nbr.FarthestDist()+u.blk.Diagonal()) {
 						ctr.AddBlocksPruned(1)
 						return dst
 					}
 				}
 				u.eachPoint(func(e1 geom.Point) {
-					if strat == StrategyCounting {
-						// Squared threshold end-to-end, as in the core
-						// Counting algorithm: exact ties stay exact. The
-						// batched MinDistSq kernel over the flattened σ set
-						// matches Neighborhood.NearestDistSqTo exactly
-						// (NaN skipped, +Inf on empty), keeping the sharded
-						// and single-relation Counting prunes identical.
-						if pr.countStrictlyCloser(e1, kJoin, kernel.MinDistSq(selXs, selYs, e1.X, e1.Y)) >= kJoin {
-							ctr.AddOuterSkipped(1)
-							return
-						}
+					if alg == core.AlgorithmCounting &&
+						pr.countStrictlyCloser(e1, kJoin, sel.ThresholdSq(e1)) >= kJoin {
+						ctr.AddOuterSkipped(1)
+						return
 					}
 					nbr := pr.neighborhood(e1, kJoin)
 					for _, e2 := range nbr.Points {
-						if core.ContainsPoint(sorted, e2) {
+						if sel.Contains(e2) {
 							dst = append(dst, core.Pair{Left: e1, Right: e2})
 						}
 					}
@@ -409,64 +291,11 @@ func SelectOuterJoin(ctx context.Context, outer, inner Group, f geom.Point, kSel
 		return nil
 	}
 	sel := Select(ctx, outer, f, kSel, c)
-	out := scatter(ctx, pointUnits(sel, workers), inner, workers, c,
-		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
-			return func(u unit, dst []core.Pair) []core.Pair {
-				u.eachPoint(func(e1 geom.Point) {
-					nbr := pr.neighborhood(e1, kJoin)
-					for _, e2 := range nbr.Points {
-						dst = append(dst, core.Pair{Left: e1, Right: e2})
-					}
-				})
-				return dst
-			}
-		})
+	out := scatter(ctx, &core.PairArenas, pointUnits(sel, workers), inner, workers, c, joinEmitter(kJoin))
 	core.SortPairs(out)
 	if out == nil {
 		out = []core.Pair{}
 	}
-	return out
-}
-
-// RangeJoin evaluates (outer ⋈kNN inner) ∩ (outer × σ_rng(inner)) — the
-// footnote-1 extension — with the chosen per-shard pruning strategy.
-// Results are the single-relation multiset in SortPairs order.
-func RangeJoin(ctx context.Context, outer, inner Group, rng geom.Rect, kJoin int, strat Strategy, workers int, c *stats.Counters) []core.Pair {
-	if kJoin <= 0 {
-		return nil
-	}
-	out := scatter(ctx, blockUnits(ctx, outer), inner, workers, c,
-		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
-			return func(u unit, dst []core.Pair) []core.Pair {
-				if strat == StrategyBlockMarking && u.blk.isBlock() {
-					if u.blk.Count() == 0 {
-						return dst
-					}
-					center := u.blk.Center()
-					nbr := pr.neighborhood(center, kJoin)
-					if nbr.Len() == kJoin && nbr.FarthestDist()+u.blk.Diagonal() < rng.MinDist(center) {
-						ctr.AddBlocksPruned(1)
-						return dst
-					}
-				}
-				u.eachPoint(func(e1 geom.Point) {
-					if strat == StrategyCounting {
-						if pr.countStrictlyCloser(e1, kJoin, rng.MinDistSq(e1)) >= kJoin {
-							ctr.AddOuterSkipped(1)
-							return
-						}
-					}
-					nbr := pr.neighborhood(e1, kJoin)
-					for _, e2 := range nbr.Points {
-						if rng.Contains(e2) {
-							dst = append(dst, core.Pair{Left: e1, Right: e2})
-						}
-					}
-				})
-				return dst
-			}
-		})
-	core.SortPairs(out)
 	return out
 }
 
@@ -495,7 +324,7 @@ func Chained(ctx context.Context, a, b, cg Group, kAB, kBC, workers int, c *stat
 		return nil
 	}
 	abPairs := join(ctx, a, b, kAB, workers, c)
-	out := scatter(ctx, pairUnits(abPairs, workers), cg, workers, c,
+	out := scatter(ctx, &core.TripleArenas, pairUnits(abPairs, workers), cg, workers, c,
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Triple] {
 			cache := make(map[geom.Point][]geom.Point)
 			return func(u unit, dst []core.Triple) []core.Triple {
@@ -517,13 +346,5 @@ func Chained(ctx context.Context, a, b, cg Group, kAB, kBC, workers int, c *stat
 			}
 		})
 	core.SortTriples(out)
-	return out
-}
-
-// sortedSet returns a canonically sorted copy of pts for
-// core.ContainsPoint membership tests.
-func sortedSet(pts []geom.Point) []geom.Point {
-	out := append([]geom.Point(nil), pts...)
-	core.SortPoints(out)
 	return out
 }

@@ -124,10 +124,6 @@ func (b OuterBlock) Diagonal() float64 {
 	return b.Span.Diagonal()
 }
 
-// isBlock reports whether the OuterBlock names any block at all (the unit
-// type's discriminator; point- and pair-units carry a zero OuterBlock).
-func (b OuterBlock) isBlock() bool { return b.Local != nil || b.Fetch != nil }
-
 // LocalMember wraps an in-process relation as a Member. The wrapper is a
 // pointer conversion — no allocation, no indirection beyond the interface
 // call itself.

@@ -67,9 +67,8 @@ func acquire(ctx context.Context, g Group) *probe {
 
 // tryAcquire is acquire without blocking: if any shard's bounded pool is
 // exhausted, every handle obtained so far is returned and ok is false (the
-// extra scatter worker stands down, mirroring the core parallel driver's
-// graceful degradation). Obtained handles are bound to ctx so extra workers
-// checkpoint the same context as worker 0.
+// extra scatter worker stands down; see core.RunCrew). Obtained handles are
+// bound to ctx so extra workers checkpoint the same context as worker 0.
 func tryAcquire(ctx context.Context, g Group) (pr *probe, ok bool) {
 	pr = newProbe(g)
 	for i, m := range g.members {

@@ -3,9 +3,12 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/index/grid"
@@ -244,5 +247,100 @@ func TestBoundedPoolDegradation(t *testing.T) {
 	got := Join(nil, outerG, innerSharded.Group(), 3, 8, nil)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("degraded join differs: %d vs %d pairs", len(got), len(want))
+	}
+}
+
+// countingMember counts the non-blocking acquisition attempts on a member.
+type countingMember struct {
+	Member
+	tries *atomic.Int32
+}
+
+func (m countingMember) TryAcquire() (Prober, error) {
+	m.tries.Add(1)
+	return m.Member.TryAcquire()
+}
+
+// TestScatterCrewOnBoundedPools pins what scatter gets from the shared
+// core.RunCrew driver instead of a goroutine crew of its own, on a 3-member
+// group with bounded pools: workers that cannot assemble a full probe stand
+// down (nobody waits holding half of one, every unit is still emitted
+// exactly once), and a panic inside one worker surfaces once, on the
+// caller, after every handle went back to its pool.
+func TestScatterCrewOnBoundedPools(t *testing.T) {
+	outerG := buildGroup(t, testPoints(200, 11), 2, PolicyHash)
+	units := blockUnits(nil, outerG)
+	outstanding := func(rel *Relation) int {
+		n := 0
+		for i := 0; i < rel.NumShards(); i++ {
+			n += rel.Shard(i).Pool().Outstanding()
+		}
+		return n
+	}
+
+	// One handle per shard: a single probe can exist at a time. Whichever
+	// worker assembles it first holds it until the seven others have made
+	// their one non-blocking attempt (counted on shard 0, the first handle
+	// every probe asks for), so all of those stand down; only worker 0,
+	// which blocks for its probe, may still be equipped once the units are
+	// drained.
+	one, err := New(testPoints(150, 12), 3, PolicySpatial, 1, gridBuild)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tries, equipped atomic.Int32
+	members := append([]Member(nil), one.Group().members...)
+	members[0] = countingMember{Member: members[0], tries: &tries}
+	emitted := scatter(nil, &core.PairArenas, units, MemberGroup(members, nil), 8, nil,
+		func(*probe, *stats.Counters) emitFn[core.Pair] {
+			if equipped.Add(1) == 1 {
+				for deadline := time.Now().Add(10 * time.Second); tries.Load() < 7; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Error("extra workers never attempted their probes")
+						break
+					}
+				}
+			}
+			return func(u unit, dst []core.Pair) []core.Pair {
+				u.eachPoint(func(p geom.Point) { dst = append(dst, core.Pair{Left: p}) })
+				return dst
+			}
+		})
+	if len(emitted) != 200 {
+		t.Fatalf("degraded crew emitted %d tuples, want each of 200 once", len(emitted))
+	}
+	if n := equipped.Load(); n > 2 {
+		t.Fatalf("%d of 8 workers were equipped over pools of one handle, want the holder and at most worker 0", n)
+	}
+	if n := outstanding(one); n != 0 {
+		t.Fatalf("%d handles outstanding after a degraded scatter", n)
+	}
+
+	// Two handles per shard, and the 40th probe of shard 2 crashes.
+	two, err := New(testPoints(150, 12), 3, PolicySpatial, 2, gridBuild)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probes atomic.Int32
+	fault.Arm(&fault.Injector{ShardProbe: func(s int) {
+		if s == 2 && probes.Add(1) == 40 {
+			panic("crew test: poisoned probe")
+		}
+	}})
+	recovered := func() (r any) {
+		defer fault.Disarm()
+		defer func() { r = recover() }()
+		Join(nil, outerG, two.Group(), 3, 8, new(stats.Counters))
+		return nil
+	}()
+	if p, ok := recovered.(*fault.Panic); !ok || p.Value != "crew test: poisoned probe" {
+		t.Fatalf("caller recovered %#v, want the worker's *fault.Panic", recovered)
+	}
+	if n := outstanding(two); n != 0 {
+		t.Fatalf("%d handles outstanding after a worker panic", n)
+	}
+	// The pools survived the fault: the same join now runs clean.
+	if got, want := Join(nil, outerG, two.Group(), 3, 8, nil), Join(nil, outerG, two.Group(), 3, 1, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("join after the fault differs: %d vs %d pairs", len(got), len(want))
 	}
 }

@@ -10,19 +10,6 @@ import (
 	"repro/internal/shard"
 )
 
-// shardStrategy maps a resolved planner algorithm onto the scatter/gather
-// drivers' candidate-generation strategy.
-func shardStrategy(alg plan.Algorithm) shard.Strategy {
-	switch alg {
-	case plan.Conceptual:
-		return shard.StrategyConceptual
-	case plan.Counting:
-		return shard.StrategyCounting
-	default:
-		return shard.StrategyBlockMarking
-	}
-}
-
 // shardedExplain renders the EXPLAIN header for a scatter/gather execution.
 func shardedExplain(op string, detail string, srcs ...Source) string {
 	s := fmt.Sprintf("execution: sharded scatter/gather %s", op)
@@ -86,42 +73,26 @@ func execGroups(srcs ...Source) []shard.Group {
 
 // Algorithm selects the evaluation strategy for queries with a selection on
 // the inner relation of a kNN-join.
-type Algorithm int
+type Algorithm = core.Algorithm
 
 // The evaluation strategies.
 const (
 	// AlgorithmAuto lets the optimizer choose: Counting for small outer
 	// relations, Block-Marking for large ones (paper, Section 3.3).
-	AlgorithmAuto Algorithm = iota
+	AlgorithmAuto = core.AlgorithmAuto
 
 	// AlgorithmConceptual evaluates the conceptually correct plan without
 	// pruning: full join, full select, intersect. Slow; kept as the
 	// correctness baseline and for benchmarks.
-	AlgorithmConceptual
+	AlgorithmConceptual = core.AlgorithmConceptual
 
 	// AlgorithmCounting uses the per-tuple Counting algorithm (Procedure 1).
-	AlgorithmCounting
+	AlgorithmCounting = core.AlgorithmCounting
 
 	// AlgorithmBlockMarking uses the per-block Block-Marking algorithm
 	// (Procedures 2–3).
-	AlgorithmBlockMarking
+	AlgorithmBlockMarking = core.AlgorithmBlockMarking
 )
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string { return a.planAlgorithm().String() }
-
-func (a Algorithm) planAlgorithm() plan.Algorithm {
-	switch a {
-	case AlgorithmConceptual:
-		return plan.Conceptual
-	case AlgorithmCounting:
-		return plan.Counting
-	case AlgorithmBlockMarking:
-		return plan.BlockMarking
-	default:
-		return plan.Auto
-	}
-}
 
 // JoinOrder selects which of two unchained joins runs first; see
 // UnchainedJoins.
@@ -215,18 +186,21 @@ func WithExhaustivePreprocessing() QueryOption {
 }
 
 // WithConcurrency fans one query's tuple batches out across n workers
-// (n ≤ 0 selects GOMAXPROCS; the default without this option is
-// sequential). Each worker borrows a searcher handle from the inner
-// relation's pool and appends into a private arena, so the result is
-// identical to the sequential evaluation — including order — and no
-// per-batch result allocation occurs.
+// (n ≤ 0 selects GOMAXPROCS; the default without this option is one worker:
+// sequential). Every join algorithm has a single body that takes the worker
+// count — sequential evaluation is that body at one worker, not a separate
+// code path — so the result is identical whatever n is, order included.
+// Each extra worker borrows a searcher handle from the inner relation's
+// pool and appends into a private arena, so no per-batch result allocation
+// occurs.
 //
 // The option is honored by the join algorithms: KNNJoin, SelectInnerJoin
 // (all strategies), SelectOuterJoin, RangeInnerJoin (all strategies),
-// UnchainedJoins and ChainedJoins. KNNSelect and TwoSelects evaluate one
-// or two tuples and ignore it. On a relation bounded with WithMaxSearchers
-// the fan-out degrades gracefully: workers that cannot obtain a handle
-// stand down instead of blocking, and the query still completes.
+// UnchainedJoins and ChainedJoins, on single and sharded relations alike.
+// KNNSelect and TwoSelects evaluate one or two tuples and ignore it. On a
+// relation bounded with WithMaxSearchers the fan-out degrades gracefully:
+// workers that cannot obtain a handle stand down instead of blocking, and
+// the query still completes.
 //
 // WithConcurrency parallelizes one query. Independently of it, every query
 // entry point is safe to call from many goroutines against the same
@@ -237,12 +211,6 @@ func WithConcurrency(n int) QueryOption {
 	}
 	return func(c *queryConfig) { c.concurrency = n }
 }
-
-// WithParallelism is the former name of WithConcurrency.
-//
-// Deprecated: use WithConcurrency, which now covers every join algorithm,
-// not only KNNJoin.
-func WithParallelism(n int) QueryOption { return WithConcurrency(n) }
 
 // WithStats accumulates operation counters for the query into s. The
 // counters are atomic: one *Stats may be shared across concurrent queries
@@ -301,18 +269,38 @@ func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...Quer
 	if err := checkK("kSel", kSel); err != nil {
 		return nil, err
 	}
+	return innerJoin("select-inner-join", outer, inner, kJoin, opts,
+		func(cfg *queryConfig, h *core.Relation, g shard.Group) core.InnerSelection {
+			if h != nil {
+				return core.KNNSelection(h, f, kSel, cfg.stats)
+			}
+			return shard.KNNSelection(cfg.ctx, g, f, kSel, cfg.stats)
+		},
+		func(alg Algorithm) *plan.Node {
+			return plan.SelectInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, kSel)
+		})
+}
+
+// innerJoin runs a kNN-join with a selection on its inner relation — the
+// kNN-select of SelectInnerJoin or the range of RangeInnerJoin — once the
+// arguments are validated. selection evaluates the predicate against the
+// inner side the executor holds: the borrowed handle h of a single
+// relation, or the scatter/gather group g (h == nil) otherwise.
+func innerJoin(op string, outer, inner Source, kJoin int, opts []QueryOption,
+	selection func(cfg *queryConfig, h *core.Relation, g shard.Group) core.InnerSelection,
+	planNode func(alg Algorithm) *plan.Node) ([]Pair, error) {
+
 	cfg := applyOptions(opts)
-	alg, reason := plan.ChooseSelectJoinAlgorithm(cfg.algorithm.planAlgorithm(), outer.Len(), cfg.countingThreshold)
+	alg, reason := plan.ChooseSelectJoinAlgorithm(cfg.algorithm, outer.Len(), cfg.countingThreshold)
 
 	rels, single := allSingle(outer, inner)
 	return runQuery(&cfg, func() ([]Pair, error) {
 		if !single {
 			gs := execGroups(outer, inner)
-			pairs := shard.SelectInnerJoin(cfg.ctx, gs[0], gs[1], f, kJoin, kSel,
-				shardStrategy(alg), cfg.concurrency, cfg.stats)
+			pairs := shard.InnerJoin(cfg.ctx, gs[0], gs[1], selection(&cfg, nil, gs[1]), kJoin,
+				alg, cfg.concurrency, cfg.stats)
 			if cfg.explain != nil {
-				*cfg.explain = shardedExplain("select-inner-join",
-					fmt.Sprintf("strategy %s: %s", alg, reason), outer, inner)
+				*cfg.explain = shardedExplain(op, fmt.Sprintf("strategy %s: %s", alg, reason), outer, inner)
 			}
 			return pairs, nil
 		}
@@ -322,29 +310,10 @@ func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...Quer
 		co, ci := snapshotPair(rels[0], rels[1])
 		hi := acquireHandle(cfg.ctx, ci)
 		defer hi.Release()
-		ho := co
-
-		var pairs []Pair
-		switch {
-		case alg == plan.Conceptual && cfg.concurrency > 1:
-			pairs = core.SelectInnerJoinConceptualParallel(ho, hi, f, kJoin, kSel, cfg.concurrency, cfg.stats)
-		case alg == plan.Conceptual:
-			pairs = core.SelectInnerJoinConceptual(ho, hi, f, kJoin, kSel, cfg.stats)
-		case alg == plan.Counting && cfg.concurrency > 1:
-			pairs = core.SelectInnerJoinCountingParallel(ho, hi, f, kJoin, kSel, cfg.concurrency, cfg.stats)
-		case alg == plan.Counting:
-			pairs = core.SelectInnerJoinCounting(ho, hi, f, kJoin, kSel, cfg.stats)
-		case cfg.concurrency > 1:
-			pairs = core.SelectInnerJoinBlockMarkingParallel(ho, hi, f, kJoin, kSel,
-				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
-		default:
-			pairs = core.SelectInnerJoinBlockMarking(ho, hi, f, kJoin, kSel,
-				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.stats)
-		}
-
+		pairs := core.SelectInnerJoin(co, hi, selection(&cfg, hi, shard.Group{}), kJoin, alg,
+			core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
 		if cfg.explain != nil {
-			node := plan.SelectInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, kSel)
-			*cfg.explain = fmt.Sprintf("strategy: %s (%s)\n%s", alg, reason, node.Explain())
+			*cfg.explain = fmt.Sprintf("strategy: %s (%s)\n%s", alg, reason, planNode(alg).Explain())
 		}
 		return pairs, nil
 	})
@@ -378,12 +347,7 @@ func SelectOuterJoin(outer, inner Source, f Point, kSel, kJoin int, opts ...Quer
 		co, ci := snapshotPair(rels[0], rels[1])
 		ho, hi := acquireHandlePair(cfg.ctx, co, ci)
 		defer core.ReleasePair(ho, hi)
-		var pairs []Pair
-		if cfg.concurrency > 1 {
-			pairs = core.SelectOuterJoinParallel(ho, hi, f, kSel, kJoin, cfg.concurrency, cfg.stats)
-		} else {
-			pairs = core.SelectOuterJoin(ho, hi, f, kSel, kJoin, cfg.stats)
-		}
+		pairs := core.SelectOuterJoin(ho, hi, f, kSel, kJoin, cfg.concurrency, cfg.stats)
 		if cfg.explain != nil {
 			node := plan.SelectOuterJoinPlan(outer.Name(), inner.Name(), outer.Len(), inner.Len(), kSel, kJoin)
 			*cfg.explain = node.Explain()
@@ -438,18 +402,7 @@ func UnchainedJoins(a, b, c Source, kAB, kCB int, opts ...QueryOption) ([]Triple
 		hb := acquireHandle(cfg.ctx, cs[1])
 		defer hb.Release()
 
-		var triples []Triple
-		switch {
-		case prune && cfg.concurrency > 1:
-			triples = core.UnchainedBlockMarkingParallel(cs[0], hb, cs[2], kAB, kCB, order, cfg.concurrency, cfg.stats)
-		case prune:
-			triples = core.UnchainedBlockMarking(cs[0], hb, cs[2], kAB, kCB, order, cfg.stats)
-		case cfg.concurrency > 1:
-			triples = core.UnchainedConceptualParallel(cs[0], hb, cs[2], kAB, kCB, cfg.concurrency, cfg.stats)
-		default:
-			triples = core.UnchainedConceptual(cs[0], hb, cs[2], kAB, kCB, cfg.stats)
-		}
-
+		triples := core.Unchained(cs[0], hb, cs[2], kAB, kCB, prune, order, cfg.concurrency, cfg.stats)
 		if cfg.explain != nil {
 			node := plan.UnchainedPlan(order, prune, a.Name(), b.Name(), c.Name(), a.Len(), b.Len(), c.Len(), kAB, kCB)
 			*cfg.explain = fmt.Sprintf("order: %s (%s)\n%s", order, reason, node.Explain())
@@ -498,12 +451,7 @@ func ChainedJoins(a, b, c Source, kAB, kBC int, opts ...QueryOption) ([]Triple, 
 		// acquisitions deadlock-free.
 		hb, hc := acquireHandlePair(cfg.ctx, cs[1], cs[2])
 		defer core.ReleasePair(hb, hc)
-		var triples []Triple
-		if cfg.concurrency > 1 {
-			triples = core.ChainedJoinsParallel(cs[0], hb, hc, kAB, kBC, qep, cfg.concurrency, cfg.stats)
-		} else {
-			triples = core.ChainedJoins(cs[0], hb, hc, kAB, kBC, qep, cfg.stats)
-		}
+		triples := core.Chained(cs[0], hb, hc, kAB, kBC, qep, cfg.concurrency, cfg.stats)
 		if cfg.explain != nil {
 			node := plan.ChainedPlan(qep, a.Name(), b.Name(), c.Name(), a.Len(), b.Len(), c.Len(), kAB, kBC)
 			*cfg.explain = fmt.Sprintf("plan: %s (%s)\n%s", qep, reason, node.Explain())
@@ -561,8 +509,8 @@ func TwoSelects(rel Source, f1 Point, k1 int, f2 Point, k2 int, opts ...QueryOpt
 // RangeInnerJoin evaluates the footnote-1 extension of Section 3: pairs
 // (e1, e2) where e2 is among the kJoin nearest neighbors of e1 AND lies in
 // the query rectangle. Like the kNN-select case, pushing the range filter
-// below the inner relation would be invalid; Counting and Block-Marking
-// adaptations deliver the pruning.
+// below the inner relation would be invalid; the same Counting and
+// Block-Marking algorithms deliver the pruning.
 func RangeInnerJoin(outer, inner Source, rng Rect, kJoin int, opts ...QueryOption) ([]Pair, error) {
 	if err := checkSources(outer, inner); err != nil {
 		return nil, err
@@ -570,52 +518,11 @@ func RangeInnerJoin(outer, inner Source, rng Rect, kJoin int, opts ...QueryOptio
 	if err := checkK("kJoin", kJoin); err != nil {
 		return nil, err
 	}
-	cfg := applyOptions(opts)
-	alg, reason := plan.ChooseSelectJoinAlgorithm(cfg.algorithm.planAlgorithm(), outer.Len(), cfg.countingThreshold)
-
-	rels, single := allSingle(outer, inner)
-	return runQuery(&cfg, func() ([]Pair, error) {
-		if !single {
-			gs := execGroups(outer, inner)
-			pairs := shard.RangeJoin(cfg.ctx, gs[0], gs[1], rng, kJoin,
-				shardStrategy(alg), cfg.concurrency, cfg.stats)
-			if cfg.explain != nil {
-				*cfg.explain = shardedExplain("range-inner-join",
-					fmt.Sprintf("strategy %s: %s", alg, reason), outer, inner)
-			}
-			return pairs, nil
-		}
-
-		// Every strategy probes only the inner relation's searcher; the outer
-		// side is scanned through its immutable snapshot and needs no handle.
-		co, ci := snapshotPair(rels[0], rels[1])
-		hi := acquireHandle(cfg.ctx, ci)
-		defer hi.Release()
-		ho := co
-
-		var pairs []Pair
-		switch {
-		case alg == plan.Conceptual && cfg.concurrency > 1:
-			pairs = core.RangeInnerJoinConceptualParallel(ho, hi, rng, kJoin, cfg.concurrency, cfg.stats)
-		case alg == plan.Conceptual:
-			pairs = core.RangeInnerJoinConceptual(ho, hi, rng, kJoin, cfg.stats)
-		case alg == plan.Counting && cfg.concurrency > 1:
-			pairs = core.RangeInnerJoinCountingParallel(ho, hi, rng, kJoin, cfg.concurrency, cfg.stats)
-		case alg == plan.Counting:
-			pairs = core.RangeInnerJoinCounting(ho, hi, rng, kJoin, cfg.stats)
-		case cfg.concurrency > 1:
-			pairs = core.RangeInnerJoinBlockMarkingParallel(ho, hi, rng, kJoin,
-				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
-		default:
-			pairs = core.RangeInnerJoinBlockMarking(ho, hi, rng, kJoin,
-				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.stats)
-		}
-		if cfg.explain != nil {
-			node := plan.RangeInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, rng.String())
-			*cfg.explain = fmt.Sprintf("strategy: %s (%s)\n%s", alg, reason, node.Explain())
-		}
-		return pairs, nil
-	})
+	return innerJoin("range-inner-join", outer, inner, kJoin, opts,
+		func(*queryConfig, *core.Relation, shard.Group) core.InnerSelection { return core.RangeSelection(rng) },
+		func(alg Algorithm) *plan.Node {
+			return plan.RangeInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, rng.String())
+		})
 }
 
 // SortPairs orders pairs canonically (Left then Right) in place, so results

@@ -480,10 +480,7 @@ func KNNJoin(outer, inner Source, k int, opts ...QueryOption) ([]Pair, error) {
 		// scanned through its immutable index and needs no handle.
 		hi := acquireHandle(cfg.ctx, ci)
 		defer hi.Release()
-		if cfg.concurrency > 1 {
-			return core.KNNJoinParallel(co, hi, k, cfg.concurrency, cfg.stats), nil
-		}
-		return core.KNNJoin(co, hi, k, cfg.stats), nil
+		return core.Join(co, hi, k, cfg.concurrency, cfg.stats), nil
 	})
 }
 

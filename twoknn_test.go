@@ -421,7 +421,7 @@ func TestCountingThresholdOption(t *testing.T) {
 	}
 }
 
-func TestKNNJoinWithParallelism(t *testing.T) {
+func TestKNNJoinWithConcurrency(t *testing.T) {
 	outer := uniformRelation(t, "O", 400, 97)
 	inner := uniformRelation(t, "I", 400, 98)
 
@@ -430,7 +430,7 @@ func TestKNNJoinWithParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{-1, 0, 2, 8} {
-		par, err := twoknn.KNNJoin(outer, inner, 3, twoknn.WithParallelism(workers))
+		par, err := twoknn.KNNJoin(outer, inner, 3, twoknn.WithConcurrency(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
