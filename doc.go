@@ -249,8 +249,20 @@
 // with the same deterministic policy, so stable IDs remain global input
 // positions with no shard-assignment service.
 //
-// Each remote probe travels under a robustness envelope configured by
-// RemoteConfig: a per-probe deadline, bounded retries with exponential
+// What differs from the in-process path is the granularity, because a
+// remote call costs a round trip whatever it carries. The unit of remote
+// work is the focal group — the focal of a select, all selected points of
+// an outer-join, all points of an outer block, all focals of a batch — sent
+// to a shard in one request and answered on one searcher handle; the unit
+// of remote latency is the wave, one request per shard with every shard's
+// request in flight at once. Each focal goes to its nearest shard(s) in a
+// first wave and, in a second, to exactly the shards its k-th distance so
+// far does not rule out — the in-process skip rule, applied wave by wave.
+// A select, an outer-join or a 64-focal batch over a hash-partitioned
+// fleet is one wave; two selects are two.
+//
+// Each remote request travels under a robustness envelope configured by
+// RemoteConfig: a per-attempt deadline, bounded retries with exponential
 // backoff and jitter, a hedged second request once the probe outlives the
 // fleet's observed latency quantile, a per-endpoint circuit breaker
 // (closed/open/half-open with probe-through), and failover across a

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geom"
-	"repro/internal/locality"
 	"repro/internal/shard"
 	"repro/internal/stats"
 )
@@ -258,14 +257,12 @@ func (m *Member) AcquireCtx(ctx context.Context) (shard.Prober, error) {
 // TryAcquire implements shard.Member.
 func (m *Member) TryAcquire() (shard.Prober, error) { return m.Acquire(), nil }
 
-// remoteProber is one borrowed probe handle over a remote shard. Like a
-// local searcher handle it is single-threaded and its neighborhood buffer
-// is overwritten by each call.
+// remoteProber is one borrowed probe handle over a remote shard: a
+// shard.GroupProber, whose unit of work is the focal group.
 type remoteProber struct {
 	m    *Member
 	ctx  context.Context
 	coll *Collector
-	nbr  locality.Neighborhood
 }
 
 // Bounds implements shard.Prober.
@@ -293,47 +290,73 @@ func (p *remoteProber) Release() {}
 // Local implements shard.Prober.
 func (p *remoteProber) Local() *core.Relation { return nil }
 
-// Neighborhood implements shard.Prober.
-func (p *remoteProber) Neighborhood(q geom.Point, k int, c *stats.Counters) *locality.Neighborhood {
-	return p.probeNbr(q, &ProbeRequest{X: q.X, Y: q.Y, K: k}, OpNeighborhood, c)
+// ProbeGroup implements shard.GroupProber.
+func (p *remoteProber) ProbeGroup(ctx context.Context, focals []geom.Point, k int, thresholdsSq []float64,
+	ans *shard.GroupAnswer, c *stats.Counters) error {
+
+	op := OpNeighborhood
+	if thresholdsSq != nil {
+		op = OpWithin
+	}
+	return p.probeGroup(ctx, op, focals, k, thresholdsSq, ans, c)
 }
 
-// NeighborhoodWithinSq implements shard.Prober.
-func (p *remoteProber) NeighborhoodWithinSq(q geom.Point, k int, thresholdSq float64, c *stats.Counters) *locality.Neighborhood {
-	return p.probeNbr(q, &ProbeRequest{X: q.X, Y: q.Y, K: k, ThresholdSq: thresholdSq}, OpWithin, c)
-}
-
-// CountStrictlyCloser implements shard.Prober. In partial mode a missing
-// shard counts zero — the conservative direction: the Counting prune then
+// CountGroup implements shard.GroupProber. In partial mode a missing shard
+// counts nothing — the conservative direction: the Counting prune then
 // never skips an outer point it should have examined.
-func (p *remoteProber) CountStrictlyCloser(q geom.Point, k int, thresholdSq float64, c *stats.Counters) int {
-	req := &ProbeRequest{X: q.X, Y: q.Y, K: k, ThresholdSq: thresholdSq}
-	resp, err := p.m.rs.Probe(p.ctx, OpCount, req)
-	if err != nil {
-		p.m.fail(p.ctx, p.coll, err)
-		return 0
-	}
-	foldStats(c, resp.Stats)
-	return resp.Count
+func (p *remoteProber) CountGroup(ctx context.Context, focals []geom.Point, k int, thresholdsSq []float64,
+	ans *shard.GroupAnswer, c *stats.Counters) error {
+
+	return p.probeGroup(ctx, OpCount, focals, k, thresholdsSq, ans, c)
 }
 
-// probeNbr runs one neighborhood-shaped probe, rebuilding the shard-local
-// result into the prober's reusable buffer.
-func (p *remoteProber) probeNbr(q geom.Point, req *ProbeRequest, op Op, c *stats.Counters) *locality.Neighborhood {
-	resp, err := p.m.rs.Probe(p.ctx, op, req)
-	if err != nil {
-		p.m.fail(p.ctx, p.coll, err)
-		// Partial mode: the missing shard contributes an empty candidate
-		// set to the merge.
-		p.nbr.Center = q
-		p.nbr.Points = p.nbr.Points[:0]
-		p.nbr.Dists = p.nbr.Dists[:0]
-		return &p.nbr
+// probeGroup sends focals through the shard's envelope, MaxGroupFocals per
+// request, one request after the other — a query keeps at most one request
+// per shard in flight — appending each response to ans. On failure ans is
+// cut back to what it held.
+func (p *remoteProber) probeGroup(ctx context.Context, op Op, focals []geom.Point, k int, thresholdsSq []float64,
+	ans *shard.GroupAnswer, c *stats.Counters) error {
+
+	held := *ans
+	for len(focals) > 0 {
+		n := min(len(focals), MaxGroupFocals)
+		req := ProbeRequest{X: focals[0].X, Y: focals[0].Y, K: k}
+		if thresholdsSq != nil {
+			req.ThresholdSq = thresholdsSq[0]
+		}
+		if n > 1 {
+			req.Xs, req.Ys = make([]float64, n-1), make([]float64, n-1)
+			for i, f := range focals[1:n] {
+				req.Xs[i], req.Ys[i] = f.X, f.Y
+			}
+			if thresholdsSq != nil {
+				req.ThresholdsSq = thresholdsSq[1:n]
+			}
+		}
+		resp, err := p.m.rs.Probe(ctx, op, &req)
+		if err != nil {
+			*ans = held
+			return err
+		}
+		foldStats(c, resp.Stats)
+		if op == OpCount {
+			resp.appendCounts(n, ans)
+		} else {
+			resp.appendSpans(n, ans)
+		}
+		focals = focals[n:]
+		if thresholdsSq != nil {
+			thresholdsSq = thresholdsSq[n:]
+		}
 	}
-	foldStats(c, resp.Stats)
-	resp.fillNeighborhood(q, &p.nbr)
-	return &p.nbr
+	return nil
 }
+
+// Degrades implements shard.GroupProber.
+func (p *remoteProber) Degrades() bool { return p.coll != nil }
+
+// Raise implements shard.GroupProber.
+func (p *remoteProber) Raise(err error) { p.m.fail(p.ctx, p.coll, err) }
 
 // foldStats merges a probe's wire-reported counter delta into c, so
 // WithStats accounts shard-side work identically across layouts.

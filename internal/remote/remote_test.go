@@ -107,6 +107,14 @@ func (f *fakeTransport) BlockPoints(ctx context.Context, block int) (*BlockPoint
 	return f.inner.BlockPoints(ctx, block)
 }
 
+// rebuild restores a one-focal response's neighborhood the way the gather
+// does.
+func rebuild(resp *ProbeResponse, q geom.Point) *locality.Neighborhood {
+	ans := shard.GroupAnswer{Offs: []int{0}}
+	resp.appendSpans(1, &ans)
+	return &locality.Neighborhood{Center: q, Points: ans.Points, Dists: ans.Dists}
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	b := newBreaker(3, 50*time.Millisecond)
 	for i := 0; i < 3; i++ {
@@ -160,8 +168,7 @@ func TestLoopbackProbeMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("probe: %v", err)
 		}
-		rebuilt := new(locality.Neighborhood)
-		resp.fillNeighborhood(q, rebuilt)
+		rebuilt := rebuild(resp, q)
 		if !reflect.DeepEqual(want.Points, rebuilt.Points) {
 			t.Fatalf("trial %d: points differ", trial)
 		}
@@ -326,7 +333,7 @@ func TestCorruptResponseIsRetried(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe after one corrupted response: %v", err)
 	}
-	if err := resp.validate(OpNeighborhood); err != nil {
+	if err := resp.validate(OpNeighborhood, 1, 4); err != nil {
 		t.Fatalf("final response invalid: %v", err)
 	}
 	ns := rs.NetStats()
@@ -415,8 +422,7 @@ func TestHTTPTransportEndToEnd(t *testing.T) {
 		if err := tr.Probe(ctx, OpNeighborhood, &ProbeRequest{X: q.X, Y: q.Y, K: k}, &resp); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rebuilt := new(locality.Neighborhood)
-		resp.fillNeighborhood(q, rebuilt)
+		rebuilt := rebuild(&resp, q)
 		if !reflect.DeepEqual(want.Points, rebuilt.Points) || !reflect.DeepEqual(want.Dists, rebuilt.Dists) {
 			t.Fatalf("trial %d: HTTP round-trip not byte-identical", trial)
 		}

@@ -291,21 +291,29 @@ func (rs *ReplicaSet) withRetries(ctx context.Context, ep, hedge *endpoint, call
 
 // hedged runs one attempt against ep, launching a second request to hedge
 // if ep has not answered after its hedging delay; the first success wins
-// and the loser's context is canceled.
+// and the loser's context is canceled. A panic inside an attempt's
+// goroutine crosses back as a value and unwinds the caller instead of the
+// process.
 func (rs *ReplicaSet) hedged(ctx context.Context, ep, hedge *endpoint, call callFn) (any, error) {
 	if hedge == nil || rs.opts.HedgeAfter < 0 {
 		return rs.once(ctx, ep, call)
 	}
 	type outcome struct {
-		v   any
-		err error
-		ep  *endpoint
+		v     any
+		err   error
+		ep    *endpoint
+		fault any // a panic inside the attempt, re-raised on the caller
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan outcome, 2)
 	launch := func(e *endpoint) {
 		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					ch <- outcome{fault: fault.WrapPanic(r)}
+				}
+			}()
 			v, err := rs.once(actx, e, call)
 			ch <- outcome{v: v, err: err, ep: e}
 		}()
@@ -320,6 +328,9 @@ func (rs *ReplicaSet) hedged(ctx context.Context, ep, hedge *endpoint, call call
 		select {
 		case out := <-ch:
 			inflight--
+			if out.fault != nil {
+				panic(out.fault)
+			}
 			if out.err == nil {
 				if hedged && out.ep == hedge {
 					hedge.hedgeWins.Add(1)
@@ -411,9 +422,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// Probe runs one probe op under the envelope, corrupting (under the fault
-// injector) and validating the decoded response inside the attempt so that
-// corruption surfaces as a retriable transient error.
+// Probe runs one probe request — a focal group — under the envelope,
+// corrupting (under the fault injector) and validating the decoded response
+// inside the attempt so that corruption surfaces as a retriable transient
+// error. One attempt is one request, whatever the group's size.
 func (rs *ReplicaSet) Probe(ctx context.Context, op Op, req *ProbeRequest) (*ProbeResponse, error) {
 	v, err := rs.do(ctx, func(ctx context.Context, t ShardTransport) (any, error) {
 		resp := new(ProbeResponse)
@@ -423,7 +435,7 @@ func (rs *ReplicaSet) Probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 		if fault.Armed() && fault.OnCorruptResponse(t.Endpoint()) {
 			corruptProbe(resp)
 		}
-		if err := resp.validate(op); err != nil {
+		if err := resp.validate(op, req.focals(), req.K); err != nil {
 			return nil, transientf("%s: corrupt response: %w", t.Endpoint(), err)
 		}
 		return resp, nil
@@ -478,11 +490,16 @@ func (rs *ReplicaSet) BlockPoints(ctx context.Context, block int) (*BlockPointsR
 	return v.(*BlockPointsResponse), nil
 }
 
-// corruptProbe injects a structural defect the response validator catches.
+// corruptProbe injects a structural defect the response validator catches,
+// whatever the response's shape: a truncated coordinate column, a group
+// whose last span is cut off, or a negative count.
 func corruptProbe(r *ProbeResponse) {
-	if len(r.Xs) > 0 {
+	switch {
+	case len(r.Xs) > 0:
 		r.Xs = r.Xs[:len(r.Xs)-1]
-	} else {
+	case len(r.Offs) > 0:
+		r.Offs = r.Offs[:len(r.Offs)-1]
+	default:
 		r.Count = -1
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -137,13 +138,15 @@ func (s *ShardServer) blockPoints(i int) (*BlockPointsResponse, error) {
 	return resp, nil
 }
 
-// probe executes one probe op against a borrowed searcher handle. It is the
-// single implementation behind both the HTTP handler and the loopback
-// transport. The response's Stats carry the probe's counter delta; the
-// shard's lifetime counters accumulate it too.
+// probe answers one focal group on one borrowed searcher handle, with the
+// same searcher call per focal a one-focal request gets. It is the single
+// implementation behind both the HTTP handler and the loopback transport.
+// The response's Stats carry the group's summed counter delta; the shard's
+// lifetime counters accumulate it too. It fails on a malformed group, or
+// when ctx ends before a handle frees up.
 func (s *ShardServer) probe(ctx context.Context, op Op, req *ProbeRequest) (*ProbeResponse, error) {
-	if req.K <= 0 {
-		return nil, fmt.Errorf("k must be positive, got %d", req.K)
+	if err := req.validate(op); err != nil {
+		return nil, err
 	}
 	h, err := s.rel.AcquireCtx(ctx)
 	if err != nil {
@@ -152,17 +155,30 @@ func (s *ShardServer) probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 	defer h.Release()
 
 	var delta stats.Counters
-	p := geom.Point{X: req.X, Y: req.Y}
+	n := req.focals()
 	resp := &ProbeResponse{}
-	switch op {
-	case OpCount:
-		resp.Count = h.S.CountStrictlyCloser(p, req.K, req.ThresholdSq, &delta)
-	case OpWithin:
-		nb := h.S.NeighborhoodWithinSq(p, req.K, req.ThresholdSq, &delta)
-		s.fillResponse(resp, p, nb.Points)
-	default:
-		nb := h.S.Neighborhood(p, req.K, &delta)
-		s.fillResponse(resp, p, nb.Points)
+	if n > 1 && op != OpCount {
+		resp.Offs = make([]int, 1, n+1)
+	}
+	for i := 0; i < n; i++ {
+		p, thresholdSq := req.focal(i)
+		switch op {
+		case OpCount:
+			count := h.S.CountStrictlyCloser(p, req.K, thresholdSq, &delta)
+			if n == 1 {
+				resp.Count = count
+			} else {
+				resp.Counts = append(resp.Counts, count)
+			}
+			continue
+		case OpWithin:
+			s.appendCandidates(resp, p, h.S.NeighborhoodWithinSq(p, req.K, thresholdSq, &delta).Points)
+		default:
+			s.appendCandidates(resp, p, h.S.Neighborhood(p, req.K, &delta).Points)
+		}
+		if n > 1 {
+			resp.Offs = append(resp.Offs, len(resp.IDs))
+		}
 	}
 	d := delta.Snapshot()
 	resp.Stats = WireStats{
@@ -177,22 +193,21 @@ func (s *ShardServer) probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 	return resp, nil
 }
 
-// fillResponse encodes a neighborhood's points as wire candidates: stable
-// ID, coordinates, and the squared distance to the probe center recomputed
-// from coordinates (exactly the comparison key of the coordinator's merge).
-func (s *ShardServer) fillResponse(resp *ProbeResponse, center geom.Point, pts []geom.Point) {
-	// The neighborhood's Dists are sqrt values; the wire carries dSq, the
-	// exact key, so recompute it from coordinates relative to the center.
-	// fillNeighborhood on the far side restores Dists = Sqrt(dSq).
-	resp.IDs = make([]int32, len(pts))
-	resp.Xs = make([]float64, len(pts))
-	resp.Ys = make([]float64, len(pts))
-	resp.DSqs = make([]float64, len(pts))
-	for i, p := range pts {
-		resp.IDs[i] = s.idOf[p]
-		resp.Xs[i] = p.X
-		resp.Ys[i] = p.Y
-		resp.DSqs[i] = center.DistSq(p)
+// appendCandidates encodes one focal's neighborhood as the response's next
+// wire candidates: stable ID, coordinates, and the squared distance to the
+// focal recomputed from coordinates (exactly the comparison key of the
+// coordinator's merge — the neighborhood's Dists are sqrt values, and
+// appendSpans on the far side restores Dists = Sqrt(dSq)).
+func (s *ShardServer) appendCandidates(resp *ProbeResponse, center geom.Point, pts []geom.Point) {
+	resp.IDs = slices.Grow(resp.IDs, len(pts))
+	resp.Xs = slices.Grow(resp.Xs, len(pts))
+	resp.Ys = slices.Grow(resp.Ys, len(pts))
+	resp.DSqs = slices.Grow(resp.DSqs, len(pts))
+	for _, p := range pts {
+		resp.IDs = append(resp.IDs, s.idOf[p])
+		resp.Xs = append(resp.Xs, p.X)
+		resp.Ys = append(resp.Ys, p.Y)
+		resp.DSqs = append(resp.DSqs, center.DistSq(p))
 	}
 }
 

@@ -158,7 +158,14 @@ func (t *HTTPTransport) do(req *http.Request, out any) error {
 		}
 		return transientf("%s: %w", t.base, err)
 	}
-	defer res.Body.Close()
+	defer func() {
+		// net/http reuses a connection only once its response was read to
+		// EOF, and the decoder below stops at the end of the JSON value —
+		// before the encoder's trailing newline, when that arrives in a
+		// read of its own.
+		_, _ = io.Copy(io.Discard, res.Body)
+		res.Body.Close()
+	}()
 	if res.StatusCode != http.StatusOK {
 		var we wireError
 		msg := ""

@@ -10,63 +10,18 @@ import (
 	"repro/internal/stats"
 )
 
-// batchResults stores one neighborhood per focal in a flat arena: Points and
-// Dists are shared backing arrays, off[i]:off[i+1] is query i's span.
-type batchResults struct {
-	pts   []geom.Point
-	dists []float64
-	off   []int
-}
-
-// view aliases query i's span as a Neighborhood.
-func (b *batchResults) view(i int, center geom.Point, nb *locality.Neighborhood) {
-	nb.Center = center
-	nb.Points = b.pts[b.off[i]:b.off[i+1]]
-	nb.Dists = b.dists[b.off[i]:b.off[i+1]]
-}
-
-// appendNbr copies one neighborhood into the arena as the next query's span.
-func (b *batchResults) appendNbr(nb *locality.Neighborhood) {
-	b.pts = append(b.pts, nb.Points...)
-	b.dists = append(b.dists, nb.Dists...)
-	b.off = append(b.off, len(b.pts))
-}
-
-// runShards runs the batched driver once per shard, copying each shard's
-// local per-query neighborhoods out of the driver arena. thresholdsSq nil
-// selects kNN mode, non-nil the within-threshold mode (see batch.Driver).
-//
-// The batched driver is a local-scan optimization (sorted focal groups over
-// one shard's blocks); remote members take the per-focal probe path through
-// the same candidate contract instead, which is byte-identical by
-// construction — each per-focal call is exactly the sequential sharded
-// probe the batched local path is held equal to.
-func runShards(pr *probe, d *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64) []batchResults {
-	out := make([]batchResults, len(pr.handles))
+// runShards runs the batched driver once per in-process shard, copying each
+// shard's local per-query neighborhoods out of the driver arena.
+// thresholdsSq nil selects kNN mode, non-nil the within-threshold mode (see
+// batch.Driver).
+func runShards(pr *probe, d *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64) []GroupAnswer {
+	out := make([]GroupAnswer, len(pr.handles))
 	for s, h := range pr.handles {
 		if fault.Armed() {
 			fault.OnShardProbe(s)
 		}
-		out[s].off = append(out[s].off, 0)
+		out[s].Offs = append(out[s].Offs, 0)
 		lh := h.Local()
-		if lh == nil {
-			for i, f := range focals {
-				if thresholdsSq != nil && thresholdsSq[i] < 0 {
-					// Short-circuited query: empty span, like the local
-					// driver's negative-threshold contract.
-					out[s].off = append(out[s].off, len(out[s].pts))
-					continue
-				}
-				var nbr *locality.Neighborhood
-				if thresholdsSq == nil {
-					nbr = h.Neighborhood(f, k, pr.deltas[s])
-				} else {
-					nbr = h.NeighborhoodWithinSq(f, k, thresholdsSq[i], pr.deltas[s])
-				}
-				out[s].appendNbr(nbr)
-			}
-			continue
-		}
 		var res []locality.Neighborhood
 		if thresholdsSq == nil {
 			res = d.KNNSelect(lh, focals, k, pr.deltas[s])
@@ -86,15 +41,22 @@ func runShards(pr *probe, d *batch.Driver, focals []geom.Point, k int, threshold
 // comparison (squared distance recomputed from coordinates, exact ties by
 // canonical point order, co-located duplicates kept) as the single-query
 // probe, so the global result is byte-identical to the sequential sharded
-// path.
-func gatherBatch(pr *probe, d *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64) batchResults {
+// path. The batched driver is a local-scan optimization (sorted focal
+// groups over one shard's blocks); remote members get the batch as one
+// focal group per shard instead (gather), merged the same way.
+func gatherBatch(pr *probe, d *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64) GroupAnswer {
+	if pr.remote != nil {
+		merged := GroupAnswer{Offs: []int{0}}
+		pr.gather(focals, k, thresholdsSq, &merged)
+		return merged
+	}
 	shardRes := runShards(pr, d, focals, k, thresholdsSq)
 	if len(shardRes) == 1 {
 		return shardRes[0]
 	}
 	views := make([]locality.Neighborhood, len(shardRes))
-	var merged batchResults
-	merged.off = append(merged.off, 0)
+	var merged GroupAnswer
+	merged.Offs = append(merged.Offs, 0)
 	for i, f := range focals {
 		for s := range shardRes {
 			shardRes[s].view(i, f, &views[s])
@@ -120,10 +82,10 @@ func SelectBatch(ctx context.Context, g Group, focals []geom.Point, k int, c *st
 	d := batch.Acquire()
 	defer batch.Release(d)
 	res := gatherBatch(pr, d, focals, k, nil)
-	pts := make([]geom.Point, len(res.pts))
-	copy(pts, res.pts)
+	pts := make([]geom.Point, len(res.Points))
+	copy(pts, res.Points)
 	for i := range out {
-		out[i] = pts[res.off[i]:res.off[i+1]:res.off[i+1]]
+		out[i] = pts[res.Offs[i]:res.Offs[i+1]:res.Offs[i+1]]
 	}
 	return out
 }
@@ -151,7 +113,7 @@ func TwoSelectsBatch(ctx context.Context, g Group, f1s []geom.Point, k1 int, f2s
 	}
 	res1 := gatherBatch(pr, d, f1s, k1, nil)
 
-	var res2 batchResults
+	var res2 GroupAnswer
 	if conceptual {
 		res2 = gatherBatch(pr, d, f2s, k2, nil)
 	} else {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -18,7 +19,11 @@ import (
 // one worker crew the single-relation algorithms run on too (core.RunCrew);
 // each worker holds a probe (one pooled searcher handle per inner shard)
 // and generates candidates per-shard, merging them into exact global
-// neighborhoods.
+// neighborhoods. Over in-process inner shards a unit is probed point by
+// point; over remote ones the unit is the focal group — its points travel
+// to each shard in one request, every shard's request in flight at once
+// (gather.go) — so a unit costs one or two waves of round trips, not one
+// round trip per point per shard.
 //
 // Gather: results are concatenated and canonically sorted (SortPairs /
 // SortTriples order), which — because every per-tuple result multiset is
@@ -54,6 +59,66 @@ func (u unit) eachPoint(fn func(p geom.Point)) {
 	}
 	for _, p := range u.pts {
 		fn(p)
+	}
+}
+
+// points materializes a unit's points — the focal group a probe over remote
+// members sends.
+func (u unit) points() []geom.Point {
+	if u.blk.Local != nil {
+		xs, ys := u.blk.Local.XYs()
+		pts := make([]geom.Point, len(xs))
+		for i := range xs {
+			pts[i] = geom.Point{X: xs[i], Y: ys[i]}
+		}
+		return pts
+	}
+	if u.blk.Fetch != nil {
+		return u.blk.Fetch()
+	}
+	return u.pts
+}
+
+// joinUnit is the kNN-join of one unit: emit sees every point of u with its
+// exact global k-neighborhood (valid for the call only). A non-nil
+// closerThan applies the Counting prune (Procedure 1) first: a point with at
+// least k inner points strictly closer than closerThan's squared distance
+// is skipped, and counted in ctr. In-process members are asked point by
+// point, count then neighborhood; remote ones get the unit as a focal
+// group — its counts, then the survivors' neighborhoods.
+func (pr *probe) joinUnit(u unit, k int, closerThan func(geom.Point) float64, ctr *stats.Counters,
+	emit func(e1 geom.Point, nbr *locality.Neighborhood)) {
+
+	if pr.remote == nil {
+		u.eachPoint(func(e1 geom.Point) {
+			if closerThan != nil && pr.countStrictlyCloser(e1, k, closerThan(e1)) >= k {
+				ctr.AddOuterSkipped(1)
+				return
+			}
+			emit(e1, pr.neighborhood(e1, k))
+		})
+		return
+	}
+	pts := u.points()
+	if closerThan != nil {
+		thresholdsSq := make([]float64, len(pts))
+		for i, e1 := range pts {
+			thresholdsSq[i] = closerThan(e1)
+		}
+		kept := make([]geom.Point, 0, len(pts))
+		for i, n := range pr.gatherCounts(pts, k, thresholdsSq) {
+			if n < k {
+				kept = append(kept, pts[i])
+			}
+		}
+		ctr.AddOuterSkipped(len(pts) - len(kept))
+		pts = kept
+	}
+	res := pr.gatherReused(pts, k, nil)
+	var nbr locality.Neighborhood
+	for i, e1 := range pts {
+		res.view(i, e1, &nbr)
+		emit(e1, &nbr)
 	}
 }
 
@@ -212,8 +277,7 @@ func join(ctx context.Context, outer, inner Group, k, workers int, c *stats.Coun
 func joinEmitter(k int) func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
 	return func(pr *probe, _ *stats.Counters) emitFn[core.Pair] {
 		return func(u unit, dst []core.Pair) []core.Pair {
-			u.eachPoint(func(e1 geom.Point) {
-				nbr := pr.neighborhood(e1, k)
+			pr.joinUnit(u, k, nil, nil, func(e1 geom.Point, nbr *locality.Neighborhood) {
 				for _, e2 := range nbr.Points {
 					dst = append(dst, core.Pair{Left: e1, Right: e2})
 				}
@@ -248,6 +312,10 @@ func InnerJoin(ctx context.Context, outer, inner Group, sel core.InnerSelection,
 		return nil
 	}
 	blockMarking := alg == core.AlgorithmBlockMarking || alg == core.AlgorithmAuto
+	var closerThan func(geom.Point) float64
+	if alg == core.AlgorithmCounting {
+		closerThan = sel.ThresholdSq
+	}
 	out := scatter(ctx, &core.PairArenas, blockUnits(ctx, outer), inner, workers, c,
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
 			return func(u unit, dst []core.Pair) []core.Pair {
@@ -262,13 +330,7 @@ func InnerJoin(ctx context.Context, outer, inner Group, sel core.InnerSelection,
 						return dst
 					}
 				}
-				u.eachPoint(func(e1 geom.Point) {
-					if alg == core.AlgorithmCounting &&
-						pr.countStrictlyCloser(e1, kJoin, sel.ThresholdSq(e1)) >= kJoin {
-						ctr.AddOuterSkipped(1)
-						return
-					}
-					nbr := pr.neighborhood(e1, kJoin)
+				pr.joinUnit(u, kJoin, closerThan, ctr, func(e1 geom.Point, nbr *locality.Neighborhood) {
 					for _, e2 := range nbr.Points {
 						if sel.Contains(e2) {
 							dst = append(dst, core.Pair{Left: e1, Right: e2})
@@ -328,17 +390,24 @@ func Chained(ctx context.Context, a, b, cg Group, kAB, kBC, workers int, c *stat
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Triple] {
 			cache := make(map[geom.Point][]geom.Point)
 			return func(u unit, dst []core.Triple) []core.Triple {
+				// The unit's distinct uncached B values, in first-occurrence
+				// order, are one join unit of their own — over remote
+				// members, one focal group.
+				var misses []geom.Point
 				for _, p := range u.pairs {
-					pts, ok := cache[p.Right]
-					if ok {
+					if _, ok := cache[p.Right]; ok {
 						ctr.AddCacheHit()
-					} else {
-						ctr.AddCacheMiss()
-						nbr := pr.neighborhood(p.Right, kBC)
-						pts = append([]geom.Point(nil), nbr.Points...)
-						cache[p.Right] = pts
+						continue
 					}
-					for _, cp := range pts {
+					ctr.AddCacheMiss()
+					cache[p.Right] = nil
+					misses = append(misses, p.Right)
+				}
+				pr.joinUnit(unit{pts: misses}, kBC, nil, nil, func(b geom.Point, nbr *locality.Neighborhood) {
+					cache[b] = append([]geom.Point(nil), nbr.Points...)
+				})
+				for _, p := range u.pairs {
+					for _, cp := range cache[p.Right] {
 						dst = append(dst, core.Triple{A: p.Left, B: p.Right, C: cp})
 					}
 				}

@@ -14,31 +14,26 @@ import (
 // is an ordered list of Members; the drivers never see what backs one. The
 // in-process implementations below are zero-overhead views over
 // *core.Relation (pointer conversions, so steady-state probe work stays
-// allocation-free); internal/remote implements the same two interfaces over
-// an HTTP shard-probe protocol, which is what lifts every query shape onto
+// allocation-free); internal/remote implements the same interfaces over an
+// HTTP shard-probe protocol, which is what lifts every query shape onto
 // N-process layouts without touching a driver.
+//
+// The two kinds of member answer the paper's locality contract (top-k
+// neighborhood, threshold-clipped neighborhood, conservative
+// strictly-closer count) at different granularities, because a call costs
+// them differently. An in-process member is a searcher handle: the probe
+// calls it point by point (Local), nanoseconds apiece. A remote member is a
+// round trip: the probe hands it a whole focal group per request
+// (GroupProber) and keeps every shard's request in flight at once.
 
-// Prober is one borrowed per-shard candidate-generation handle: the exact
-// locality contract of the paper (top-k neighborhood, threshold-clipped
-// neighborhood, conservative strictly-closer count), plus the lifecycle the
-// scatter drivers need (context binding, block-granular checkpoints,
-// release). Like a locality.Searcher, a Prober is single-threaded and its
-// results are valid only until its next call.
+// Prober is one borrowed per-shard handle: the lifecycle the scatter
+// drivers need (context binding, block-granular checkpoints, release) and
+// the way to the member's candidate generation — Local for an in-process
+// member, the GroupProber methods for a remote one. Like a
+// locality.Searcher, a Prober is single-threaded.
 type Prober interface {
 	// Bounds returns the shard index's bounds (the MINDIST shard-skip key).
 	Bounds() geom.Rect
-
-	// Neighborhood returns the shard-local k nearest neighbors of p in the
-	// repository-wide ascending (distance, X, Y) order.
-	Neighborhood(p geom.Point, k int, c *stats.Counters) *locality.Neighborhood
-
-	// NeighborhoodWithinSq is Neighborhood admitting only blocks with
-	// MINDIST²(p) ≤ thresholdSq; see locality.Searcher.NeighborhoodWithinSq.
-	NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *locality.Neighborhood
-
-	// CountStrictlyCloser conservatively counts shard points strictly closer
-	// to p than the squared threshold, stopping at k.
-	CountStrictlyCloser(p geom.Point, k int, thresholdSq float64, c *stats.Counters) int
 
 	// Bind attaches ctx for cooperative cancellation; Checkpoint polls it.
 	Bind(ctx context.Context)
@@ -47,10 +42,78 @@ type Prober interface {
 	// Release returns the handle to its member.
 	Release()
 
-	// Local returns the backing *core.Relation handle for in-process
-	// members, nil for remote ones. The batched drivers take the local fast
-	// path through it; everything else stays on the interface.
+	// Local returns the borrowed *core.Relation handle of an in-process
+	// member — its searcher answers the probe's per-point walk and the
+	// batched drivers — and nil for a remote one, which is a GroupProber.
 	Local() *core.Relation
+}
+
+// GroupAnswer holds one candidate span per focal in flat arrays — span j is
+// Points/Dists[Offs[j]:Offs[j+1]], so Offs starts with a 0 — or one count
+// per focal.
+type GroupAnswer struct {
+	Points []geom.Point
+	Dists  []float64
+	Offs   []int
+	Counts []int
+}
+
+// reset empties the answer, keeping its buffers.
+func (a *GroupAnswer) reset() {
+	a.Points, a.Dists, a.Counts = a.Points[:0], a.Dists[:0], a.Counts[:0]
+	a.Offs = append(a.Offs[:0], 0)
+}
+
+// view aliases span j as a Neighborhood.
+func (a *GroupAnswer) view(j int, center geom.Point, nb *locality.Neighborhood) {
+	nb.Center = center
+	nb.Points = a.Points[a.Offs[j]:a.Offs[j+1]]
+	nb.Dists = a.Dists[a.Offs[j]:a.Offs[j+1]]
+}
+
+// appendNbr copies one neighborhood into the answer as its next span.
+func (a *GroupAnswer) appendNbr(nb *locality.Neighborhood) {
+	a.Points = append(a.Points, nb.Points...)
+	a.Dists = append(a.Dists, nb.Dists...)
+	a.Offs = append(a.Offs, len(a.Points))
+}
+
+// GroupProber is the Prober of a remote member. Its unit of work is the
+// focal group and its failures are values: a wave of the gather runs one
+// call per shard, each on its own goroutine, and only after the wave has
+// joined does the probe's own goroutine Raise what went wrong.
+//
+// ProbeGroup and CountGroup are the methods a goroutine other than the
+// handle's owner may call. ctx, derived from the bound context, bounds the
+// call; a group larger than the wire's cap goes out as consecutive
+// requests; the shard's reported operation counts fold into c. Neither
+// unwinds on a remote failure: the error comes back and ans is as it was.
+type GroupProber interface {
+	Prober
+
+	// ProbeGroup appends to ans one span per focal: the shard-local k
+	// nearest neighbors in ascending (distance, X, Y) order, admitting —
+	// when thresholdsSq is non-nil — only blocks with MINDIST² within the
+	// focal's squared threshold (see locality.Searcher.NeighborhoodWithinSq).
+	ProbeGroup(ctx context.Context, focals []geom.Point, k int, thresholdsSq []float64,
+		ans *GroupAnswer, c *stats.Counters) error
+
+	// CountGroup appends to ans one count per focal: conservatively, the
+	// shard points strictly closer than the focal's squared threshold,
+	// stopping at k.
+	CountGroup(ctx context.Context, focals []geom.Point, k int, thresholdsSq []float64,
+		ans *GroupAnswer, c *stats.Counters) error
+
+	// Degrades reports whether the bound context tolerates this shard's
+	// failure (partial-results mode): Raise then records it and returns,
+	// so the requests in flight beside a failed one are worth finishing.
+	Degrades() bool
+
+	// Raise disposes of a failed call's error on the handle owner's
+	// goroutine: a dead bound context unwinds as cancellation, a degrading
+	// one records the shard missing and returns, anything else unwinds
+	// fail-closed with err.
+	Raise(err error)
 }
 
 // Member is one shard of a Group: the acquire surface the probe assembles
@@ -169,20 +232,7 @@ type localProber core.Relation
 
 func (p *localProber) h() *core.Relation { return (*core.Relation)(p) }
 
-func (p *localProber) Bounds() geom.Rect { return p.h().Ix.Bounds() }
-
-func (p *localProber) Neighborhood(q geom.Point, k int, c *stats.Counters) *locality.Neighborhood {
-	return p.h().S.Neighborhood(q, k, c)
-}
-
-func (p *localProber) NeighborhoodWithinSq(q geom.Point, k int, thresholdSq float64, c *stats.Counters) *locality.Neighborhood {
-	return p.h().S.NeighborhoodWithinSq(q, k, thresholdSq, c)
-}
-
-func (p *localProber) CountStrictlyCloser(q geom.Point, k int, thresholdSq float64, c *stats.Counters) int {
-	return p.h().S.CountStrictlyCloser(q, k, thresholdSq, c)
-}
-
+func (p *localProber) Bounds() geom.Rect        { return p.h().Ix.Bounds() }
 func (p *localProber) Bind(ctx context.Context) { p.h().S.Bind(ctx) }
 func (p *localProber) Checkpoint()              { p.h().Checkpoint() }
 func (p *localProber) Release()                 { p.h().Release() }

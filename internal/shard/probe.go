@@ -10,11 +10,19 @@ import (
 	"repro/internal/stats"
 )
 
-// probe is one worker's gather view over a group: a borrowed searcher handle
-// per shard plus the scratch to merge per-shard neighborhoods into exact
-// global ones. Like a locality.Searcher, a probe is single-threaded and its
-// merged result is valid only until the probe's next query; the scatter
-// driver gives every worker its own probe.
+// probe is one worker's gather view over a group: a borrowed handle per
+// shard plus the scratch to merge per-shard neighborhoods into exact global
+// ones. Like a locality.Searcher, a probe is single-threaded and its merged
+// result is valid only until the probe's next query; the scatter driver
+// gives every worker its own probe.
+//
+// How the per-shard candidates are fetched depends on what the members are,
+// which the group knows (Prober.Local). In-process members are searcher
+// handles, and the probe walks them point by point in ascending MINDIST²,
+// tightening the skip limit after every shard (neighborhood, below): that
+// walk is CPU-bound and allocation-free, and nothing can be won by
+// overlapping it. Remote members cost a round trip per call, so the same
+// queries go out as focal groups in concurrent waves instead (gather.go).
 //
 // Per-shard operation counts accumulate in the probe's delta counters and
 // are folded into the group's lifetime per-shard counters (and the query's
@@ -23,6 +31,7 @@ import (
 type probe struct {
 	g       Group
 	handles []Prober
+	remote  *gatherer // non-nil over remote members
 	deltas  []*stats.Counters
 	nbrs    []*locality.Neighborhood
 	cursors []int
@@ -62,6 +71,7 @@ func acquire(ctx context.Context, g Group) *probe {
 		}
 		pr.handles[i] = h
 	}
+	pr.equip(ctx)
 	return pr
 }
 
@@ -82,7 +92,18 @@ func tryAcquire(ctx context.Context, g Group) (pr *probe, ok bool) {
 		h.Bind(ctx)
 		pr.handles[i] = h
 	}
+	pr.equip(ctx)
 	return pr, true
+}
+
+// equip settles, once every handle is held, how the probe reaches its
+// members' candidates: in-process members through their searchers
+// (Prober.Local), remote ones — a group's members are all of one kind —
+// through a gatherer.
+func (pr *probe) equip(ctx context.Context) {
+	if pr.handles[0].Local() == nil {
+		pr.remote = newGatherer(ctx, pr.handles)
+	}
 }
 
 // checkpoint polls the probe's cancellation binding (carried by the shard-0
@@ -134,13 +155,18 @@ func (pr *probe) release(ctr *stats.Counters) {
 // candidates, so it cannot enter the global top-k regardless of
 // tie-breaking. Under spatial partitioning this is what keeps distant tiles
 // cheap — most probes touch one or two shards; under hash partitioning
-// shard bounds all cover the data extent and every shard is probed.
+// shard bounds all cover the data extent and every shard is probed. Over
+// remote members the same skip rule runs wave by wave instead of shard by
+// shard (gather).
 func (pr *probe) neighborhood(p geom.Point, k int) *locality.Neighborhood {
+	if pr.remote != nil {
+		return pr.gatherOne(p, k, nil)
+	}
 	if len(pr.handles) == 1 {
 		if fault.Armed() {
 			fault.OnShardProbe(0)
 		}
-		return pr.handles[0].Neighborhood(p, k, pr.deltas[0])
+		return pr.handles[0].Local().S.Neighborhood(p, k, pr.deltas[0])
 	}
 	limit := pr.probeOrder(p)
 	for _, s := range pr.order {
@@ -151,7 +177,7 @@ func (pr *probe) neighborhood(p geom.Point, k int) *locality.Neighborhood {
 		if fault.Armed() {
 			fault.OnShardProbe(s)
 		}
-		nbr := pr.handles[s].Neighborhood(p, k, pr.deltas[s])
+		nbr := pr.handles[s].Local().S.Neighborhood(p, k, pr.deltas[s])
 		pr.nbrs[s] = nbr
 		if len(nbr.Points) == k {
 			if b := nbr.Points[k-1].DistSq(p); b < limit {
@@ -187,11 +213,14 @@ func (pr *probe) probeOrder(p geom.Point) float64 {
 // within-threshold candidate is itself within threshold, hence admitted by
 // its own shard and ranked ahead in the merge.
 func (pr *probe) neighborhoodWithinSq(p geom.Point, k int, thresholdSq float64) *locality.Neighborhood {
+	if pr.remote != nil {
+		return pr.gatherOne(p, k, []float64{thresholdSq})
+	}
 	if len(pr.handles) == 1 {
 		if fault.Armed() {
 			fault.OnShardProbe(0)
 		}
-		return pr.handles[0].NeighborhoodWithinSq(p, k, thresholdSq, pr.deltas[0])
+		return pr.handles[0].Local().S.NeighborhoodWithinSq(p, k, thresholdSq, pr.deltas[0])
 	}
 	pr.probeOrder(p)
 	limit := thresholdSq // blocks past the threshold are never admitted
@@ -203,7 +232,7 @@ func (pr *probe) neighborhoodWithinSq(p geom.Point, k int, thresholdSq float64) 
 		if fault.Armed() {
 			fault.OnShardProbe(s)
 		}
-		nbr := pr.handles[s].NeighborhoodWithinSq(p, k, thresholdSq, pr.deltas[s])
+		nbr := pr.handles[s].Local().S.NeighborhoodWithinSq(p, k, thresholdSq, pr.deltas[s])
 		pr.nbrs[s] = nbr
 		if len(nbr.Points) == k {
 			if b := nbr.Points[k-1].DistSq(p); b < limit {
@@ -265,11 +294,13 @@ func (pr *probe) merge(p geom.Point, k int) *locality.Neighborhood {
 // countStrictlyCloser sums the shards' conservative counts of points
 // strictly closer to p than the (squared) threshold, stopping once the sum
 // reaches k. Shards partition the point set, so the sum counts distinct real
-// points and the Counting algorithm's skip proof applies globally.
+// points and the Counting algorithm's skip proof applies globally. It walks
+// in-process members; over remote ones the Counting prune asks for a whole
+// unit's counts at once (gatherCounts).
 func (pr *probe) countStrictlyCloser(p geom.Point, k int, thresholdSq float64) int {
 	total := 0
 	for s, h := range pr.handles {
-		total += h.CountStrictlyCloser(p, k, thresholdSq, pr.deltas[s])
+		total += h.Local().S.CountStrictlyCloser(p, k, thresholdSq, pr.deltas[s])
 		if total >= k {
 			break
 		}

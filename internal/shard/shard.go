@@ -154,9 +154,10 @@ func (r *Relation) Group() Group {
 
 // Group is the executable view of one logical relation for the
 // scatter/gather drivers: an ordered list of members (a single un-sharded
-// relation is a one-element group; members may be in-process or remote —
-// see Member) plus optional per-shard lifetime counters to account probes
-// against.
+// relation is a one-element group; a group's members are all in-process or
+// all remote — see Member — and a probe over them walks point by point or
+// gathers in waves accordingly) plus optional per-shard lifetime counters
+// to account probes against.
 type Group struct {
 	members  []Member
 	counters []*stats.Counters

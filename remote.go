@@ -52,6 +52,13 @@ const (
 	NoBreaker = remote.NoBreaker
 )
 
+// remoteIdleConnsPerHost sizes the default client's idle pool per shard
+// endpoint. A query worker keeps one request per shard in flight at a time,
+// so the pool must hold as many connections as the coordinator evaluates
+// queries at once: well above any admission limit a server is started with
+// (knnserve's documented -max-inflight is 256).
+const remoteIdleConnsPerHost = 1024
+
 // RemoteConfig tunes the robustness envelope around every call to a remote
 // shard. The zero value (and a nil *RemoteConfig) means defaults; use the
 // No* sentinels to disable a mechanism entirely.
@@ -91,8 +98,10 @@ type RemoteConfig struct {
 	BreakerCooldown time.Duration
 
 	// HTTPClient overrides the transport's HTTP client (connection
-	// pooling, TLS). Leave the client's Timeout zero — the envelope's
-	// per-attempt contexts bound every request.
+	// pooling, TLS); the default keeps a per-shard idle pool large enough
+	// for every concurrent query to reuse its connection. Leave the
+	// client's Timeout zero — the envelope's per-attempt contexts bound
+	// every request.
 	HTTPClient *http.Client
 }
 
@@ -154,7 +163,13 @@ func DialRemote(ctx context.Context, name string, shards [][]string, cfg *Remote
 		client = cfg.HTTPClient
 	}
 	if client == nil {
-		client = &http.Client{}
+		// http.DefaultTransport keeps two idle connections per host: a
+		// coordinator with more queries in flight than that would close and
+		// re-dial a connection per request beyond the second, per shard.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConns = 0 // bounded per host only
+		tr.MaxIdleConnsPerHost = remoteIdleConnsPerHost
+		client = &http.Client{Transport: tr}
 	}
 	tps := make([][]remote.ShardTransport, len(shards))
 	for s, urls := range shards {
