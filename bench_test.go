@@ -23,7 +23,7 @@ import (
 const benchScale = bench.ScaleCI
 
 func runFigure(b *testing.B, id string) {
-	exp, ok := bench.ByID(id)
+	exp, ok := bench.AnyByID(id)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
@@ -74,29 +74,8 @@ func BenchmarkFig26(b *testing.B) { runFigure(b, "fig26") }
 
 // BenchmarkAblationPreprocess measures contour vs exhaustive Block-Marking
 // preprocessing (a design-choice ablation beyond the paper's figures).
-func BenchmarkAblationPreprocess(b *testing.B) { runAblation(b, "abl-preprocess") }
+func BenchmarkAblationPreprocess(b *testing.B) { runFigure(b, "abl-preprocess") }
 
 // BenchmarkAblationIndexKinds measures the Block-Marking select-inner-join
 // over all four index families.
-func BenchmarkAblationIndexKinds(b *testing.B) { runAblation(b, "abl-index") }
-
-// BenchmarkAblationParallelJoin measures kNN-join worker scaling.
-func BenchmarkAblationParallelJoin(b *testing.B) { runAblation(b, "abl-parallel") }
-
-func runAblation(b *testing.B, id string) {
-	exp, ok := bench.AnyByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for _, c := range exp.Cases(benchScale) {
-		for _, p := range c.Plans {
-			p := p
-			b.Run(fmt.Sprintf("%s=%s/%s", exp.XLabel, c.X, p.Name), func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.Run(nil)
-				}
-			})
-		}
-	}
-}
+func BenchmarkAblationIndexKinds(b *testing.B) { runFigure(b, "abl-index") }

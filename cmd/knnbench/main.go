@@ -2,29 +2,22 @@
 // section (Figures 19–26) as text tables: for every figure it runs the
 // competing query evaluation plans over the benchmark workloads, verifies
 // that all plans return identical result cardinalities, and prints the
-// measured series next to the paper's expected qualitative outcome.
+// measured series next to the paper's expected qualitative outcome. Two
+// ablations about the paper's algorithms ride the same harness: abl-preprocess
+// (Procedure 3's contour stop) and abl-index (index-agnosticism). The systems
+// layers around the algorithms are timed by the standing benchmark only
+// (bash benchmark/run.sh, metrics in BENCHMARK.json).
 //
 // Usage:
 //
 //	knnbench                    # run every figure at the reduced CI scale
 //	knnbench -fig 19            # run one figure
-//	knnbench -fig 19,26         # run a subset
+//	knnbench -fig 19,abl-index  # run a subset, figures and ablations mixed
 //	knnbench -scale paper       # the paper's cardinalities (slow by design:
 //	                            # the conceptual baselines are the point)
 //	knnbench -stats             # append operation-counter columns
 //	knnbench -json out.json     # also write the results as machine-readable
-//	                            # JSON (the BENCH_PR*.json trajectory files)
-//	knnbench -parallel          # run only the concurrency experiments:
-//	                            # parallel-join worker scaling and the
-//	                            # contention sweep (pooled searcher handles
-//	                            # vs a mutex-guarded searcher at 1/4/16
-//	                            # goroutines), recorded in BENCH_PR2.json
-//	knnbench -fig abl-shards    # the sharded scatter/gather ablation
-//	   -shards 1,2,4,8          # (shard-count sweep override), recorded in
-//	                            # BENCH_PR4.json
-//	knnbench -fig abl-cancel    # the cancellation-checkpoint ablation
-//	   -json BENCH_PR6.json     # (kNN-join on an unbound handle vs a live
-//	                            # bound context), recorded in BENCH_PR6.json
+//	                            # JSON (the BENCH_PR*.json schema)
 //	knnbench -timeout 10m       # bound the run's wall-clock budget: once it
 //	                            # elapses, no further experiment starts, the
 //	                            # partial JSON report is still written, and
@@ -35,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -44,59 +36,27 @@ import (
 
 func main() {
 	var (
-		figFlag      = flag.String("fig", "", "comma-separated figure numbers or ablation ids to run (e.g. \"19,26,abl-index\"); empty = all figures")
-		ablFlag      = flag.Bool("ablations", false, "run the ablation experiments (contour stop, index families, parallel join, contention)")
-		parallelFlag = flag.Bool("parallel", false, "run only the concurrency experiments (parallel-join scaling and the 1/4/16-goroutine contention sweep)")
-		scaleFlag    = flag.String("scale", "ci", "workload scale: \"ci\" (reduced, minutes) or \"paper\" (full cardinalities)")
-		statsFlag    = flag.Bool("stats", false, "print machine-independent operation counters per plan")
-		jsonFlag     = flag.String("json", "", "path to write the results as machine-readable JSON")
-		shardsFlag   = flag.String("shards", "", "comma-separated shard counts for the abl-shards sweep (e.g. \"1,2,4\"; default 1,2,4,8)")
-		timeoutFlag  = flag.Duration("timeout", 0, "wall-clock budget for the whole run, checked between experiments (0 = no limit); on expiry the partial JSON report is still written and the exit code is non-zero")
+		figFlag     = flag.String("fig", "", "comma-separated figure numbers or ablation ids to run (e.g. \"19,26,abl-index\"); empty = all figures")
+		scaleFlag   = flag.String("scale", "ci", "workload scale: \"ci\" (reduced, minutes) or \"paper\" (full cardinalities)")
+		statsFlag   = flag.Bool("stats", false, "print machine-independent operation counters per plan")
+		jsonFlag    = flag.String("json", "", "path to write the results as machine-readable JSON")
+		timeoutFlag = flag.Duration("timeout", 0, "wall-clock budget for the whole run, checked between experiments (0 = no limit); on expiry the partial JSON report is still written and the exit code is non-zero")
 	)
 	flag.Parse()
 
-	if *shardsFlag != "" {
-		counts, err := parseShardCounts(*shardsFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "knnbench:", err)
-			os.Exit(1)
-		}
-		bench.ShardCounts = counts
-	}
-
-	if err := run(*figFlag, *ablFlag, *parallelFlag, *scaleFlag, *statsFlag, *jsonFlag, *timeoutFlag); err != nil {
+	if err := run(*figFlag, *scaleFlag, *statsFlag, *jsonFlag, *timeoutFlag); err != nil {
 		fmt.Fprintln(os.Stderr, "knnbench:", err)
 		os.Exit(1)
 	}
 }
 
-// parseShardCounts parses the -shards list.
-func parseShardCounts(s string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("-shards: %q is not a positive shard count", tok)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-shards: no shard counts given")
-	}
-	return out, nil
-}
-
-func run(figs string, ablations, parallel bool, scaleName string, withStats bool, jsonPath string, timeout time.Duration) error {
+func run(figs, scaleName string, withStats bool, jsonPath string, timeout time.Duration) error {
 	scale, err := bench.ParseScale(scaleName)
 	if err != nil {
 		return err
 	}
 
-	selected, err := selectExperiments(figs, ablations, parallel)
+	selected, err := selectExperiments(figs)
 	if err != nil {
 		return err
 	}
@@ -145,17 +105,8 @@ func run(figs string, ablations, parallel bool, scaleName string, withStats bool
 	return timedOut
 }
 
-func selectExperiments(figs string, ablations, parallel bool) ([]bench.Experiment, error) {
-	if figs != "" && parallel {
-		return nil, fmt.Errorf("-parallel selects the concurrency experiments and cannot be combined with -fig; use -fig abl-parallel,abl-contention to mix")
-	}
+func selectExperiments(figs string) ([]bench.Experiment, error) {
 	if figs == "" {
-		switch {
-		case parallel:
-			return bench.ParallelExperiments, nil
-		case ablations:
-			return bench.Ablations, nil
-		}
 		return bench.Experiments, nil
 	}
 	var out []bench.Experiment

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSelectExperimentsAllFigures(t *testing.T) {
-	exps, err := selectExperiments("", false, false)
+	exps, err := selectExperiments("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,43 +15,27 @@ func TestSelectExperimentsAllFigures(t *testing.T) {
 	}
 }
 
+// TestSelectExperimentsAblations pins which ablations knnbench still runs:
+// the two about the paper's algorithms resolve, and a deleted systems
+// ablation is an unknown-experiment error naming the survivors.
 func TestSelectExperimentsAblations(t *testing.T) {
-	exps, err := selectExperiments("", true, false)
-	if err != nil {
-		t.Fatal(err)
+	exps, err := selectExperiments("abl-preprocess,abl-index")
+	if err != nil || len(exps) != 2 {
+		t.Fatalf("selection = %v, %v", exps, err)
 	}
-	if len(exps) != 12 {
-		t.Fatalf("ablation selection has %d experiments, want 12", len(exps))
+	_, err = selectExperiments("abl-shards")
+	if err == nil {
+		t.Fatal("abl-shards was deleted and must not resolve")
 	}
-}
-
-func TestParseShardCounts(t *testing.T) {
-	got, err := parseShardCounts("1, 2,8")
-	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 8 {
-		t.Fatalf("parseShardCounts = %v, %v", got, err)
-	}
-	for _, bad := range []string{"", ",,", "0", "-2", "x"} {
-		if _, err := parseShardCounts(bad); err == nil {
-			t.Errorf("parseShardCounts(%q) must error", bad)
+	for _, want := range []string{"unknown experiment", "fig19", "fig26", "abl-preprocess", "abl-index"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error should contain %q, got %v", want, err)
 		}
 	}
 }
 
-func TestSelectExperimentsParallel(t *testing.T) {
-	exps, err := selectExperiments("", false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exps) != 2 || exps[0].ID != "abl-parallel" || exps[1].ID != "abl-contention" {
-		t.Fatalf("parallel selection = %v, want abl-parallel and abl-contention", exps)
-	}
-	if _, err := selectExperiments("19", false, true); err == nil {
-		t.Fatal("-fig combined with -parallel must error instead of silently dropping one")
-	}
-}
-
 func TestSelectExperimentsByNumber(t *testing.T) {
-	exps, err := selectExperiments("19, 26", false, false)
+	exps, err := selectExperiments("19, 26")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +45,7 @@ func TestSelectExperimentsByNumber(t *testing.T) {
 }
 
 func TestSelectExperimentsMixed(t *testing.T) {
-	exps, err := selectExperiments("fig22,abl-index", false, false)
+	exps, err := selectExperiments("fig22,abl-index")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +55,7 @@ func TestSelectExperimentsMixed(t *testing.T) {
 }
 
 func TestSelectExperimentsUnknown(t *testing.T) {
-	_, err := selectExperiments("99", false, false)
+	_, err := selectExperiments("99")
 	if err == nil {
 		t.Fatal("unknown figure must error")
 	}
@@ -81,7 +65,7 @@ func TestSelectExperimentsUnknown(t *testing.T) {
 }
 
 func TestSelectExperimentsEmptyTokens(t *testing.T) {
-	if _, err := selectExperiments(",,", false, false); err == nil {
+	if _, err := selectExperiments(",,"); err == nil {
 		t.Fatal("empty selection must error")
 	}
 }

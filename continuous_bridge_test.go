@@ -4,19 +4,21 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	twoknn "repro"
 	"repro/internal/continuous"
 )
 
-// TestContinuousBridgeDifferential drives one mutation stream through both
-// mutability layers the repo now has — the event-emitting continuous
-// monitors (internal/continuous, single-writer, point-identity) and the
-// snapshot-queryable mutable Relation (delta overlay, stable IDs) — and
-// holds their answers identical at every step. The monitors incrementally
-// maintain σ_{k,f} and σ∩σ; the mutable relation answers the same
-// predicates from scratch on its current snapshot. Agreement means the two
-// update paths implement the same query semantics over the same stream.
+// TestContinuousBridgeDifferential drives one mutation stream through the
+// event-emitting continuous monitors (internal/continuous, single-writer,
+// point-identity, backed by their own mutable Relation) and through a
+// second mutable Relation addressed by stable ID, and holds their answers
+// identical at every checkpoint. The monitors incrementally maintain σ_{k,f}
+// and σ∩σ; the second relation answers the same predicates from scratch on
+// its current snapshot. Both stores compact in the background at the
+// default threshold, so agreement also holds the monitors to the
+// from-scratch answer across snapshot swaps.
 func TestContinuousBridgeDifferential(t *testing.T) {
 	bounds := twoknn.NewRect(0, 0, 1000, 1000)
 	rng := rand.New(rand.NewSource(77))
@@ -30,12 +32,11 @@ func TestContinuousBridgeDifferential(t *testing.T) {
 		base[i] = fresh()
 	}
 
-	cont, err := continuous.NewRelation(bounds, 8, 8, base)
+	cont, err := continuous.NewRelation(bounds, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := twoknn.NewRelation("bridge", base,
-		twoknn.WithBlockCapacity(16), twoknn.WithCompactThreshold(-1))
+	rel, err := twoknn.NewRelation("bridge", base, twoknn.WithBlockCapacity(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,14 +145,31 @@ func TestContinuousBridgeDifferential(t *testing.T) {
 		if step%10 == 9 {
 			compare(step)
 		}
-		if step == 149 { // mid-stream merge must not perturb the differential
-			if err := rel.Compact(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
+		if step == 149 {
+			// The stream crossed the default compaction threshold long ago, so
+			// each store has started a background merge; let one land and hold
+			// the monitors to the from-scratch answer right after the swap.
+			awaitCompaction(t, "continuous", cont.DeltaStats)
+			awaitCompaction(t, "mutable", rel.DeltaStats)
+			compare(step)
 		}
 	}
 	if err := rel.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	compare(300)
+}
+
+// awaitCompaction blocks until the store has completed at least one
+// compaction. Merges run on a background goroutine with no completion
+// signal, so the lifetime counter is polled.
+func awaitCompaction(t *testing.T, name string, deltaStats func() twoknn.DeltaStats) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for deltaStats().Compactions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s store: no compaction completed at the default threshold", name)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -184,8 +184,9 @@
 // byte-identical to calling KNNSelect in a loop (a differential matrix and
 // the FuzzKNNSelectBatch target enforce this across index kinds and
 // sharded sources), the driver's scratch is pooled so steady-state batch
-// evaluation allocates nothing per query, and the abl-batch experiment of
-// cmd/knnbench records the amortization curve (BENCH_PR8.json).
+// evaluation allocates nothing per query. BENCH_PR8.json holds the
+// amortization curve its abl-batch experiment recorded; the standing
+// benchmark tracks it as batch.ns_per_focal and batch.blocks_scanned_ratio.
 //
 // Above the driver sits an epoch-guarded result cache. Relation and
 // ShardedRelation carry a monotonic dataset epoch (Epoch reads it;
@@ -310,9 +311,10 @@
 // through the cache at full line utilization and compiles to straight-line
 // arithmetic with no struct loads, where the former array-of-structs
 // layout made every candidate a 16-byte strided struct copy behind a
-// per-block slice header. The abl-layout experiment of cmd/knnbench
-// measures both layouts over identical blocks and is recorded in the
-// BENCH_PR3.json trajectory file.
+// per-block slice header. BenchmarkLayoutScanSoA and BenchmarkLayoutScanAoS
+// measure both layouts over identical blocks; the numbers the abl-layout
+// experiment recorded at the change are in the BENCH_PR3.json trajectory
+// file.
 //
 // The permutation is invisible to results (the cross-layout equivalence
 // tests in internal/core pin byte-identical answers on all index families)
@@ -359,7 +361,8 @@
 //     exercises as a first-class configuration; on AVX2 hosts CI asserts
 //     the fast path actually dispatched (kernel.Active() == "avx2").
 //
-// The abl-kernel experiment of cmd/knnbench records scalar-vs-AVX2 numbers
-// per scan grain and query shape (BENCH_PR5.json), alongside per-kernel
-// micro-benchmarks in internal/kernel.
+// BENCH_PR5.json holds the scalar-vs-AVX2 numbers the abl-kernel experiment
+// recorded per scan grain and query shape; the standing benchmark tracks the
+// layer as kernel.{distsq,countwithin,selectwithin}_ns_per_pt, alongside
+// the per-kernel micro-benchmarks in internal/kernel.
 package twoknn

@@ -36,7 +36,7 @@ func main() {
 	}
 	positions := sim.Positions()
 
-	rel, err := continuous.NewRelation(sim.Network().Bounds(), 32, 32, positions)
+	rel, err := continuous.NewRelation(sim.Network().Bounds(), positions)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -333,7 +333,7 @@ var fig26 = Experiment{
 		// query posts its predicates where the data is), close together so
 		// the clipped locality stays at the size of the smaller
 		// neighborhood and the answer is non-empty.
-		rel := BerlinMODRelationCell("fig26-e", n, 16)
+		rel := BerlinMODRelation("fig26-e", n)
 		f1 := densestCenter(rel)
 		f2 := geom.Point{X: f1.X + 30, Y: f1.Y - 30}
 		const k1 = 10

@@ -130,46 +130,32 @@ func UniformPoints(role string, n int) []geom.Point {
 	return pts
 }
 
-// DefaultPerCell is the default grid-cell point target for benchmark
-// relations.
+// DefaultPerCell is the grid-cell point target of every benchmark relation
+// (the paper-faithful 16-point grain).
 const DefaultPerCell = 16
 
 // Relation builds (and memoizes) a grid-indexed relation over the named
-// workload with the default cell size. All benchmark relations share the
-// common Bounds so block geometries are comparable, as in the paper's
+// workload at DefaultPerCell points per cell. All benchmark relations share
+// the common Bounds so block geometries are comparable, as in the paper's
 // single-grid setup.
 func Relation(key string, pts []geom.Point) *core.Relation {
-	return RelationCell(key, pts, DefaultPerCell)
-}
-
-// RelationCell is Relation with an explicit points-per-cell target. Finer
-// cells tighten the Block-Marking thresholds (smaller diagonals); coarser
-// cells shift query cost from block bookkeeping to point processing, which
-// is the regime the two-kNN-select experiment of Figure 26 studies.
-func RelationCell(key string, pts []geom.Point, perCell int) *core.Relation {
-	cacheKey := fmt.Sprintf("%s@%d", key, perCell)
 	datasetCache.Lock()
 	defer datasetCache.Unlock()
-	if rel, ok := datasetCache.relations[cacheKey]; ok {
+	if rel, ok := datasetCache.relations[key]; ok {
 		return rel
 	}
-	ix, err := grid.New(pts, grid.Options{TargetPerCell: perCell, Bounds: Bounds})
+	ix, err := grid.New(pts, grid.Options{TargetPerCell: DefaultPerCell, Bounds: Bounds})
 	if err != nil {
-		panic(fmt.Sprintf("bench: building relation %s: %v", cacheKey, err)) // bounds are fixed; cannot fail
+		panic(fmt.Sprintf("bench: building relation %s: %v", key, err)) // bounds are fixed; cannot fail
 	}
 	rel := core.NewRelation(ix)
-	datasetCache.relations[cacheKey] = rel
+	datasetCache.relations[key] = rel
 	return rel
 }
 
 // BerlinMODRelation is Relation over BerlinMODPoints.
 func BerlinMODRelation(role string, n int) *core.Relation {
 	return Relation(fmt.Sprintf("bm/%s/%d", role, n), BerlinMODPoints(role, n))
-}
-
-// BerlinMODRelationCell is RelationCell over BerlinMODPoints.
-func BerlinMODRelationCell(role string, n, perCell int) *core.Relation {
-	return RelationCell(fmt.Sprintf("bm/%s/%d", role, n), BerlinMODPoints(role, n), perCell)
 }
 
 // ClusteredRelation is Relation over ClusteredPoints.

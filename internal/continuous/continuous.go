@@ -5,17 +5,16 @@
 // snapshot-to-continuous step for the select/select case, the combination
 // whose one-shot form Procedure 5 optimizes.
 //
-// The model: a mutable relation (grid.Dynamic, whose cells own private
-// columnar point stores so mutations stay O(1) while scans run over flat
-// X/Y arrays) receives point insertions and removals (e.g. vehicles
-// reporting new positions). Each registered monitor maintains its
+// The model: a mutable relation (a twoknn.Relation: delta overlay, stable
+// IDs, background compaction) receives point insertions and removals (e.g.
+// vehicles reporting new positions). Each registered monitor maintains its
 // predicate's current answer and emits change events instead of
 // recomputing from scratch:
 //
 //   - an insertion enters a neighborhood iff it beats the current k-th
 //     neighbor (O(k) check, no index traversal);
-//   - a removal triggers a fresh neighborhood computation only when the
-//     removed point was a member (removals of non-members are free);
+//   - a removal triggers a fresh kNN-select only when the removed point was
+//     a member (removals of non-members are free);
 //   - the two-select monitor derives intersection changes from the two
 //     membership deltas alone.
 //
@@ -26,10 +25,11 @@ package continuous
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
+	twoknn "repro"
 	"repro/internal/geom"
-	"repro/internal/index/grid"
-	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -66,8 +66,11 @@ func (e Event) String() string { return fmt.Sprintf("%s %v", e.Kind, e.Point) }
 // mutation must go through Insert/Remove so all registered monitors observe
 // it.
 type Relation struct {
-	ix       *grid.Dynamic
-	s        *locality.Searcher
+	rel *twoknn.Relation
+
+	// ids holds the stable IDs of the live instances at each coordinate:
+	// callers name points by value, the store removes by ID.
+	ids      map[geom.Point][]int32
 	monitors []monitor
 }
 
@@ -77,24 +80,35 @@ type monitor interface {
 	onRemove(p geom.Point)
 }
 
-// NewRelation builds a mutable relation over bounds with a cols x rows
-// grid, pre-populated with pts.
-func NewRelation(bounds geom.Rect, cols, rows int, pts []geom.Point) (*Relation, error) {
-	ix, err := grid.NewDynamic(bounds, cols, rows, pts)
+// NewRelation builds a mutable relation over bounds, pre-populated with
+// pts. Bounds fix the initial indexed region (required when pts is empty);
+// later insertions may fall outside it.
+func NewRelation(bounds geom.Rect, pts []geom.Point) (*Relation, error) {
+	rel, err := twoknn.NewRelation("continuous", pts, twoknn.WithBounds(bounds))
 	if err != nil {
 		return nil, err
 	}
-	return &Relation{ix: ix, s: locality.NewSearcher(ix)}, nil
+	ids := make(map[geom.Point][]int32, len(pts))
+	for i, p := range pts {
+		ids[p] = append(ids[p], int32(i))
+	}
+	return &Relation{rel: rel, ids: ids}, nil
 }
 
 // Len returns the current cardinality.
-func (r *Relation) Len() int { return r.ix.Len() }
+func (r *Relation) Len() int { return r.rel.Len() }
 
-// Insert adds a point and updates every registered monitor.
+// DeltaStats returns the mutation state of the backing store.
+func (r *Relation) DeltaStats() twoknn.DeltaStats { return r.rel.DeltaStats() }
+
+// Insert adds a point and updates every registered monitor. It errors on a
+// NaN coordinate: such a point equals no value, itself included, so Remove
+// could never name it again.
 func (r *Relation) Insert(p geom.Point) error {
-	if err := r.ix.Insert(p); err != nil {
-		return err
+	if math.IsNaN(p.X) || math.IsNaN(p.Y) {
+		return fmt.Errorf("continuous: cannot insert %v: NaN coordinate", p)
 	}
+	r.ids[p] = append(r.ids[p], r.rel.Insert(p)[0])
 	for _, m := range r.monitors {
 		m.onInsert(p)
 	}
@@ -104,8 +118,16 @@ func (r *Relation) Insert(p geom.Point) error {
 // Remove deletes one instance of p and updates every registered monitor.
 // It reports whether an instance existed.
 func (r *Relation) Remove(p geom.Point) bool {
-	if !r.ix.Remove(p) {
+	at := r.ids[p]
+	if len(at) == 0 {
 		return false
+	}
+	last := len(at) - 1
+	r.rel.Remove(at[last])
+	if last == 0 {
+		delete(r.ids, p)
+	} else {
+		r.ids[p] = at[:last]
 	}
 	for _, m := range r.monitors {
 		m.onRemove(p)
@@ -114,7 +136,9 @@ func (r *Relation) Remove(p geom.Point) bool {
 }
 
 // Move is a convenience for location updates: remove the old position,
-// insert the new one.
+// insert the new one. The two stay separate store mutations, so a monitor
+// that recomputes on the removal does not already see the new position and
+// then admit it a second time on the insertion.
 func (r *Relation) Move(from, to geom.Point) error {
 	if !r.Remove(from) {
 		return fmt.Errorf("continuous: Move source %v not present", from)
@@ -128,7 +152,8 @@ type SelectMonitor struct {
 	f   geom.Point
 	k   int
 
-	nbr    *locality.Neighborhood
+	// answer is the current result in ascending (distance, X, Y) order.
+	answer []geom.Point
 	events []Event
 	stats  stats.Counters
 }
@@ -141,19 +166,30 @@ func (r *Relation) MonitorSelect(f geom.Point, k int) (*SelectMonitor, error) {
 		return nil, fmt.Errorf("continuous: k must be positive, got %d", k)
 	}
 	m := &SelectMonitor{rel: r, f: f, k: k}
-	// Searcher results are reusable buffers; the monitor retains (and
-	// mutates) its answer indefinitely, so it keeps a private clone.
-	m.nbr = r.s.Neighborhood(f, k, &m.stats).Clone()
+	m.recompute()
 	r.monitors = append(r.monitors, m)
 	return m, nil
 }
 
+// recompute replaces the answer with a from-scratch kNN-select over the
+// store's current snapshot.
+func (m *SelectMonitor) recompute() {
+	pts, err := m.rel.rel.KNNSelect(m.f, m.k, twoknn.WithStats(&m.stats))
+	if err != nil {
+		// k was validated at registration and no context is bound, so only
+		// an engine fault can land here.
+		panic(err)
+	}
+	m.answer = pts
+}
+
 // Current returns the predicate's current answer, ascending by distance to
 // the focal point. The slice is owned by the monitor.
-func (m *SelectMonitor) Current() []geom.Point { return m.nbr.Points }
+func (m *SelectMonitor) Current() []geom.Point { return m.answer }
 
-// Contains reports whether p is in the current answer.
-func (m *SelectMonitor) Contains(p geom.Point) bool { return m.nbr.Contains(p) }
+// Contains reports whether p is in the current answer. Answers are small
+// (k), so a linear scan beats keeping a set.
+func (m *SelectMonitor) Contains(p geom.Point) bool { return slices.Contains(m.answer, p) }
 
 // Drain returns the events accumulated since the last call and resets the
 // buffer.
@@ -170,33 +206,28 @@ func (m *SelectMonitor) Stats() stats.Counters { return m.stats }
 // onInsert implements monitor: the new point enters the neighborhood iff it
 // ranks before the current k-th neighbor (or the neighborhood is not full).
 func (m *SelectMonitor) onInsert(p geom.Point) {
-	n := m.nbr
-	if len(n.Points) >= m.k {
-		kth := n.Points[len(n.Points)-1]
+	if len(m.answer) >= m.k {
+		kth := m.answer[len(m.answer)-1]
 		if !p.CloserTo(m.f, kth) {
 			return // ranks behind the k-th neighbor: answer unchanged
 		}
 	}
 	// Insert p at its rank.
-	pos := len(n.Points)
-	for i, q := range n.Points {
+	pos := len(m.answer)
+	for i, q := range m.answer {
 		if p.CloserTo(m.f, q) {
 			pos = i
 			break
 		}
 	}
-	n.Points = append(n.Points, geom.Point{})
-	copy(n.Points[pos+1:], n.Points[pos:])
-	n.Points[pos] = p
-	n.Dists = append(n.Dists, 0)
-	copy(n.Dists[pos+1:], n.Dists[pos:])
-	n.Dists[pos] = p.Dist(m.f)
+	m.answer = append(m.answer, geom.Point{})
+	copy(m.answer[pos+1:], m.answer[pos:])
+	m.answer[pos] = p
 	m.events = append(m.events, Event{Kind: Added, Point: p})
 
-	if len(n.Points) > m.k {
-		evicted := n.Points[m.k]
-		n.Points = n.Points[:m.k]
-		n.Dists = n.Dists[:m.k]
+	if len(m.answer) > m.k {
+		evicted := m.answer[m.k]
+		m.answer = m.answer[:m.k]
 		m.events = append(m.events, Event{Kind: Removed, Point: evicted})
 	}
 }
@@ -204,7 +235,7 @@ func (m *SelectMonitor) onInsert(p geom.Point) {
 // onRemove implements monitor: a removal only matters when the removed
 // instance was a member; the replacement neighbor requires an index search.
 func (m *SelectMonitor) onRemove(p geom.Point) {
-	if !m.nbr.Contains(p) {
+	if !m.Contains(p) {
 		// With duplicate coordinates the removed instance may not be the
 		// member instance, but membership is by coordinate, so a remaining
 		// duplicate keeps the answer unchanged — Contains covers both.
@@ -212,15 +243,15 @@ func (m *SelectMonitor) onRemove(p geom.Point) {
 	}
 	// Membership is by coordinate: if another instance with the same
 	// coordinates remains in the relation, the answer is unchanged.
-	old := m.nbr
-	m.nbr = m.rel.s.Neighborhood(m.f, m.k, &m.stats).Clone()
-	for _, q := range old.Points {
-		if !m.nbr.Contains(q) {
+	old := m.answer
+	m.recompute()
+	for _, q := range old {
+		if !slices.Contains(m.answer, q) {
 			m.events = append(m.events, Event{Kind: Removed, Point: q})
 		}
 	}
-	for _, q := range m.nbr.Points {
-		if !old.Contains(q) {
+	for _, q := range m.answer {
+		if !slices.Contains(old, q) {
 			m.events = append(m.events, Event{Kind: Added, Point: q})
 		}
 	}
@@ -261,7 +292,7 @@ func (t *TwoSelectMonitor) Current() []geom.Point {
 	for p := range t.inter {
 		out = append(out, p)
 	}
-	sortPoints(out)
+	twoknn.SortPoints(out)
 	return out
 }
 
@@ -303,13 +334,4 @@ func (t *TwoSelectMonitor) reconcile() {
 		}
 	}
 	t.inter = fresh
-}
-
-// sortPoints orders points canonically; local copy to avoid importing core.
-func sortPoints(ps []geom.Point) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j].Less(ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
 }

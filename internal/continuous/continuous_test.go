@@ -1,6 +1,7 @@
 package continuous_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ var contBounds = geom.NewRect(0, 0, 1000, 1000)
 
 func newRelation(t *testing.T, pts []geom.Point) *continuous.Relation {
 	t.Helper()
-	rel, err := continuous.NewRelation(contBounds, 16, 16, pts)
+	rel, err := continuous.NewRelation(contBounds, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +227,12 @@ func TestTwoSelectMonitorEvents(t *testing.T) {
 }
 
 func TestRelationValidation(t *testing.T) {
-	if _, err := continuous.NewRelation(geom.Rect{}, 4, 4, nil); err == nil {
+	if _, err := continuous.NewRelation(geom.Rect{}, nil); err == nil {
 		t.Errorf("zero bounds must error")
 	}
-	if _, err := continuous.NewRelation(contBounds, 0, 4, nil); err == nil {
-		t.Errorf("zero dims must error")
-	}
 	rel := newRelation(t, nil)
-	if err := rel.Insert(geom.Point{X: -5, Y: 0}); err == nil {
-		t.Errorf("insert outside bounds must error")
+	if err := rel.Insert(geom.Point{X: math.NaN(), Y: 0}); err == nil {
+		t.Errorf("inserting a NaN coordinate must error")
 	}
 	if rel.Remove(geom.Point{X: 1, Y: 1}) {
 		t.Errorf("removing a missing point must report false")

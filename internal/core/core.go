@@ -64,7 +64,7 @@ type Relation struct {
 
 	// store is the relation-wide columnar point store Ix permuted its input
 	// into (block-contiguous spans, stable IDs); nil when the index keeps no
-	// unified store (the dynamic grid).
+	// unified store (an overlay snapshot).
 	store *geom.PointStore
 
 	// pool recycles per-goroutine query handles over Ix; nil on hand-built

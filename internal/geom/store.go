@@ -1,7 +1,5 @@
 package geom
 
-import "repro/internal/kernel"
-
 // PointStore is relation-wide columnar point storage: one structure-of-arrays
 // (SoA) triple of flat slices, where point i is (Xs[i], Ys[i]) and IDs[i] is
 // its stable identity. The distance-scan inner loops underneath every query
@@ -16,8 +14,7 @@ import "repro/internal/kernel"
 // (offset, length) span and never copy points.
 //
 // A PointStore is append-only while being built and immutable once an index
-// has been constructed over it; the dynamic grid gives each of its blocks a
-// small private store instead of sharing a relation-wide one.
+// has been constructed over it.
 type PointStore struct {
 	// Xs and Ys hold the coordinates, parallel to each other and to IDs.
 	Xs, Ys []float64
@@ -133,15 +130,6 @@ func (st *PointStore) MBR(off, n int) Rect {
 	return r
 }
 
-// CountWithinSq counts span points whose squared distance to p is at most
-// dSq — the radius-filter primitive behind range filters and the layout and
-// kernel ablations. It delegates to the batched distance-kernel layer
-// (AVX2 on capable amd64 hosts, the scalar reference elsewhere); both
-// implementations are bit-identical, see package kernel.
-func (st *PointStore) CountWithinSq(off, n int, p Point, dSq float64) int {
-	return kernel.CountWithinSpan(st.Xs, st.Ys, off, n, p.X, p.Y, dSq)
-}
-
 // FlatXYs copies pts into parallel X/Y columns — the structure-of-arrays
 // form the batched distance kernels scan. Query algorithms flatten a
 // retained point set (e.g. a select's σ-neighborhood) once and run their
@@ -153,14 +141,4 @@ func FlatXYs(pts []Point) (xs, ys []float64) {
 		xs[i], ys[i] = p.X, p.Y
 	}
 	return xs, ys
-}
-
-// SwapRemove removes point i by swapping the last point into its place and
-// truncating — the O(1) deletion the dynamic grid's per-block stores use.
-func (st *PointStore) SwapRemove(i int) {
-	last := st.Len() - 1
-	st.Xs[i], st.Ys[i], st.IDs[i] = st.Xs[last], st.Ys[last], st.IDs[last]
-	st.Xs = st.Xs[:last]
-	st.Ys = st.Ys[:last]
-	st.IDs = st.IDs[:last]
 }

@@ -29,9 +29,9 @@ import (
 // inside it. Blocks of one index never share points; every data point
 // belongs to exactly one block.
 //
-// Blocks are created by index constructors and must be treated as read-only
-// by algorithms. The only exception is the dynamic grid, whose blocks own
-// private mutable stores (see NewMutableBlock).
+// Blocks are created by index constructors and are immutable: mutable
+// relations publish new blocks over new spans (see the overlay subpackage)
+// instead of changing existing ones.
 type Block struct {
 	// ID is the position of the block in its index's Blocks() slice. It is
 	// used by algorithms to attach per-block state (marks, counts) in flat
@@ -43,28 +43,17 @@ type Block struct {
 	// bounding box of the points (a grid cell, for example).
 	Bounds geom.Rect
 
-	// store holds the block's points as the span [off, off+n). For blocks of
-	// a static index the store is shared by the whole relation; for dynamic
-	// blocks it is private with off == 0.
+	// store holds the block's points as the span [off, off+n): the
+	// relation-wide store for an index's own blocks, the frozen delta view or
+	// a private compacted copy for an overlay's.
 	store *geom.PointStore
 	off   int
 	n     int
-
-	// mutable marks a block created with NewMutableBlock (private store);
-	// only such blocks accept Push/RemoveAt.
-	mutable bool
 }
 
 // NewBlock returns a block spanning [off, off+n) of store.
 func NewBlock(id int, bounds geom.Rect, store *geom.PointStore, off, n int) *Block {
 	return &Block{ID: id, Bounds: bounds, store: store, off: off, n: n}
-}
-
-// NewMutableBlock returns a block owning a private, initially empty store,
-// for indexes over mutable point sets (the dynamic grid). Only such blocks
-// may be mutated through Push and RemoveAt.
-func NewMutableBlock(id int, bounds geom.Rect) *Block {
-	return &Block{ID: id, Bounds: bounds, store: &geom.PointStore{}, mutable: true}
 }
 
 // Count returns the number of points stored in the block. The paper assumes
@@ -118,10 +107,9 @@ func (b *Block) Points() iter.Seq[geom.Point] {
 }
 
 // The three span-kernel accessors below call package kernel directly with
-// the block's raw columns rather than hopping through the PointStore
-// methods: the flattened call sites stay under the compiler's inlining
-// budget, so per-block dispatch is a single call frame — measurable on
-// 16-point grid cells.
+// the block's raw columns rather than slicing them first: the flattened
+// call sites stay under the compiler's inlining budget, so per-block
+// dispatch is a single call frame — measurable on 16-point grid cells.
 
 // CountWithinSq counts the block's points within squared distance dSq of p
 // — the radius-filter primitive, served by the batched kernel layer.
@@ -143,28 +131,6 @@ func (b *Block) DistSqInto(p geom.Point, out []float64) {
 // known. idx must hold at least Count() elements.
 func (b *Block) SelectWithinSq(p geom.Point, dSq float64, idx []int32) int {
 	return kernel.SelectWithinSpan(b.store.Xs, b.store.Ys, b.off, b.n, p.X, p.Y, dSq, idx)
-}
-
-// Push appends p with the given stable ID to a mutable block (one created
-// with NewMutableBlock). It panics on span blocks of a shared store, whose
-// neighbors it would corrupt.
-func (b *Block) Push(p geom.Point, id int32) {
-	if !b.mutable {
-		panic("index: Push on an immutable span block")
-	}
-	b.store.AppendWithID(p, id)
-	b.n++
-}
-
-// RemoveAt deletes the i-th point of a mutable block by swapping the last
-// point into its place (matching the dynamic grid's historical removal
-// order). It panics on span blocks of a shared store.
-func (b *Block) RemoveAt(i int) {
-	if !b.mutable {
-		panic("index: RemoveAt on an immutable span block")
-	}
-	b.store.SwapRemove(i)
-	b.n--
 }
 
 // Center returns the center of the block's region. The Block-Marking
@@ -202,9 +168,9 @@ type Index interface {
 }
 
 // Storer is implemented by indexes whose blocks are spans over one
-// relation-wide PointStore in block-contiguous order. All four static index
-// families implement it; the dynamic grid (per-block private stores) does
-// not.
+// relation-wide PointStore in block-contiguous order. All four index
+// families implement it; an overlay snapshot, whose blocks span the base
+// store, the delta store and patched copies, does not.
 type Storer interface {
 	// Store returns the relation-wide point store. Position i of the store
 	// is the i-th point in block-ID-then-storage scan order, and IDs[i] is

@@ -253,33 +253,3 @@ func TestIncrementalItersMatchEagerScans(t *testing.T) {
 		}
 	}
 }
-
-// TestSpanBlockMutationPanics pins the Push/RemoveAt misuse guard: a span
-// block of a static index — even one whose span covers its entire shared
-// store, where span geometry alone cannot tell it from a mutable block —
-// must panic instead of corrupting the relation-wide store.
-func TestSpanBlockMutationPanics(t *testing.T) {
-	st := geom.StoreFromPoints([]geom.Point{{X: 1, Y: 1}, {X: 2, Y: 2}})
-	full := index.NewBlock(0, geom.NewRect(0, 0, 4, 4), st, 0, st.Len())
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s on a span block must panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("Push", func() { full.Push(geom.Point{X: 3, Y: 3}, 2) })
-	mustPanic("RemoveAt", func() { full.RemoveAt(0) })
-
-	mb := index.NewMutableBlock(0, geom.NewRect(0, 0, 4, 4))
-	mb.Push(geom.Point{X: 1, Y: 2}, 0)
-	if mb.Count() != 1 || mb.PointAt(0) != (geom.Point{X: 1, Y: 2}) {
-		t.Fatalf("mutable block Push failed: %v", mb)
-	}
-	mb.RemoveAt(0)
-	if mb.Count() != 0 {
-		t.Fatalf("mutable block RemoveAt failed: %v", mb)
-	}
-}

@@ -61,10 +61,11 @@ type Common struct {
 	Explain bool `json:"explain,omitempty"`
 }
 
-// validate is the codec-level check: structural validity only. Semantic
+// Validate implements Request for every query request type, which embed
+// Common. It is the codec-level check: structural validity only. Semantic
 // validation (k > 0, dataset exists) is the engine's job — its typed errors
 // map onto HTTP statuses in the handler layer.
-func (c Common) validate() error {
+func (c Common) Validate() error {
 	if c.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be non-negative, got %d", c.TimeoutMS)
 	}
@@ -76,7 +77,10 @@ func (c Common) validate() error {
 	}
 }
 
-// algorithmOption resolves the Algorithm field; validate has vetted it.
+// timeoutMS returns the request's own evaluation budget (0 = none given).
+func (c Common) timeoutMS() int64 { return c.TimeoutMS }
+
+// algorithmOption resolves the Algorithm field; Validate has vetted it.
 func (c Common) algorithmOption() twoknn.Algorithm {
 	switch c.Algorithm {
 	case "conceptual":
@@ -104,9 +108,6 @@ type KNNSelectRequest struct {
 	Common
 }
 
-// Validate implements Request.
-func (r *KNNSelectRequest) Validate() error { return r.Common.validate() }
-
 // KNNSelectBatchRequest asks for σ_{k,f}(dataset) for every focal point of
 // one batch: POST /v1/query/knn-select-batch. Results come back per focal in
 // input order, each byte-identical to the knn-select route's answer for that
@@ -119,9 +120,6 @@ type KNNSelectBatchRequest struct {
 	Common
 }
 
-// Validate implements Request.
-func (r *KNNSelectBatchRequest) Validate() error { return r.Common.validate() }
-
 // KNNJoinRequest asks for outer ⋈kNN inner: POST /v1/query/knn-join.
 type KNNJoinRequest struct {
 	Outer string `json:"outer"`
@@ -129,9 +127,6 @@ type KNNJoinRequest struct {
 	K     int    `json:"k"`
 	Common
 }
-
-// Validate implements Request.
-func (r *KNNJoinRequest) Validate() error { return r.Common.validate() }
 
 // SelectInnerJoinRequest asks for (outer ⋈kNN inner) ∩ (outer ×
 // σ_{kSel,f}(inner)): POST /v1/query/select-inner-join.
@@ -144,9 +139,6 @@ type SelectInnerJoinRequest struct {
 	Common
 }
 
-// Validate implements Request.
-func (r *SelectInnerJoinRequest) Validate() error { return r.Common.validate() }
-
 // SelectOuterJoinRequest asks for (σ_{kSel,f}(outer)) ⋈kNN inner: POST
 // /v1/query/select-outer-join.
 type SelectOuterJoinRequest struct {
@@ -157,9 +149,6 @@ type SelectOuterJoinRequest struct {
 	KJoin int      `json:"k_join"`
 	Common
 }
-
-// Validate implements Request.
-func (r *SelectOuterJoinRequest) Validate() error { return r.Common.validate() }
 
 // TwoSelectsRequest asks for σ_{k1,f1}(dataset) ∩ σ_{k2,f2}(dataset): POST
 // /v1/query/two-selects.
@@ -172,9 +161,6 @@ type TwoSelectsRequest struct {
 	Common
 }
 
-// Validate implements Request.
-func (r *TwoSelectsRequest) Validate() error { return r.Common.validate() }
-
 // UnchainedJoinsRequest asks for (a ⋈kNN b) ∩B (c ⋈kNN b): POST
 // /v1/query/unchained-joins.
 type UnchainedJoinsRequest struct {
@@ -185,9 +171,6 @@ type UnchainedJoinsRequest struct {
 	KCB int    `json:"k_cb"`
 	Common
 }
-
-// Validate implements Request.
-func (r *UnchainedJoinsRequest) Validate() error { return r.Common.validate() }
 
 // ChainedJoinsRequest asks for the chain a→b→c: POST
 // /v1/query/chained-joins.
@@ -200,9 +183,6 @@ type ChainedJoinsRequest struct {
 	Common
 }
 
-// Validate implements Request.
-func (r *ChainedJoinsRequest) Validate() error { return r.Common.validate() }
-
 // RangeInnerJoinRequest asks for the Section 3 footnote-1 extension — pairs
 // whose right point lies in the rectangle: POST /v1/query/range-inner-join.
 type RangeInnerJoinRequest struct {
@@ -212,9 +192,6 @@ type RangeInnerJoinRequest struct {
 	KJoin int     `json:"k_join"`
 	Common
 }
-
-// Validate implements Request.
-func (r *RangeInnerJoinRequest) Validate() error { return r.Common.validate() }
 
 // InsertRequest appends points to a mutable dataset: POST /v1/data/insert.
 // Only single (un-sharded) relations accept mutations; the route answers 400

@@ -9,10 +9,10 @@ import (
 	"repro/internal/dataload"
 )
 
-// This file is the dataset-loading surface the repository's binaries share
-// (cmd/knnserve, cmd/knnquery; cmd/knnbench generates through the same
-// dataload specs via internal/bench): parse a spec, build the engine source,
-// one code path everywhere.
+// This file is the dataset-loading surface cmd/knnserve and cmd/knnquery
+// share: parse a spec, build the engine source, one code path everywhere.
+// (cmd/knnbench takes no dataset argument; internal/bench generates its
+// workloads from the same dataload specs directly.)
 
 // BuildOptions shape the engine backing a loaded dataset gets.
 type BuildOptions struct {
@@ -58,16 +58,11 @@ func BuildSource(name string, sp dataload.Spec, o BuildOptions) (twoknn.Source, 
 	return twoknn.NewRelation(name, pts, opts...)
 }
 
-// SplitDatasetArg splits a -dataset flag value "name=spec" (e.g.
-// "trips=berlinmod:n=20000,seed=1" or "sites=points.csv").
-func SplitDatasetArg(s string) (name string, spec dataload.Spec, err error) {
-	name, spec, _, err = SplitDatasetArgOptions(s)
-	return name, spec, err
-}
-
-// SplitDatasetArgOptions is SplitDatasetArg plus the serving-side options
-// the spec grammar carries beyond dataload's vocabulary, recognized as
-// segments anywhere in the comma-separated option list:
+// SplitDatasetArgOptions splits a -dataset flag value "name=spec" (e.g.
+// "trips=berlinmod:n=20000,seed=1" or "sites=points.csv") and extracts the
+// serving-side options the spec grammar carries beyond dataload's
+// vocabulary, recognized as segments anywhere in the comma-separated option
+// list:
 //
 //	max_inflight=N     per-dataset admission bound (N < 0 disables the gate)
 //	timeout_ms=N       default evaluation budget for requests without one

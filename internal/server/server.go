@@ -412,12 +412,19 @@ func source(d *dataset) twoknn.Source {
 	return d.src
 }
 
+// queryRequest is a Request that embeds Common — every query route's request
+// type, and none of the mutation routes', which run without a deadline.
+type queryRequest interface {
+	Request
+	timeoutMS() int64
+}
+
 // serve is the request lifecycle every query handler runs: strict decode,
 // admission, deadline budget, evaluation, and the error→status mapping.
 // plan resolves the decoded request's datasets and returns the evaluation
 // closure, which runs under the request context and fills the response
 // envelope.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, req Request,
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, req queryRequest,
 	plan func() ([]*dataset, func(ctx context.Context) (QueryResponse, error))) {
 	m := s.metrics.route(route)
 	m.requests.Add(1)
@@ -436,7 +443,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, req
 	}
 	defer release()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.budgetFor(datasets, timeoutOf(req)))
+	ctx, cancel := context.WithTimeout(r.Context(), s.budgetFor(datasets, req.timeoutMS()))
 	defer cancel()
 
 	resp, err := run(ctx)
@@ -490,32 +497,6 @@ func (s *Server) retryAfterFor(ds ...*dataset) time.Duration {
 		ra = s.cfg.RetryAfter
 	}
 	return ra
-}
-
-// timeoutOf extracts the embedded Common.TimeoutMS.
-func timeoutOf(req Request) int64 {
-	switch r := req.(type) {
-	case *KNNSelectRequest:
-		return r.TimeoutMS
-	case *KNNSelectBatchRequest:
-		return r.TimeoutMS
-	case *KNNJoinRequest:
-		return r.TimeoutMS
-	case *SelectInnerJoinRequest:
-		return r.TimeoutMS
-	case *SelectOuterJoinRequest:
-		return r.TimeoutMS
-	case *TwoSelectsRequest:
-		return r.TimeoutMS
-	case *UnchainedJoinsRequest:
-		return r.TimeoutMS
-	case *ChainedJoinsRequest:
-		return r.TimeoutMS
-	case *RangeInnerJoinRequest:
-		return r.TimeoutMS
-	default:
-		return 0
-	}
 }
 
 // singleFlight coalesces concurrent evaluations sharing a key: the first
