@@ -21,18 +21,15 @@ import (
 // (ErrNilRelation) and non-positive k (ErrNonPositiveK); an empty focal
 // slice returns an empty, nil-error result.
 func KNNSelectBatch(rel Source, focals []Point, k int, opts ...QueryOption) ([][]Point, error) {
-	if err := checkSources(rel); err != nil {
-		return nil, err
-	}
-	if err := checkK("k", k); err != nil {
+	if err := validate([]Source{rel}, kArg{"k", k}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
 	r := rel.singleRelation()
 	return runQuery(&cfg, func() ([][]Point, error) {
 		if cfg.explain != nil {
-			*cfg.explain = shardedExplain("knn-select-batch",
-				fmt.Sprintf("%d focals, Z-order grouped shared block walk", len(focals)), rel)
+			*cfg.explain = explainPlan(r == nil, batchHeadline("knn-select-batch", r == nil,
+				fmt.Sprintf("%d focals, Z-order grouped shared block walk", len(focals))), nil, nil, rel)
 		}
 		if r == nil {
 			return shard.SelectBatch(cfg.ctx, rel.execGroup(), focals, k, cfg.stats), nil
@@ -54,13 +51,7 @@ func KNNSelectBatch(rel Source, focals []Point, k int, opts ...QueryOption) ([][
 // full under WithAlgorithm(AlgorithmConceptual)). The focal slices must
 // have equal length.
 func TwoSelectsBatch(rel Source, f1s []Point, k1 int, f2s []Point, k2 int, opts ...QueryOption) ([][]Point, error) {
-	if err := checkSources(rel); err != nil {
-		return nil, err
-	}
-	if err := checkK("k1", k1); err != nil {
-		return nil, err
-	}
-	if err := checkK("k2", k2); err != nil {
+	if err := validate([]Source{rel}, kArg{"k1", k1}, kArg{"k2", k2}); err != nil {
 		return nil, err
 	}
 	if len(f1s) != len(f2s) {
@@ -71,8 +62,8 @@ func TwoSelectsBatch(rel Source, f1s []Point, k1 int, f2s []Point, k2 int, opts 
 	conceptual := cfg.algorithm == AlgorithmConceptual
 	return runQuery(&cfg, func() ([][]Point, error) {
 		if cfg.explain != nil {
-			*cfg.explain = shardedExplain("two-selects-batch",
-				fmt.Sprintf("%d focal pairs, smaller-k predicate first, batched clipped locality", len(f1s)), rel)
+			*cfg.explain = explainPlan(r == nil, batchHeadline("two-selects-batch", r == nil,
+				fmt.Sprintf("%d focal pairs, smaller-k predicate first, batched clipped locality", len(f1s))), nil, nil, rel)
 		}
 		if r == nil {
 			return shard.TwoSelectsBatch(cfg.ctx, rel.execGroup(), f1s, k1, f2s, k2, conceptual, cfg.stats), nil
@@ -116,6 +107,17 @@ func TwoSelectsBatch(rel Source, f1s []Point, k1 int, f2s []Point, k2 int, opts 
 		}
 		return out, nil
 	})
+}
+
+// batchHeadline names what a batch ran on: the batched driver straight over
+// a relation's index, or once per shard of a group with the exact probe
+// merge gathering the per-shard answers.
+func batchHeadline(op string, grouped bool, detail string) string {
+	how := "batched driver on one relation"
+	if grouped {
+		how = "per-shard batch + gather"
+	}
+	return fmt.Sprintf("execution: %s, %s (%s)", op, how, detail)
 }
 
 // flattenNbrs copies driver results into one flat backing array, returning

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	twoknn "repro"
@@ -131,8 +132,28 @@ func TestBatchArgValidation(t *testing.T) {
 	if st.Neighborhoods == 0 || st.PointsCompared == 0 {
 		t.Fatalf("stats did not move: %+v", st)
 	}
-	if explain == "" {
-		t.Fatal("explain empty")
+	// EXPLAIN names what ran: the batched driver straight on a relation, or
+	// once per shard with a gather on a group — never one for the other.
+	if !strings.Contains(explain, "batched driver on one relation") || strings.Contains(explain, "shard") {
+		t.Fatalf("single-relation batch explain:\n%s", explain)
+	}
+	sh, err := twoknn.NewShardedRelation("args-sh", clusteredTestPoints(100, 7), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twoknn.TwoSelectsBatch(sh, focals, 3, focals, 5, twoknn.WithExplain(&explain)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"per-shard batch + gather", "args-sh: 100 points, 2 hash shard(s)"} {
+		if !strings.Contains(explain, want) {
+			t.Fatalf("sharded batch explain missing %q:\n%s", want, explain)
+		}
+	}
+	if _, err := twoknn.TwoSelectsBatch(rel, focals, 3, focals, 5, twoknn.WithExplain(&explain)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(explain, "batched driver on one relation") {
+		t.Fatalf("single-relation two-selects batch explain:\n%s", explain)
 	}
 }
 

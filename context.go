@@ -173,13 +173,3 @@ func acquireHandle(ctx context.Context, r *core.Relation) *core.Relation {
 	}
 	return h
 }
-
-// acquireHandlePair is acquireHandle for the two-searcher queries; a failed
-// second acquisition releases the first before unwinding.
-func acquireHandlePair(ctx context.Context, a, b *core.Relation) (*core.Relation, *core.Relation) {
-	ha, hb, err := core.AcquirePairCtx(ctx, a, b)
-	if err != nil {
-		panic(&fault.Cancel{Err: err})
-	}
-	return ha, hb
-}

@@ -55,11 +55,13 @@
 // the same *Relation values. A Relation's data is versioned in immutable
 // snapshots (see Mutability below); the mutable
 // searcher scratch (iterator pools, selection heap, result buffer) lives
-// in per-goroutine handles managed by an internal searcher pool. At entry
-// a query borrows one handle for each relation whose searcher it actually
-// probes (relations that are only scanned, like the outer of a join, cost
-// nothing) and returns it on exit, so concurrent queries never share
-// mutable state, and in steady state the borrowing allocates nothing.
+// in per-goroutine handles managed by an internal searcher pool. A query
+// borrows a handle on a relation for each step that probes its searcher
+// (relations that are only scanned, like the outer of a join, cost
+// nothing) and returns it when the step is done — never holding two
+// relations' handles at once, so queries over the same bounded relations
+// cannot deadlock on each other — and concurrent queries never share
+// mutable state; in steady state the borrowing allocates nothing.
 //
 // The pool is unbounded by default: a burst of N concurrent queries grows
 // it to N handles, which are then recycled (and eventually collected when
@@ -74,12 +76,13 @@
 //   - inter-query: many goroutines each run their own query against shared
 //     relations (a server's natural shape);
 //   - intra-query: WithConcurrency(n) fans one join's tuple batches out
-//     across n workers, each borrowing its own handle. Every join
-//     algorithm is one body parameterized by the worker count, running on
-//     one worker-crew driver shared with the sharded scatter/gather;
-//     sequential evaluation is that body at one worker, and per-worker
-//     arena buffers concatenated in batch order make the result
-//     byte-identical whatever n is, including order.
+//     across n workers, each borrowing its own probe on the inner side (a
+//     handle; one per shard of a sharded relation). Every join algorithm
+//     is one body parameterized by the worker count, running on one
+//     worker-crew driver whatever backs its operands; sequential
+//     evaluation is that body at one worker, and per-worker arena buffers
+//     concatenated in batch order make the result byte-identical whatever
+//     n is, including order.
 //
 // Stats counters are atomic, so one *Stats may accumulate across
 // concurrent queries. Clone remains available to give a long-lived
@@ -206,11 +209,18 @@
 // NewShardedRelation partitions one logical point set across S shards,
 // each an independently indexed sub-relation with its own columnar store,
 // spatial index and searcher pool. Every query function accepts any mix of
-// *Relation and *ShardedRelation operands (the Source interface); sharded
-// operands execute by scatter/gather — per-shard candidate generation
-// fanned out with WithConcurrency-style bounded parallelism, then an exact
-// merge that re-selects the global k by the repository-wide
-// (distance, X, Y) tie order. The guarantee is exactness, not
+// *Relation, *ShardedRelation and *RemoteRelation operands (the Source
+// interface) and runs the one body each algorithm has over them: a sharded
+// outer side is scanned shard after shard, and a sharded inner side answers
+// each neighborhood by scatter/gather — per-shard candidate generation,
+// then an exact merge that re-selects the global k by the repository-wide
+// (distance, X, Y) tie order. WithAlgorithm, WithJoinOrder, WithChainedQEP
+// and WithExhaustivePreprocessing so mean the same on every backing. Two
+// steps need more than a sharded operand has, and fall back — as EXPLAIN
+// reports — to their exhaustive or unpruned form: Block-Marking's contour
+// early-stop needs one space-tiling outer index, and the Candidate/Safe
+// marks of the unchained joins need B's blocks in this process, which a
+// remote B's are not. The guarantee is exactness, not
 // approximation: the global k nearest neighbors of any point are a subset
 // of the union of the per-shard k nearest, so the merged answer — and
 // every query shape built on it — is byte-identical to the single-relation
@@ -241,9 +251,9 @@
 // to a fleet of shard servers (cmd/knnshard, each serving one shard's
 // candidate-generation contract over an HTTP/JSON probe protocol) and
 // returns a *RemoteRelation — a Source accepted by every query entry
-// point. The coordinator-side merge, MINDIST-ordered shard skip and
-// Block-Marking thresholds are the same code as the in-process sharded
-// path; squared distances and coordinates cross the wire as shortest
+// point, under the same algorithm bodies as any other. The
+// coordinator-side merge, MINDIST-ordered shard skip and Block-Marking
+// thresholds are the same code as the in-process sharded path; squared distances and coordinates cross the wire as shortest
 // round-trip JSON float64s, so remote answers are byte-identical to local
 // ones, and Block-Marking's exclusions double as network-transfer pruning.
 // Every shard process loads the full dataset spec and partitions locally

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/geom"
+	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -64,7 +65,10 @@ func (q ChainedQEP) String() string {
 // fanned out across workers (≤ 1: sequential). All QEPs produce the same
 // triples in the same order (a property the tests enforce), whatever the
 // worker count.
-func Chained(a, b, cRel *Relation, kAB, kBC int, qep ChainedQEP, workers int, c *stats.Counters) []Triple {
+func Chained(a, b, cRel Operand, kAB, kBC int, qep ChainedQEP, workers int, c *stats.Counters) []Triple {
+	if kAB <= 0 || kBC <= 0 {
+		return nil
+	}
 	switch qep {
 	case ChainedRightDeep:
 		return chainedRightDeep(a, b, cRel, kAB, kBC, workers, c)
@@ -87,23 +91,31 @@ func ChainedJoins(a, b, cRel *Relation, kAB, kBC int, qep ChainedQEP, c *stats.C
 // workers — for every b produced by (A ⋈kNN B). No output is produced until
 // the inner join completes, and neighborhoods are computed even for b
 // values never selected by any a.
-func chainedRightDeep(a, b, cRel *Relation, kAB, kBC, workers int, c *stats.Counters) []Triple {
+func chainedRightDeep(a, b, cRel Operand, kAB, kBC, workers int, c *stats.Counters) []Triple {
 	bc := groupRightsByLeft(Join(b, cRel, kBC, workers, c), min(kBC, cRel.Len()))
-	return emitGroups(&TripleArenas, blockGroups(a), b, workers, 0, c, nil,
-		func(h *Relation, ap geom.Point, dst []Triple, ctr *stats.Counters) []Triple {
-			nbrA := h.S.Neighborhood(ap, kAB, ctr)
-			for _, bp := range nbrA.Points {
-				for _, cp := range bc[bp] {
-					dst = append(dst, Triple{A: ap, B: bp, C: cp})
+	units := a.Units()
+	return scatter(&TripleArenas, len(units), b, workers, 0, c,
+		func(p Probe, ctr *stats.Counters) func(int, []Triple) []Triple {
+			var out []Triple
+			emit := func(ap geom.Point, nbrA *locality.Neighborhood) {
+				for _, bp := range nbrA.Points {
+					for _, cp := range bc[bp] {
+						out = append(out, Triple{A: ap, B: bp, C: cp})
+					}
 				}
 			}
-			return dst
+			return func(i int, dst []Triple) []Triple {
+				out = dst
+				p.JoinUnit(units[i], kAB, nil, ctr, emit)
+				dst, out = out, nil
+				return dst
+			}
 		})
 }
 
 // chainedJoinIntersection is QEP2: both joins run independently (one after
 // the other, each fanned out) and their pair sets are intersected on B.
-func chainedJoinIntersection(a, b, cRel *Relation, kAB, kBC, workers int, c *stats.Counters) []Triple {
+func chainedJoinIntersection(a, b, cRel Operand, kAB, kBC, workers int, c *stats.Counters) []Triple {
 	abPairs := Join(a, b, kAB, workers, c)
 	cByB := groupRightsByLeft(Join(b, cRel, kBC, workers, c), min(kBC, cRel.Len()))
 	var out []Triple
@@ -137,76 +149,68 @@ func groupRightsByLeft(pairs []Pair, maxLen int) map[geom.Point][]geom.Point {
 	return m
 }
 
-// chainedNestedJoin is QEP3: for every pair (a, b) of the first join,
-// compute (or fetch from the cache) the C-neighborhood of b, fanned out
-// over A's blocks. Only b values that some a actually selects incur
-// neighborhood computations. Each worker holds its own handles on B (from
-// the driver) and C (acquired by its worker factory) and, when caching, its
-// own neighborhood cache: a shared cache would serialize the crew behind a
-// lock, so a parallel run trades duplicate misses across workers (same
-// answers, lower hit counts) for lock-free probing.
-func chainedNestedJoin(a, b, cRel *Relation, kAB, kBC int, useCache bool, workers int, c *stats.Counters) []Triple {
-	return runGroups(&TripleArenas, blockGroups(a), b, workers, 0, c,
-		func(hb *Relation, primary bool, ctr *stats.Counters) (tupleWorker[Triple], bool) {
-			hc := cRel
-			var done func()
-			switch {
-			case cRel == b || cRel.Pool() != nil && cRel.Pool() == b.Pool():
-				// B and C are views over one pool (e.g. a self-chain or a
-				// Clone): the worker's B handle serves both sides — the
-				// emit path copies nbrA out before probing C.
-				hc = hb
-			case !primary:
-				// Extra workers also need a C handle; if C's bounded pool
-				// is at capacity the worker stands down. The handle inherits
-				// the crew's cancellation binding off the B handle.
-				hhc, err := cRel.TryAcquire()
-				if err != nil {
-					return tupleWorker[Triple]{}, false
-				}
-				hhc.S.Bind(hb.S.Context())
-				hc = hhc
-				done = hhc.Release
-			}
-
-			var cache map[geom.Point][]geom.Point
+// chainedNestedJoin is QEP3: the first join runs in full, then its pairs
+// fan out in chunks, each worker computing (or fetching from its cache) the
+// C-neighborhood of each pair's b. Only b values that some a actually
+// selects incur neighborhood computations. The two joins run one after the
+// other, so a worker holds a probe on B or on C, never both. When caching,
+// each worker keeps its own neighborhood cache: a shared one would serialize
+// the crew behind a lock, so a parallel run trades duplicate misses across
+// workers (same answers, lower hit counts) for lock-free probing.
+func chainedNestedJoin(a, b, cRel Operand, kAB, kBC int, useCache bool, workers int, c *stats.Counters) []Triple {
+	abPairs := Join(a, b, kAB, workers, c)
+	var chunks [][]Pair
+	Chunks(len(abPairs), workers, func(start, end int) {
+		chunks = append(chunks, abPairs[start:end])
+	})
+	return scatter(&TripleArenas, len(chunks), cRel, workers, 0, c,
+		func(p Probe, ctr *stats.Counters) func(int, []Triple) []Triple {
+			var (
+				out   []Triple
+				chunk []Pair
+				next  int          // uncached: the pair the next neighborhood belongs to
+				bs    []geom.Point // scratch: the b values the chunk probes, in pair order
+				cache map[geom.Point][]geom.Point
+			)
 			if useCache {
 				cache = make(map[geom.Point][]geom.Point)
 			}
-			neighborhoodOfB := func(bp geom.Point) []geom.Point {
+			emit := func(bp geom.Point, nbr *locality.Neighborhood) {
 				if useCache {
-					if pts, ok := cache[bp]; ok {
-						ctr.AddCacheHit()
-						return pts
-					}
-					ctr.AddCacheMiss()
+					cache[bp] = append([]geom.Point(nil), nbr.Points...)
+					return
 				}
-				nbr := hc.S.Neighborhood(bp, kBC, ctr)
-				if !useCache {
-					// The emit path consumes the result before the next
-					// query on this searcher, so the reusable buffer can be
-					// returned as-is.
-					return nbr.Points
+				for _, cp := range nbr.Points {
+					out = append(out, Triple{A: chunk[next].Left, B: bp, C: cp})
 				}
-				pts := make([]geom.Point, len(nbr.Points))
-				copy(pts, nbr.Points)
-				cache[bp] = pts
-				return pts
+				next++
 			}
-
-			var bps []geom.Point // scratch: nbrA's buffer is clobbered when hb and hc share a searcher
-			return tupleWorker[Triple]{
-				emit: func(hb *Relation, ap geom.Point, dst []Triple, ctr *stats.Counters) []Triple {
-					nbrA := hb.S.Neighborhood(ap, kAB, ctr)
-					bps = append(bps[:0], nbrA.Points...)
-					for _, bp := range bps {
-						for _, cp := range neighborhoodOfB(bp) {
-							dst = append(dst, Triple{A: ap, B: bp, C: cp})
+			return func(i int, dst []Triple) []Triple {
+				chunk, next, out, bs = chunks[i], 0, dst, bs[:0]
+				// The chunk's b values — when caching, the distinct uncached
+				// ones in first-occurrence order — are one join unit of their
+				// own: over remote shards, one focal group.
+				for _, pr := range chunk {
+					if useCache {
+						if _, ok := cache[pr.Right]; ok {
+							ctr.AddCacheHit()
+							continue
+						}
+						ctr.AddCacheMiss()
+						cache[pr.Right] = nil
+					}
+					bs = append(bs, pr.Right)
+				}
+				p.JoinUnit(Unit{Points: bs}, kBC, nil, ctr, emit)
+				if useCache {
+					for _, pr := range chunk {
+						for _, cp := range cache[pr.Right] {
+							out = append(out, Triple{A: pr.Left, B: pr.Right, C: cp})
 						}
 					}
-					return dst
-				},
-				done: done,
-			}, true
+				}
+				dst, out = out, nil
+				return dst
+			}
 		})
 }

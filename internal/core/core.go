@@ -27,15 +27,23 @@
 // order after Sort*, so different plans for one query can be compared for
 // exact equality.
 //
+// Each algorithm has exactly one body, here, written against the two things
+// it needs instead of against one kind of relation (operand.go): an outer
+// Operand that is scanned unit by unit and an inner one whose workers each
+// hold a Probe. A *Relation is both, probing as the per-point loop on its own
+// searcher; internal/shard makes a shard group — in-process or remote — both
+// as well, so no algorithm is coded a second time for another backing, and a
+// plan option cannot mean different work on one.
+//
 // Beyond the paper, the package provides the concurrency layer for serving
 // many queries over one shared index: a per-relation SearcherPool of
 // query-local handles (pool.go), and the one worker-crew driver every join
-// algorithm runs on (parallel.go). Each algorithm has a single body that
-// takes a worker count and fans its tuple batches out across pooled handles
-// with per-worker arena buffers; sequential execution is that body at
-// workers = 1, and the result — order included — does not depend on the
-// count. The sequential-signature names (KNNJoin, SelectInnerJoinCounting,
-// ChainedJoins, …) are one-line callers of those bodies.
+// algorithm runs on (parallel.go). A body takes a worker count and fans its
+// units out across borrowed probes with per-worker arena buffers; sequential
+// execution is that body at workers = 1, and the result — order included —
+// does not depend on the count. The sequential-signature names (KNNJoin,
+// SelectInnerJoinCounting, ChainedJoins, …) are one-line callers of those
+// bodies.
 package core
 
 import (
@@ -80,14 +88,11 @@ type Relation struct {
 
 // NewRelation wraps an index into a Relation with an unbounded searcher
 // pool: handles are minted on demand and recycled through a sync.Pool.
-func NewRelation(ix index.Index) *Relation {
-	r := &Relation{Ix: ix, S: locality.NewSearcher(ix), store: index.StoreOf(ix)}
-	r.pool = newSearcherPool(r, 0)
-	return r
-}
+func NewRelation(ix index.Index) *Relation { return NewRelationBounded(ix, 0) }
 
 // NewRelationBounded is NewRelation with a hard cap on concurrent searcher
-// state: at most maxSearchers query handles exist at any moment, and
+// state (maxSearchers ≤ 0: none): at most maxSearchers query handles exist at
+// any moment, and
 // Acquire blocks (TryAcquire errors) while all are in use. The cap makes
 // the memory cost of concurrency explicit — each handle owns iterator
 // pools, a selection heap and a result buffer, so total scratch memory is
@@ -104,9 +109,9 @@ func (r *Relation) Len() int { return r.Ix.Len() }
 // Checkpoint polls the searcher's cancellation binding (see
 // locality.Searcher.Checkpoint): a no-op on unbound handles, a
 // fault.Cancel panic once the bound context is done. The join driver calls
-// it once per claimed tuple group, so even groups whose emission never
-// probes the searcher (pruned or gated blocks) observe cancellation at
-// block granularity.
+// it once per claimed unit, so even units whose emission never probes the
+// searcher (pruned or gated blocks) observe cancellation at block
+// granularity.
 func (r *Relation) Checkpoint() { r.S.Checkpoint() }
 
 // ForEachPoint calls fn for every point of the relation, in block-ID then

@@ -8,25 +8,15 @@ import (
 )
 
 // KNNSelect evaluates σ_{k,f}(E): the k points of rel closest to the focal
-// point f. Fewer than k points are returned only when the relation holds
-// fewer than k points.
-func KNNSelect(rel *Relation, f geom.Point, k int, c *stats.Counters) []geom.Point {
-	nbr := rel.S.Neighborhood(f, k, c)
+// point f, in ascending (distance, X, Y) order. Fewer than k points are
+// returned only when the relation holds fewer than k points.
+func KNNSelect(rel Operand, f geom.Point, k int, c *stats.Counters) []geom.Point {
+	p, _ := rel.Borrow(0, c)
+	defer rel.Return(p)
+	nbr := p.Neighborhood(f, k, c)
 	out := make([]geom.Point, len(nbr.Points))
 	copy(out, nbr.Points)
 	return out
-}
-
-// knnPairEmitter returns the plain kNN-join emitter: the neighborhood of
-// each outer point, as (outer, neighbor) pairs.
-func knnPairEmitter(k int) func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
-	return func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
-		nbr := h.S.Neighborhood(e1, k, ctr)
-		for _, e2 := range nbr.Points {
-			dst = append(dst, Pair{Left: e1, Right: e2})
-		}
-		return dst
-	}
 }
 
 // maxJoinPrealloc caps the up-front capacity reserved for a join's result
@@ -41,15 +31,15 @@ const maxJoinPrealloc = 1 << 16
 // relation, in outer scan order. This is the paper's basic join building
 // block; every point of the outer relation incurs one neighborhood
 // computation, fanned out over the outer relation's blocks across workers
-// (≤ 1: sequential; extra workers hold pooled searcher handles on the inner
-// relation, and the result does not depend on the count, order included).
-// The result is non-nil for valid k.
-func Join(outer, inner *Relation, k, workers int, c *stats.Counters) []Pair {
+// (≤ 1: sequential; each worker holds a probe on the inner relation, and
+// the result does not depend on the count, order included). The result is
+// non-nil for valid k.
+func Join(outer, inner Operand, k, workers int, c *stats.Counters) []Pair {
 	if k <= 0 {
 		return nil
 	}
 	sizeHint := min(outer.Len()*min(k, inner.Len()), maxJoinPrealloc)
-	out := emitGroups(&PairArenas, blockGroups(outer), inner, workers, sizeHint, c, nil, knnPairEmitter(k))
+	out := joinUnits(outer.Units(), inner, k, workers, sizeHint, c, nil, nil, nil)
 	if out == nil {
 		out = []Pair{}
 	}

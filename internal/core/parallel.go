@@ -6,21 +6,21 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/geom"
-	"repro/internal/index"
+	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
 // This file implements the one execution driver every join algorithm runs
-// on — the algorithms of this package and the scatter/gather drivers of
-// internal/shard alike. Work is split into units (index blocks, or chunks
-// of a selected point list or of a first join's pairs); a fixed crew of
-// workers claims units through an atomic cursor, each worker built by a
-// factory that equips it with whatever it probes (a pooled searcher handle
-// here, one handle per shard there). Workers append their results into a
-// private *arena* drawn from a process-wide pool and record one (start,
-// end) span per unit, so the driver performs no per-unit result allocation
-// at all; the per-unit spans are concatenated once, in unit order, which
-// makes the result independent of the worker count — including order.
+// on. Work is split into units (index blocks, or chunks of a selected point
+// list or of a first join's pairs); a fixed crew of workers claims units
+// through an atomic cursor, each worker built by a factory that equips it
+// with whatever it probes (scatter: a probe borrowed from the inner operand
+// — a pooled searcher handle on a relation, one handle per shard on a
+// group). Workers append their results into a private *arena* drawn from a
+// process-wide pool and record one (start, end) span per unit, so the driver
+// performs no per-unit result allocation at all; the per-unit spans are
+// concatenated once, in unit order, which makes the result independent of
+// the worker count — including order.
 //
 // Sequential execution is the crew of one: workers ≤ 1 runs the same worker
 // on the caller's goroutine, appending straight into the result slice. No
@@ -218,124 +218,64 @@ func Chunks(n, workers int, yield func(start, end int)) {
 	}
 }
 
-// tupleWorker is one crew member's per-tuple behavior in runGroups: emit
-// produces the results of one outer tuple, gate (optional) admits or skips
-// a whole group before its points are emitted — both run on the worker's
-// handle and counter shard — and done (optional) releases any extra
-// resources the worker factory acquired.
-type tupleWorker[T any] struct {
-	emit func(h *Relation, e1 geom.Point, dst []T, ctr *stats.Counters) []T
-	gate func(h *Relation, gi int, ctr *stats.Counters) bool
-	done func()
-}
+// scatter is RunCrew over n units of outer-side work probing one inner
+// operand — the one adapter every algorithm body fans out through. Each crew
+// member borrows its probe from inner (Operand.Borrow: worker 0 always gets
+// one, the rest stand down when a bounded pool is at capacity) and returns
+// it when the crew is joined; newEmit builds the member's emitter around
+// the probe and its counter shard, so per-worker state (a scratch slice, the
+// chained-join cache) lives in the closure. Every claimed unit starts with a
+// cancellation checkpoint, so even units whose emission never reaches the
+// probe (gated or empty blocks) observe cancellation.
+func scatter[T any](ap *ArenaPool[T], n int, inner Operand, workers, sizeHint int, c *stats.Counters,
+	newEmit func(p Probe, ctr *stats.Counters) func(i int, dst []T) []T) []T {
 
-// tupleGroup is one unit of outer-tuple work: either a block span (scanned
-// over the store's flat X/Y columns, no point materialization up front) or
-// an explicit point list (chunks of a selected point set).
-type tupleGroup struct {
-	blk *index.Block
-	pts []geom.Point
-}
-
-// runGroups is RunCrew over outer-tuple groups probing one inner relation.
-// newWorker builds each crew member's behavior around a searcher handle on
-// inner — worker 0 (primary) runs on the caller's own handle, the rest
-// borrow from inner's pool with TryAcquire and stand down when a bounded
-// pool is at capacity — and may acquire extra per-worker state (more
-// handles, caches) released via tupleWorker.done. Every claimed group
-// starts with a cancellation checkpoint, so even groups whose emission
-// never probes the searcher (gated or empty blocks) observe cancellation.
-func runGroups[T any](ap *ArenaPool[T], groups []tupleGroup, inner *Relation, workers, sizeHint int,
-	c *stats.Counters,
-	newWorker func(h *Relation, primary bool, ctr *stats.Counters) (tupleWorker[T], bool)) []T {
-
-	return RunCrew(ap, len(groups), workers, sizeHint, c,
+	return RunCrew(ap, n, workers, sizeHint, c,
 		func(w int, ctr *stats.Counters) (Worker[T], bool) {
-			h := inner
-			if w > 0 {
-				hh, err := inner.TryAcquire()
-				if err != nil {
-					return Worker[T]{}, false
-				}
-				// Extra handles inherit the caller handle's cancellation
-				// binding, so every crew member checkpoints the same ctx.
-				hh.S.Bind(inner.S.Context())
-				h = hh
-			}
-			wk, ok := newWorker(h, w == 0, ctr)
+			p, ok := inner.Borrow(w, ctr)
 			if !ok {
-				if w > 0 {
-					h.Release()
-				}
 				return Worker[T]{}, false
 			}
-			crew := Worker[T]{Emit: func(gi int, dst []T) []T {
-				h.Checkpoint()
-				if wk.gate != nil && !wk.gate(h, gi, ctr) {
-					return dst
-				}
-				g := groups[gi]
-				if g.blk == nil {
-					for _, e1 := range g.pts {
-						dst = wk.emit(h, e1, dst, ctr)
-					}
-					return dst
-				}
-				xs, ys := g.blk.XYs()
-				for i := range xs {
-					dst = wk.emit(h, geom.Point{X: xs[i], Y: ys[i]}, dst, ctr)
-				}
-				return dst
-			}}
-			if w > 0 || wk.done != nil {
-				crew.Done = func() {
-					if wk.done != nil {
-						wk.done()
-					}
-					if w > 0 {
-						h.Release()
+			emit := newEmit(p, ctr)
+			return Worker[T]{
+				Emit: func(i int, dst []T) []T {
+					p.Checkpoint()
+					return emit(i, dst)
+				},
+				Done: func() { inner.Return(p) },
+			}, true
+		})
+}
+
+// joinUnits is the kNN-join of units against inner, as pairs: the crew body
+// Join, SelectInnerJoin, SelectOuterJoin and the pruned second join of
+// Unchained share. The optional hooks are what tells them apart: gate admits
+// or skips a whole unit on the claiming worker's probe, closerThan is the
+// Counting prefilter (Probe.JoinUnit) and keep filters each neighborhood.
+func joinUnits(units []Unit, inner Operand, k, workers, sizeHint int, c *stats.Counters,
+	gate func(p Probe, u Unit, ctr *stats.Counters) bool,
+	closerThan func(geom.Point) float64, keep func(geom.Point) bool) []Pair {
+
+	return scatter(&PairArenas, len(units), inner, workers, sizeHint, c,
+		func(p Probe, ctr *stats.Counters) func(int, []Pair) []Pair {
+			// One emit closure per worker, not per unit: it appends to out,
+			// which the unit loop below points at the worker's arena.
+			var out []Pair
+			emit := func(e1 geom.Point, nbr *locality.Neighborhood) {
+				for _, e2 := range nbr.Points {
+					if keep == nil || keep(e2) {
+						out = append(out, Pair{Left: e1, Right: e2})
 					}
 				}
 			}
-			return crew, true
+			return func(i int, dst []Pair) []Pair {
+				if gate != nil && !gate(p, units[i], ctr) {
+					return dst
+				}
+				out = dst
+				p.JoinUnit(units[i], k, closerThan, ctr, emit)
+				dst, out = out, nil
+				return dst
+			}
 		})
-}
-
-// emitGroups is runGroups for the common case of stateless workers: one
-// per-point emit (and optional per-group gate) shared by the whole crew.
-func emitGroups[T any](ap *ArenaPool[T], groups []tupleGroup, inner *Relation, workers, sizeHint int,
-	c *stats.Counters,
-	gate func(h *Relation, gi int, ctr *stats.Counters) bool,
-	emit func(h *Relation, e1 geom.Point, dst []T, ctr *stats.Counters) []T) []T {
-
-	return runGroups(ap, groups, inner, workers, sizeHint, c,
-		func(*Relation, bool, *stats.Counters) (tupleWorker[T], bool) {
-			return tupleWorker[T]{emit: emit, gate: gate}, true
-		})
-}
-
-// pointGroups exposes a block list as emission groups (one span per
-// block), preserving block order. No points are materialized; workers scan
-// the spans.
-func pointGroups(blocks []*index.Block) []tupleGroup {
-	groups := make([]tupleGroup, len(blocks))
-	for i, b := range blocks {
-		groups[i] = tupleGroup{blk: b}
-	}
-	return groups
-}
-
-// blockGroups is pointGroups over the relation's full block partition —
-// the same order ForEachPoint scans.
-func blockGroups(rel *Relation) []tupleGroup {
-	return pointGroups(rel.Ix.Blocks())
-}
-
-// pointChunks splits a point list into Chunks groups.
-func pointChunks(pts []geom.Point, workers int) []tupleGroup {
-	var groups []tupleGroup
-	Chunks(len(pts), workers, func(start, end int) {
-		groups = append(groups, tupleGroup{pts: pts[start:end]})
-	})
-	return groups
 }

@@ -33,16 +33,10 @@ import (
 // handles are all in use.
 var ErrSearchersExhausted = errors.New("core: bounded searcher pool exhausted")
 
-// poolIDs numbers pools in construction order; multi-relation queries
-// acquire handles in ascending pool-ID order so that two queries over the
-// same relations can never deadlock on bounded pools.
-var poolIDs atomic.Uint64
-
 // SearcherPool hands out per-goroutine query handles over one shared root
 // Relation. A handle is itself a *Relation (same index, private searcher),
 // so the core algorithms run on it unchanged.
 type SearcherPool struct {
-	id      uint64
 	root    *Relation
 	handles sync.Pool     // recycled *Relation views
 	tokens  chan struct{} // capacity permits; nil for unbounded pools
@@ -58,7 +52,7 @@ type SearcherPool struct {
 // outstanding handles — and therefore the number of searcher scratch states
 // that can ever exist at once.
 func newSearcherPool(root *Relation, maxHandles int) *SearcherPool {
-	p := &SearcherPool{id: poolIDs.Add(1), root: root}
+	p := &SearcherPool{root: root}
 	p.handles.New = func() any { return p.newHandle() }
 	if maxHandles > 0 {
 		p.tokens = make(chan struct{}, maxHandles)
@@ -241,78 +235,4 @@ func (h *Relation) Release() {
 // either way.
 func (r *Relation) Clone() *Relation {
 	return &Relation{Ix: r.Ix, S: r.S.Clone(), store: r.store, pool: r.pool}
-}
-
-// poolID orders relations for deadlock-free multi-acquisition; relations
-// without a pool sort first (their acquisition can never block).
-func (r *Relation) poolID() uint64 {
-	if r.pool == nil {
-		return 0
-	}
-	return r.pool.id
-}
-
-// AcquirePair borrows handles for a query that probes the searchers of two
-// relations (SelectOuterJoin probes outer and inner; ChainedJoins probes B
-// and C). Duplicate relation arguments share one handle (the algorithms
-// tolerate a shared searcher across argument positions), and acquisition
-// happens in global pool order so concurrent multi-relation queries cannot
-// deadlock on bounded pools. Release the results with ReleasePair.
-//
-// Relations that are only *scanned* — iterated block by block, searcher
-// untouched, like the outer of a kNN-join — need no handle at all: their
-// index is immutable, so callers pass them as-is and spend no pool permit.
-func AcquirePair(a, b *Relation) (ha, hb *Relation) {
-	// Dedup by pool, not pointer: two distinct views over one pool (e.g. a
-	// relation and its Clone) draw on the same bounded capacity, and
-	// acquiring twice from a pool bounded at one handle would self-deadlock.
-	if a == b || (a.pool != nil && a.pool == b.pool) {
-		ha = a.Acquire()
-		return ha, ha
-	}
-	if a.poolID() <= b.poolID() {
-		return a.Acquire(), b.Acquire()
-	}
-	hb = b.Acquire()
-	return a.Acquire(), hb
-}
-
-// AcquirePairCtx is AcquirePair with a deadline: both acquisitions go
-// through AcquireCtx in the same global pool order, and when the second one
-// times out the first handle is released before the error returns — a
-// failed pair acquisition never strands capacity. A nil ctx is AcquirePair.
-func AcquirePairCtx(ctx context.Context, a, b *Relation) (ha, hb *Relation, err error) {
-	if a == b || (a.pool != nil && a.pool == b.pool) {
-		ha, err = a.AcquireCtx(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ha, ha, nil
-	}
-	first, second := a, b
-	if a.poolID() > b.poolID() {
-		first, second = b, a
-	}
-	hFirst, err := first.AcquireCtx(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	hSecond, err := second.AcquireCtx(ctx)
-	if err != nil {
-		hFirst.Release()
-		return nil, nil, err
-	}
-	if first == a {
-		return hFirst, hSecond, nil
-	}
-	return hSecond, hFirst, nil
-}
-
-// ReleasePair releases the handles of AcquirePair, releasing a shared
-// handle once.
-func ReleasePair(ha, hb *Relation) {
-	ha.Release()
-	if hb != ha {
-		hb.Release()
-	}
 }

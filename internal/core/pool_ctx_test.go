@@ -2,8 +2,7 @@ package core_test
 
 // Tests for the deadline-aware pool acquisition layer: AcquireCtx waits
 // exactly as long as the context allows, fails with the exhaustion+context
-// error chain, binds and unbinds handles correctly, and AcquirePairCtx never
-// strands capacity when its second acquisition fails.
+// error chain, and binds and unbinds handles correctly.
 
 import (
 	"context"
@@ -14,8 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/geom"
-	"repro/internal/testutil"
 )
 
 func TestAcquireCtxNilIsAcquire(t *testing.T) {
@@ -114,40 +111,4 @@ func TestAcquireCtxBindsHandleAndReleaseUnbinds(t *testing.T) {
 	h2 := rel.Acquire()
 	defer h2.Release()
 	h2.Checkpoint() // must not panic
-}
-
-func TestAcquirePairCtxSecondFailureReleasesFirst(t *testing.T) {
-	ptsA := testutil.UniformPoints(200, geom.NewRect(0, 0, 1000, 1000), 3006)
-	a := core.NewRelationBounded(testutil.BuildIndex(t, testutil.Grid, ptsA), 2)
-	b := boundedRelation(t, 200, 3007, 1)
-	hb := b.Acquire() // exhaust b so the pair's second acquisition must wait
-	defer hb.Release()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	_, _, err := core.AcquirePairCtx(ctx, a, b)
-	if !errors.Is(err, core.ErrSearchersExhausted) {
-		t.Fatalf("got %v, want an ErrSearchersExhausted chain", err)
-	}
-	if got := a.Pool().Outstanding(); got != 0 {
-		t.Fatalf("failed pair acquisition stranded %d handles of the first pool", got)
-	}
-}
-
-func TestAcquirePairCtxDedupSharedPool(t *testing.T) {
-	rel := boundedRelation(t, 200, 3008, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// A pool bounded at one handle would self-deadlock without the dedup.
-	ha, hb, err := core.AcquirePairCtx(ctx, rel, rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha != hb {
-		t.Fatal("duplicate relations did not share one handle")
-	}
-	core.ReleasePair(ha, hb)
-	if got := rel.Pool().Outstanding(); got != 0 {
-		t.Fatalf("Outstanding() = %d, want 0", got)
-	}
 }

@@ -111,35 +111,6 @@ func TestBoundedPoolAcquireBlocksUntilRelease(t *testing.T) {
 	}
 }
 
-func TestAcquirePairDedup(t *testing.T) {
-	// Bound 1 per relation: a query probing the same relation on both
-	// sides would deadlock unless duplicate arguments share one handle.
-	r := boundedRelation(t, 200, 2003, 1)
-	ho, hi := core.AcquirePair(r, r)
-	if ho != hi {
-		t.Fatal("AcquirePair over one relation must share one handle")
-	}
-	core.ReleasePair(ho, hi)
-	// The handle must have been released exactly once: the next acquire
-	// must succeed immediately.
-	if _, err := r.TryAcquire(); err != nil {
-		t.Fatalf("pool not restored after ReleasePair: %v", err)
-	}
-}
-
-func TestAcquirePairDistinctRelations(t *testing.T) {
-	a := boundedRelation(t, 100, 2005, 1)
-	b := boundedRelation(t, 100, 2006, 1)
-	ha, hb := core.AcquirePair(a, b)
-	if ha == hb {
-		t.Fatal("distinct relations must get distinct handles")
-	}
-	if ha.Ix != a.Ix || hb.Ix != b.Ix {
-		t.Fatal("handles must be returned positionally")
-	}
-	core.ReleasePair(ha, hb)
-}
-
 // TestParallelJoinDegradesOnExhaustedBoundedPool runs the fan-out join
 // against an inner relation whose bounded pool cannot supply extra worker
 // handles: the crew degrades to the workers it can equip and the result

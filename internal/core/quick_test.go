@@ -51,10 +51,8 @@ func TestQuickMarkContributingSoundness(t *testing.T) {
 		}
 		contributing := markContributingBlocks(outer, inner, sel, kj, BlockMarkingOptions{}, nil)
 		inContrib := make(map[geom.Point]bool)
-		for _, b := range contributing {
-			for p := range b.Points() {
-				inContrib[p] = true
-			}
+		for _, u := range contributing {
+			u.EachPoint(func(p geom.Point) { inContrib[p] = true })
 		}
 
 		want := SelectInnerJoinConceptual(outer, inner, f, kj, ks, nil)

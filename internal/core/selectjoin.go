@@ -110,18 +110,20 @@ func NewKNNSelection(f geom.Point, selected []geom.Point, farthest float64) Inne
 	}
 }
 
-// KNNSelection evaluates σ_{kSel,f} on inner's searcher and describes it.
-func KNNSelection(inner *Relation, f geom.Point, kSel int, c *stats.Counters) InnerSelection {
-	nbrF := inner.S.Neighborhood(f, kSel, c)
+// KNNSelection evaluates σ_{kSel,f} over inner and describes it.
+func KNNSelection(inner Operand, f geom.Point, kSel int, c *stats.Counters) InnerSelection {
+	p, _ := inner.Borrow(0, c)
+	defer inner.Return(p)
+	nbrF := p.Neighborhood(f, kSel, c)
 	return NewKNNSelection(f, nbrF.Points, nbrF.FarthestDist())
 }
 
 // BlockMarkingOptions tune the Block-Marking algorithm.
 type BlockMarkingOptions struct {
 	// Exhaustive disables the contour early-stop of the preprocessing phase
-	// (Procedure 3): every outer block is checked individually. Exhaustive
-	// preprocessing is automatically used when the outer index does not
-	// tile space (R-trees), where the contour argument does not hold.
+	// (Procedure 3): every non-empty outer block is checked individually.
+	// Exhaustive preprocessing is automatically used where the contour
+	// argument does not hold (ContourApplies).
 	Exhaustive bool
 }
 
@@ -142,8 +144,9 @@ type BlockMarkingOptions struct {
 // Non-Contributing in a preprocessing pass and joins only the points of
 // Contributing blocks; the marking itself stays sequential — its contour
 // early-stop is a data-dependent scan in MINDIST order that cannot be split
-// without giving up the early termination.
-func SelectInnerJoin(outer, inner *Relation, sel InnerSelection, kJoin int, alg Algorithm,
+// without giving up the early termination — and a block it discards is never
+// scanned, which over a remote outer side means never fetched.
+func SelectInnerJoin(outer, inner Operand, sel InnerSelection, kJoin int, alg Algorithm,
 	opt BlockMarkingOptions, workers int, c *stats.Counters) []Pair {
 
 	if alg == AlgorithmConceptual {
@@ -162,25 +165,11 @@ func SelectInnerJoin(outer, inner *Relation, sel InnerSelection, kJoin int, alg 
 	if kJoin <= 0 || sel.Contains == nil {
 		return nil
 	}
-	groups := blockGroups(outer)
-	if alg != AlgorithmCounting {
-		groups = pointGroups(markContributingBlocks(outer, inner, sel, kJoin, opt, c))
+	if alg == AlgorithmCounting {
+		return joinUnits(outer.Units(), inner, kJoin, workers, 0, c, nil, sel.ThresholdSq, sel.Contains)
 	}
-	return emitGroups(&PairArenas, groups, inner, workers, 0, c, nil,
-		func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
-			if alg == AlgorithmCounting && h.S.CountStrictlyCloser(e1, kJoin, sel.ThresholdSq(e1), ctr) >= kJoin {
-				// ≥ k⋈ inner points strictly closer to e1 than anything
-				// selected: e1 cannot contribute.
-				ctr.AddOuterSkipped(1)
-				return dst
-			}
-			for _, e2 := range h.S.Neighborhood(e1, kJoin, ctr).Points {
-				if sel.Contains(e2) {
-					dst = append(dst, Pair{Left: e1, Right: e2})
-				}
-			}
-			return dst
-		})
+	units := markContributingBlocks(outer, inner, sel, kJoin, opt, c)
+	return joinUnits(units, inner, kJoin, workers, 0, c, nil, nil, sel.Contains)
 }
 
 // SelectInnerJoinConceptual is the sequential conceptual plan for a
@@ -225,43 +214,84 @@ func InvalidInnerPushdown(outer, inner *Relation, f geom.Point, kJoin, kSel int,
 // the outer relation is valid (Figure 3 of the paper), so this simply
 // selects and then joins the selected points, fanned out across workers in
 // contiguous chunks. The result is non-nil for valid kJoin.
-func SelectOuterJoin(outer, inner *Relation, f geom.Point, kSel, kJoin, workers int, c *stats.Counters) []Pair {
+func SelectOuterJoin(outer, inner Operand, f geom.Point, kSel, kJoin, workers int, c *stats.Counters) []Pair {
 	selected := KNNSelect(outer, f, kSel, c)
 	if kJoin <= 0 {
 		return nil
 	}
-	out := emitGroups(&PairArenas, pointChunks(selected, workers), inner, workers, len(selected)*kJoin, c, nil,
-		knnPairEmitter(kJoin))
+	out := joinUnits(pointUnits(selected, workers), inner, kJoin, workers, len(selected)*kJoin, c, nil, nil, nil)
 	if out == nil {
 		out = []Pair{}
 	}
 	return out
 }
 
-// markContributingBlocks is the preprocessing phase (Procedure 3). It scans
-// the outer blocks in MINDIST order from the selection's focal point. A
-// block is Non-Contributing when the selection says so of its center and
-// reach r + diagonal, where r is the distance from the block center to the
-// k⋈-th neighbor of the center in the inner relation. With the contour
-// optimization enabled, scanning stops once a complete cycle of
-// Non-Contributing blocks has been closed: when the scan reaches a block
-// whose MINDIST from the focal point is at least the MAXDIST (M) of the
-// first Non-Contributing block of the current cycle, all remaining blocks
-// are pruned without inspection.
-func markContributingBlocks(outer, inner *Relation, sel InnerSelection,
-	kJoin int, opt BlockMarkingOptions, c *stats.Counters) []*index.Block {
+// ContourApplies reports whether Procedure 3's contour early-stop holds for
+// outer: closing a cycle of Non-Contributing blocks around the focal point
+// prunes everything beyond it only when the scanned blocks are one index's
+// and tile space. Elsewhere — an R-tree, a sharded or remote outer side —
+// Block-Marking preprocesses exhaustively: the same test, block by block,
+// still correct and still pruning the join itself.
+func ContourApplies(outer Operand) bool {
+	ixs := outer.Indexes()
+	return len(ixs) == 1 && index.TilesSpace(ixs[0])
+}
 
-	exhaustive := opt.Exhaustive || !index.TilesSpace(outer.Ix)
-	total := len(outer.Ix.Blocks())
+// markContributingBlocks is the preprocessing phase (Procedure 3), on a
+// probe of its own over inner. It scans the outer blocks in MINDIST order
+// from the selection's focal point (one in-process index) or in unit order
+// (several, or remote ones: their blocks have no common order, and none is
+// needed without the contour). A block is Non-Contributing when the
+// selection says so of its center and reach r + diagonal, where r is the
+// distance from the block center to the k⋈-th neighbor of the center in the
+// inner relation. With the contour optimization, scanning stops once a
+// complete cycle of Non-Contributing blocks has been closed: when the scan
+// reaches a block whose MINDIST from the focal point is at least the
+// MAXDIST (M) of the first Non-Contributing block of the current cycle, all
+// remaining blocks are pruned without inspection. The exhaustive form tests
+// each block on its own, so it leaves the empty ones alone: they contribute
+// nothing either way, and a test costs a neighborhood — over remote shards,
+// round trips.
+func markContributingBlocks(outer, inner Operand, sel InnerSelection,
+	kJoin int, opt BlockMarkingOptions, c *stats.Counters) []Unit {
 
-	var contributing []*index.Block
-	scan := index.MinDistOrder(outer.Ix, sel.Focal)
+	exhaustive := opt.Exhaustive || !ContourApplies(outer)
+	// next yields the scan — (block, MINDIST² from the focal point) — and
+	// total is the number of blocks it runs over.
+	var next func() (Unit, float64, bool)
+	var total int
+	if ixs := outer.Indexes(); len(ixs) == 1 {
+		scan := index.MinDistOrder(ixs[0], sel.Focal)
+		total = len(ixs[0].Blocks())
+		next = func() (Unit, float64, bool) {
+			b, minSq, ok := scan.Next()
+			return Unit{Block: b}, minSq, ok
+		}
+	} else {
+		units := outer.Units()
+		total = len(units)
+		next = func() (Unit, float64, bool) {
+			if len(units) == 0 {
+				return Unit{}, 0, false
+			}
+			u := units[0]
+			units = units[1:]
+			return u, 0, true
+		}
+	}
+
+	p, _ := inner.Borrow(0, c)
+	defer inner.Return(p)
+	var contributing []Unit
 	mSq := -1.0 // squared MAXDIST of the first NC block of the open cycle; <0: no open cycle
 	scanned := 0
 	for {
-		b, minSq, ok := scan.Next()
+		u, minSq, ok := next()
 		if !ok {
 			break
+		}
+		if exhaustive && u.Count() == 0 {
+			continue
 		}
 		if !exhaustive && mSq >= 0 && minSq >= mSq {
 			// Contour closed: every block with MINDIST < M was scanned and
@@ -271,22 +301,23 @@ func markContributingBlocks(outer, inner *Relation, sel InnerSelection,
 		}
 		scanned++
 
-		center := b.Center()
-		nbr := inner.S.Neighborhood(center, kJoin, c)
+		bounds := u.Bounds()
+		center := bounds.Center()
+		nbr := p.Neighborhood(center, kJoin, c)
 
 		// The NC guarantee needs a full-size neighborhood: with fewer than
 		// k⋈ inner points inside radius r, the bound on a block point's
 		// k⋈-th-NN distance does not hold.
-		if nbr.Len() == kJoin && sel.NonContributing(center, nbr.FarthestDist()+b.Diagonal()) {
+		if nbr.Len() == kJoin && sel.NonContributing(center, nbr.FarthestDist()+bounds.Diagonal()) {
 			c.AddBlocksPruned(1)
 			if mSq < 0 {
-				mSq = b.Bounds.MaxDistSq(sel.Focal) // first NC block of a new cycle
+				mSq = bounds.MaxDistSq(sel.Focal) // first NC block of a new cycle
 			}
 			continue
 		}
 		mSq = -1 // cycle broken; start over
-		if b.Count() > 0 {
-			contributing = append(contributing, b)
+		if u.Count() > 0 {
+			contributing = append(contributing, u)
 		}
 	}
 	c.AddBlocksScanned(scanned)

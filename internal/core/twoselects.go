@@ -23,11 +23,13 @@ import (
 // neighborhoods are computed in full and intersected. It is the slow
 // comparator of Figure 26; its cost grows with max(k1, k2) because the
 // larger locality covers ever more blocks.
-func TwoSelectsConceptual(rel *Relation, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *stats.Counters) []geom.Point {
-	// Both predicates run on the same searcher; the first result must be
-	// cloned out of the reusable buffer before the second query overwrites it.
-	nbr1 := rel.S.Neighborhood(f1, k1, c).Clone()
-	nbr2 := rel.S.Neighborhood(f2, k2, c)
+func TwoSelectsConceptual(rel Operand, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *stats.Counters) []geom.Point {
+	p, _ := rel.Borrow(0, c)
+	defer rel.Return(p)
+	// Both predicates run on the same probe; the first result must be cloned
+	// out of the reusable buffer before the second query overwrites it.
+	nbr1 := p.Neighborhood(f1, k1, c).Clone()
+	nbr2 := p.Neighborhood(f2, k2, c)
 	return nbr1.Intersect(nbr2)
 }
 
@@ -80,7 +82,7 @@ func kClosestTo(pts []geom.Point, q geom.Point, k int) []geom.Point {
 // — the distance from the second focal point to the farthest point of the
 // first neighborhood. The clipped locality stays small no matter how large
 // the second k grows, which is why Figure 26 shows near-constant cost.
-func TwoSelects(rel *Relation, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *stats.Counters) []geom.Point {
+func TwoSelects(rel Operand, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *stats.Counters) []geom.Point {
 	if k1 <= 0 || k2 <= 0 {
 		return nil
 	}
@@ -89,7 +91,9 @@ func TwoSelects(rel *Relation, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *
 		f1, f2 = f2, f1
 		k1, k2 = k2, k1
 	}
-	nbr1 := rel.S.Neighborhood(f1, k1, c).Clone() // survives the second query below
+	p, _ := rel.Borrow(0, c)
+	defer rel.Return(p)
+	nbr1 := p.Neighborhood(f1, k1, c).Clone() // survives the second query below
 	if nbr1.Len() == 0 {
 		return nil
 	}
@@ -98,9 +102,10 @@ func TwoSelects(rel *Relation, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *
 	// exactly-at-threshold block of a tight-MBR index (fuzz-found).
 	thresholdSq := nbr1.FarthestDistSqTo(f2)
 	// NeighborhoodWithinSq sharpens Procedure 5's clipped locality: only
-	// blocks within the search threshold are visited at all, so the cost of
-	// the second predicate depends on the threshold area, not on k2.
-	nbr2 := rel.S.NeighborhoodWithinSq(f2, k2, thresholdSq, c)
+	// blocks within the search threshold are visited at all — per shard, over
+	// a group — so the cost of the second predicate depends on the threshold
+	// area, not on k2.
+	nbr2 := p.NeighborhoodWithinSq(f2, k2, thresholdSq, c)
 	return nbr1.Intersect(nbr2)
 }
 

@@ -59,8 +59,10 @@ func (o JoinOrder) String() string {
 // the center to its kSecond-th neighbor in B. Points of Non-Contributing
 // blocks never reach a Candidate b and are skipped. order chooses the first
 // join; OrderAuto applies the Section 4.1.2 heuristic (start with the
-// relation of smaller cluster coverage).
-func Unchained(a, b, cRel *Relation, kAB, kCB int, prune bool, order JoinOrder, workers int, c *stats.Counters) []Triple {
+// relation of smaller cluster coverage). Marking Candidates takes B's blocks
+// in-process (Operand.Indexes); over a remote B the second join runs
+// unpruned.
+func Unchained(a, b, cRel Operand, kAB, kCB int, prune bool, order JoinOrder, workers int, c *stats.Counters) []Triple {
 	if !prune {
 		abPairs := Join(a, b, kAB, workers, c)
 		cbPairs := Join(cRel, b, kCB, workers, c)
@@ -94,10 +96,8 @@ func UnchainedBlockMarking(a, b, cRel *Relation, kAB, kCB int, order JoinOrder, 
 }
 
 // IntersectOnB matches (a, b) pairs with (c, b) pairs sharing the same b —
-// the gather step of every unchained-joins plan, including the sharded
-// scatter/gather driver (one implementation so tie/multiplicity semantics
-// cannot diverge). Pair order within the inputs does not affect the result
-// multiset.
+// the gather step of every unchained-joins plan. Pair order within the
+// inputs does not affect the result multiset.
 func IntersectOnB(abPairs, cbPairs []Pair) []Triple {
 	cByB := make(map[geom.Point][]geom.Point)
 	for _, pr := range cbPairs {
@@ -161,36 +161,46 @@ func projectB(pairs []Pair) []geom.Point {
 
 // prunedSecondJoin evaluates (second ⋈kNN b) restricted to points in
 // Contributing blocks, given the pairs produced by the first join: the
-// Contributing gate runs once per block on the claiming worker's own
-// handle, and points of Contributing blocks join as usual.
-func prunedSecondJoin(second, b *Relation, k int, firstPairs []Pair, workers int, c *stats.Counters) []Pair {
-	candidates := candidateBlocks(b, firstPairs)
-	blocks := second.Ix.Blocks()
-	gate := func(h *Relation, gi int, ctr *stats.Counters) bool {
-		blk := blocks[gi]
-		if blk.Count() == 0 {
+// Contributing gate runs once per block on the claiming worker's own probe,
+// and points of Contributing blocks join as usual.
+func prunedSecondJoin(second, b Operand, k int, firstPairs []Pair, workers int, c *stats.Counters) []Pair {
+	ixs := b.Indexes()
+	if ixs == nil {
+		return Join(second, b, k, workers, c)
+	}
+	candidates := candidateRegions(ixs, firstPairs)
+	gate := func(p Probe, u Unit, ctr *stats.Counters) bool {
+		if u.Count() == 0 {
 			return false
 		}
-		if !blockContributes(blk, h, k, candidates, ctr) {
+		if !blockContributes(u.Bounds(), p, k, candidates, ctr) {
 			ctr.AddBlocksPruned(1)
 			return false
 		}
 		return true
 	}
-	return emitGroups(&PairArenas, pointGroups(blocks), b, workers, 0, c, gate, knnPairEmitter(k))
+	return joinUnits(second.Units(), b, k, workers, 0, c, gate, nil, nil)
 }
 
-// candidateBlocks returns the blocks of b's index holding at least one
+// candidateRegions returns the regions of B's blocks holding at least one
 // Right component of the first join's results (the paper's Candidate
-// blocks; every other block of B is Safe).
-func candidateBlocks(b *Relation, firstPairs []Pair) []*index.Block {
-	marked := make([]bool, len(b.Ix.Blocks()))
-	var out []*index.Block
+// blocks; every other block of B is Safe). Over several indexes — the
+// shards of a group — a point marks the block each one locates it in: one
+// of them stores it, and the others' regions cover it just the same, which
+// is all the Contributing test asks of a Candidate.
+func candidateRegions(ixs []index.Index, firstPairs []Pair) []geom.Rect {
+	marked := make([][]bool, len(ixs))
+	for i, ix := range ixs {
+		marked[i] = make([]bool, len(ix.Blocks()))
+	}
+	var out []geom.Rect
 	for _, pr := range firstPairs {
-		blk := b.Ix.Locate(pr.Right)
-		if blk != nil && !marked[blk.ID] {
-			marked[blk.ID] = true
-			out = append(out, blk)
+		for i, ix := range ixs {
+			blk := ix.Locate(pr.Right)
+			if blk != nil && !marked[i][blk.ID] {
+				marked[i][blk.ID] = true
+				out = append(out, blk.Bounds)
+			}
 		}
 	}
 	return out
@@ -200,9 +210,9 @@ func candidateBlocks(b *Relation, firstPairs []Pair) []*index.Block {
 // join's outer relation: the block contributes if any Candidate block of B
 // is fully or partially within the search threshold r + diagonal of the
 // block's center.
-func blockContributes(blk *index.Block, b *Relation, k int, candidates []*index.Block, c *stats.Counters) bool {
+func blockContributes(blk geom.Rect, b Probe, k int, candidates []geom.Rect, c *stats.Counters) bool {
 	center := blk.Center()
-	nbr := b.S.Neighborhood(center, k, c)
+	nbr := b.Neighborhood(center, k, c)
 	if nbr.Len() < k {
 		// Fewer than k points in B: the pruning bound does not apply.
 		return true
@@ -210,7 +220,7 @@ func blockContributes(blk *index.Block, b *Relation, k int, candidates []*index.
 	thr := nbr.FarthestDist() + blk.Diagonal()
 	thrSq := thr * thr
 	for _, cand := range candidates {
-		if cand.Bounds.MinDistSq(center) <= thrSq {
+		if cand.MinDistSq(center) <= thrSq {
 			return true
 		}
 	}
@@ -219,18 +229,18 @@ func blockContributes(blk *index.Block, b *Relation, k int, candidates []*index.
 
 // EstimateClusterCoverage estimates what fraction of the indexed region a
 // relation's points actually occupy: the total area of non-empty blocks over
-// the area of the bounds. Uniform data approaches 1; tightly clustered data
-// approaches the clusters' relative area. The Section 4.1.2 join-order
+// the area its indexes cover. Uniform data approaches 1; tightly clustered
+// data approaches the clusters' relative area. The Section 4.1.2 join-order
 // heuristic starts with the relation of smaller coverage.
-func EstimateClusterCoverage(rel *Relation) float64 {
-	total := rel.Ix.Bounds().Area()
+func EstimateClusterCoverage(rel Operand) float64 {
+	total := rel.Extent()
 	if total <= 0 {
 		return 1
 	}
 	occupied := 0.0
-	for _, blk := range rel.Ix.Blocks() {
-		if blk.Count() > 0 {
-			occupied += blk.Bounds.Area()
+	for _, u := range rel.Units() {
+		if u.Count() > 0 {
+			occupied += u.Bounds().Area()
 		}
 	}
 	frac := occupied / total

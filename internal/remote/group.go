@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/index"
 	"repro/internal/shard"
 	"repro/internal/stats"
 )
@@ -146,10 +147,10 @@ func Dial(ctx context.Context, transports [][]ShardTransport, opts Options) ([]*
 	return members, nil
 }
 
-// NewGroup assembles the dialed members into an execution group for the
-// scatter/gather drivers. counters may be nil, or one lifetime counter per
-// shard (probe deltas — including the shards' wire-reported stats — fold
-// into them).
+// NewGroup assembles the dialed members into an execution group — an
+// operand of every algorithm, like any shard.Group. counters may be nil, or
+// one lifetime counter per shard (probe deltas — including the shards'
+// wire-reported stats — fold into them).
 func NewGroup(members []*Member, counters []*stats.Counters) shard.Group {
 	ms := make([]shard.Member, len(members))
 	for i, m := range members {
@@ -170,19 +171,23 @@ func (m *Member) Len() int { return m.info.Len }
 // Bounds implements shard.Member.
 func (m *Member) Bounds() geom.Rect { return m.bounds }
 
+// Index implements shard.Member: a remote shard's index lives in its own
+// process.
+func (m *Member) Index() index.Index { return nil }
+
 // OuterBlocks implements shard.Member: the cached headers become claimable
-// blocks whose points are fetched through the envelope only when a driver
+// units whose points are fetched through the envelope only when a worker
 // actually scans them — the Block-Marking prune therefore saves network
 // transfer, not just CPU.
-func (m *Member) OuterBlocks(ctx context.Context) []shard.OuterBlock {
+func (m *Member) OuterBlocks(ctx context.Context) []core.Unit {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	coll := CollectorFrom(ctx)
-	out := make([]shard.OuterBlock, len(m.blocks))
+	out := make([]core.Unit, len(m.blocks))
 	for i, h := range m.blocks {
 		blockIdx := i
-		out[i] = shard.OuterBlock{
+		out[i] = core.Unit{
 			Span: h.Span.rect(),
 			N:    h.Count,
 			Fetch: func() []geom.Point {

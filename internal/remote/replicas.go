@@ -504,18 +504,35 @@ func corruptProbe(r *ProbeResponse) {
 	}
 }
 
-// EndpointStats is one replica's envelope counters for metrics.
+// EndpointStats is one replica's envelope counters for metrics (public as
+// twoknn.RemoteEndpointStats).
 type EndpointStats struct {
-	Endpoint     string `json:"endpoint"`
-	Breaker      string `json:"breaker"`
-	Attempts     int64  `json:"attempts"`
-	Successes    int64  `json:"successes"`
-	Failures     int64  `json:"failures"`
-	Retries      int64  `json:"retries"`
-	Hedges       int64  `json:"hedges"`
-	HedgeWins    int64  `json:"hedge_wins"`
-	BreakerTrips int64  `json:"breaker_trips"`
-	BreakerSkips int64  `json:"breaker_skips"`
+	// Endpoint is the replica's base URL (or the loopback transport's
+	// synthetic name).
+	Endpoint string `json:"endpoint"`
+
+	// Breaker is the circuit breaker's current state: "closed", "open" or
+	// "half-open".
+	Breaker string `json:"breaker"`
+
+	// Attempts/Successes/Failures count individual probe attempts.
+	Attempts  int64 `json:"attempts"`
+	Successes int64 `json:"successes"`
+	Failures  int64 `json:"failures"`
+
+	// Retries counts backoff re-attempts after transient failures.
+	Retries int64 `json:"retries"`
+
+	// Hedges counts hedged second requests launched while this endpoint
+	// was primary; HedgeWins counts hedges to this endpoint that answered
+	// first.
+	Hedges    int64 `json:"hedges"`
+	HedgeWins int64 `json:"hedge_wins"`
+
+	// BreakerTrips counts closed→open transitions; BreakerSkips counts
+	// failover decisions that skipped this endpoint on an open breaker.
+	BreakerTrips int64 `json:"breaker_trips"`
+	BreakerSkips int64 `json:"breaker_skips"`
 }
 
 // ShardNetStats is one shard's envelope counters for metrics.

@@ -305,7 +305,7 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 
 	// Code is a stable machine-readable discriminator: "bad_request",
-	// "shed_load", "deadline", "panic" or "internal".
+	// "shed_load", "deadline", "shard_unavailable", "panic" or "internal".
 	Code string `json:"code"`
 }
 

@@ -11,12 +11,12 @@ import (
 )
 
 // This file defines the transport seam of the scatter/gather layer. A Group
-// is an ordered list of Members; the drivers never see what backs one. The
+// is an ordered list of Members; the probe never sees what backs one. The
 // in-process implementations below are zero-overhead views over
 // *core.Relation (pointer conversions, so steady-state probe work stays
 // allocation-free); internal/remote implements the same interfaces over an
 // HTTP shard-probe protocol, which is what lifts every query shape onto
-// N-process layouts without touching a driver.
+// N-process layouts without touching an algorithm.
 //
 // The two kinds of member answer the paper's locality contract (top-k
 // neighborhood, threshold-clipped neighborhood, conservative
@@ -26,8 +26,8 @@ import (
 // round trip: the probe hands it a whole focal group per request
 // (GroupProber) and keeps every shard's request in flight at once.
 
-// Prober is one borrowed per-shard handle: the lifecycle the scatter
-// drivers need (context binding, block-granular checkpoints, release) and
+// Prober is one borrowed per-shard handle: the lifecycle the probe
+// needs (context binding, block-granular checkpoints, release) and
 // the way to the member's candidate generation — Local for an in-process
 // member, the GroupProber methods for a remote one. Like a
 // locality.Searcher, a Prober is single-threaded.
@@ -118,7 +118,7 @@ type GroupProber interface {
 
 // Member is one shard of a Group: the acquire surface the probe assembles
 // handles from, plus the outer-side views (cardinality, bounds, block
-// enumeration) the scatter drivers read without holding a handle.
+// enumeration) the algorithms read without holding a handle.
 type Member interface {
 	// Len returns the shard's cardinality.
 	Len() int
@@ -126,13 +126,16 @@ type Member interface {
 	// Bounds returns the shard index's bounds.
 	Bounds() geom.Rect
 
-	// OuterBlocks enumerates the shard's blocks for outer-side scatter:
+	// Index returns an in-process member's index, nil for a remote one.
+	Index() index.Index
+
+	// OuterBlocks enumerates the shard's blocks as outer-side work units:
 	// local blocks carry their span directly, remote ones a header (bounds,
 	// count) plus a lazy point fetch — which is what keeps Block-Marking a
 	// network-transfer prune: a marked non-contributing block's points are
 	// never fetched. ctx bounds remote fetches (nil means no bound); local
 	// members ignore it.
-	OuterBlocks(ctx context.Context) []OuterBlock
+	OuterBlocks(ctx context.Context) []core.Unit
 
 	// Acquire borrows a handle, blocking on bounded pools.
 	Acquire() Prober
@@ -144,47 +147,6 @@ type Member interface {
 	// TryAcquire is Acquire without blocking; the error reports a pool at
 	// capacity (extra scatter workers stand down on it).
 	TryAcquire() (Prober, error)
-}
-
-// OuterBlock is one claimable outer-side block. Exactly one of Local and
-// Fetch is set: Local is an in-process index block, Fetch materializes a
-// remote block's points over the wire (called at most once per claim, and
-// never for blocks the Block-Marking prune discards).
-type OuterBlock struct {
-	// Local is the in-process block, when the member is local.
-	Local *index.Block
-
-	// Span and N describe a remote block: its MBR and point count,
-	// shipped in the remote member's block-header listing.
-	Span geom.Rect
-	N    int
-
-	// Fetch returns a remote block's points.
-	Fetch func() []geom.Point
-}
-
-// Count returns the block's point count.
-func (b OuterBlock) Count() int {
-	if b.Local != nil {
-		return b.Local.Count()
-	}
-	return b.N
-}
-
-// Center returns the center of the block's bounds.
-func (b OuterBlock) Center() geom.Point {
-	if b.Local != nil {
-		return b.Local.Center()
-	}
-	return b.Span.Center()
-}
-
-// Diagonal returns the diagonal length of the block's bounds.
-func (b OuterBlock) Diagonal() float64 {
-	if b.Local != nil {
-		return b.Local.Diagonal()
-	}
-	return b.Span.Diagonal()
 }
 
 // LocalMember wraps an in-process relation as a Member. The wrapper is a
@@ -199,14 +161,9 @@ func (m *localMember) rel() *core.Relation { return (*core.Relation)(m) }
 func (m *localMember) Len() int          { return m.rel().Len() }
 func (m *localMember) Bounds() geom.Rect { return m.rel().Ix.Bounds() }
 
-func (m *localMember) OuterBlocks(context.Context) []OuterBlock {
-	blks := m.rel().Ix.Blocks()
-	out := make([]OuterBlock, len(blks))
-	for i, b := range blks {
-		out[i] = OuterBlock{Local: b}
-	}
-	return out
-}
+func (m *localMember) Index() index.Index { return m.rel().Ix }
+
+func (m *localMember) OuterBlocks(context.Context) []core.Unit { return m.rel().Units() }
 
 func (m *localMember) Acquire() Prober { return (*localProber)(m.rel().Acquire()) }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/locality"
@@ -13,8 +14,9 @@ import (
 // probe is one worker's gather view over a group: a borrowed handle per
 // shard plus the scratch to merge per-shard neighborhoods into exact global
 // ones. Like a locality.Searcher, a probe is single-threaded and its merged
-// result is valid only until the probe's next query; the scatter driver
-// gives every worker its own probe.
+// result is valid only until the probe's next query; every crew member of an
+// algorithm borrows its own (Group.Borrow), as the core.Probe the bodies of
+// internal/core are written against.
 //
 // How the per-shard candidates are fetched depends on what the members are,
 // which the group knows (Prober.Local). In-process members are searcher
@@ -31,7 +33,8 @@ import (
 type probe struct {
 	g       Group
 	handles []Prober
-	remote  *gatherer // non-nil over remote members
+	remote  *gatherer       // non-nil over remote members
+	ctr     *stats.Counters // a borrowed probe's query counter (Group.Borrow), folded into at Return
 	deltas  []*stats.Counters
 	nbrs    []*locality.Neighborhood
 	cursors []int
@@ -77,7 +80,7 @@ func acquire(ctx context.Context, g Group) *probe {
 
 // tryAcquire is acquire without blocking: if any shard's bounded pool is
 // exhausted, every handle obtained so far is returned and ok is false (the
-// extra scatter worker stands down; see core.RunCrew). Obtained handles are
+// extra crew member stands down; see core.RunCrew). Obtained handles are
 // bound to ctx so extra workers checkpoint the same context as worker 0.
 func tryAcquire(ctx context.Context, g Group) (pr *probe, ok bool) {
 	pr = newProbe(g)
@@ -107,9 +110,65 @@ func (pr *probe) equip(ctx context.Context) {
 }
 
 // checkpoint polls the probe's cancellation binding (carried by the shard-0
-// handle; every handle shares the same ctx) — called by the scatter drivers
-// once per claimed unit.
+// handle; every handle shares the same ctx) — called once per claimed unit.
 func (pr *probe) checkpoint() { pr.handles[0].Checkpoint() }
+
+// The core.Probe face of a probe. Operation counts accumulate per shard in
+// the probe's deltas whatever counter a call names, and reach the counter
+// the probe was borrowed with at release.
+
+// Neighborhood implements core.Probe.
+func (pr *probe) Neighborhood(p geom.Point, k int, _ *stats.Counters) *locality.Neighborhood {
+	return pr.neighborhood(p, k)
+}
+
+// NeighborhoodWithinSq implements core.Probe.
+func (pr *probe) NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, _ *stats.Counters) *locality.Neighborhood {
+	return pr.neighborhoodWithinSq(p, k, thresholdSq)
+}
+
+// Checkpoint implements core.Probe.
+func (pr *probe) Checkpoint() { pr.checkpoint() }
+
+// JoinUnit implements core.Probe. In-process members are asked point by
+// point, count then neighborhood; remote ones get the unit as a focal group
+// — its counts, then the survivors' neighborhoods — so a unit costs one or
+// two waves of round trips, not one round trip per point per shard.
+func (pr *probe) JoinUnit(u core.Unit, k int, closerThan func(geom.Point) float64, ctr *stats.Counters,
+	emit func(e1 geom.Point, nbr *locality.Neighborhood)) {
+
+	if pr.remote == nil {
+		u.EachPoint(func(e1 geom.Point) {
+			if closerThan != nil && pr.countStrictlyCloser(e1, k, closerThan(e1)) >= k {
+				ctr.AddOuterSkipped(1)
+				return
+			}
+			emit(e1, pr.neighborhood(e1, k))
+		})
+		return
+	}
+	pts := u.AllPoints()
+	if closerThan != nil {
+		thresholdsSq := make([]float64, len(pts))
+		for i, e1 := range pts {
+			thresholdsSq[i] = closerThan(e1)
+		}
+		kept := make([]geom.Point, 0, len(pts))
+		for i, n := range pr.gatherCounts(pts, k, thresholdsSq) {
+			if n < k {
+				kept = append(kept, pts[i])
+			}
+		}
+		ctr.AddOuterSkipped(len(pts) - len(kept))
+		pts = kept
+	}
+	res := pr.gatherReused(pts, k, nil)
+	var nbr locality.Neighborhood
+	for i, e1 := range pts {
+		res.view(i, e1, &nbr)
+		emit(e1, &nbr)
+	}
+}
 
 func newProbe(g Group) *probe {
 	n := len(g.members)

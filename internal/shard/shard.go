@@ -1,12 +1,15 @@
 // Package shard partitions one logical point set across S sub-relations and
-// executes every query shape of the paper by scatter/gather: per-shard
-// candidate generation on each shard's own index and searcher pool, followed
-// by an exact merge whose tie-breaking — ascending (distance, X, Y), the
-// repository-wide neighbor order — is identical to the single-relation code.
-// Sharded results are therefore byte-identical to the un-sharded evaluation
-// (after the gather's canonical sort for join shapes), which the differential
-// oracle tests at the module root enforce across shard counts, partitioning
-// policies and index families.
+// makes the partition an operand of the paper's algorithms. It holds no
+// algorithm of its own: a Group is a core.Operand, and what it contributes
+// is the probe — per-shard candidate generation on each shard's own index
+// and searcher pool, in-process or over the wire, followed by an exact merge
+// whose tie-breaking — ascending (distance, X, Y), the repository-wide
+// neighbor order — is identical to the single-relation code — plus the
+// batched drivers. Every per-tuple result is therefore exactly the
+// single-relation one, and a query over groups returns the un-sharded
+// evaluation's rows (in canonical order for join shapes, which the public
+// layer sorts), which the differential oracle tests at the module root
+// enforce across shard counts, partitioning policies and index families.
 //
 // The partition preserves global stable point IDs: shard stores carry each
 // point's position in the original input (geom.PointStore.IDs), so a point
@@ -32,6 +35,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -106,11 +110,7 @@ func New(pts []geom.Point, nShards int, policy Policy, maxSearchers int, build B
 		if err != nil {
 			return nil, fmt.Errorf("shard: building index for shard %d/%d: %w", i, nShards, err)
 		}
-		if maxSearchers > 0 {
-			r.shards[i] = core.NewRelationBounded(ix, maxSearchers)
-		} else {
-			r.shards[i] = core.NewRelation(ix)
-		}
+		r.shards[i] = core.NewRelationBounded(ix, maxSearchers)
 		r.members[i] = LocalMember(r.shards[i])
 		r.counters[i] = new(stats.Counters)
 	}
@@ -146,25 +146,28 @@ func (r *Relation) Bounds() geom.Rect {
 	return b
 }
 
-// Group returns the relation's execution group for the scatter/gather
-// drivers.
+// Group returns the relation's execution group.
 func (r *Relation) Group() Group {
 	return Group{members: r.members, counters: r.counters}
 }
 
-// Group is the executable view of one logical relation for the
-// scatter/gather drivers: an ordered list of members (a single un-sharded
-// relation is a one-element group; a group's members are all in-process or
-// all remote — see Member — and a probe over them walks point by point or
-// gathers in waves accordingly) plus optional per-shard lifetime counters
-// to account probes against.
+// Group is the executable view of one logical relation: an ordered list of
+// members (a single un-sharded relation is a one-element group; a group's
+// members are all in-process or all remote — see Member — and a probe over
+// them walks point by point or gathers in waves accordingly) plus optional
+// per-shard lifetime counters to account probes against. It is a
+// core.Operand, so every algorithm body of internal/core runs over it —
+// scanning its members' blocks on the outer side, holding a probe per
+// worker on the inner side — and queries may mix groups and relations.
 type Group struct {
 	members  []Member
 	counters []*stats.Counters
+
+	// ctx bounds the group's part in one query (WithContext); nil does not.
+	ctx context.Context
 }
 
-// SingleGroup wraps one core.Relation as a one-shard group, so the drivers
-// accept sharded and un-sharded operands uniformly (queries may mix them).
+// SingleGroup wraps one core.Relation as a one-shard group.
 func SingleGroup(rel *core.Relation) Group {
 	return Group{members: []Member{LocalMember(rel)}}
 }
@@ -173,6 +176,16 @@ func SingleGroup(rel *core.Relation) Group {
 // entry). counters may be nil, or one lifetime counter per member.
 func MemberGroup(members []Member, counters []*stats.Counters) Group {
 	return Group{members: members, counters: counters}
+}
+
+// WithContext returns the group as an operand of a query running under ctx:
+// acquiring a probe waits on bounded pools no longer than ctx allows, held
+// probes checkpoint it at block granularity, remote fetches and waves
+// derive from it, and expiry unwinds as a fault.Cancel panic after all
+// handles are released and stat deltas folded.
+func (g Group) WithContext(ctx context.Context) Group {
+	g.ctx = ctx
+	return g
 }
 
 // NumShards returns the group's shard count.
@@ -185,6 +198,69 @@ func (g Group) Len() int {
 		n += m.Len()
 	}
 	return n
+}
+
+// Indexes implements core.Operand: every member's index, or nil over remote
+// members.
+func (g Group) Indexes() []index.Index {
+	ixs := make([]index.Index, len(g.members))
+	for i, m := range g.members {
+		if ixs[i] = m.Index(); ixs[i] == nil {
+			return nil
+		}
+	}
+	return ixs
+}
+
+// Extent implements core.Operand.
+func (g Group) Extent() float64 {
+	area := 0.0
+	for _, m := range g.members {
+		area += m.Bounds().Area()
+	}
+	return area
+}
+
+// Units implements core.Operand: every block of every shard, in
+// shard-then-block order.
+func (g Group) Units() []core.Unit {
+	var units []core.Unit
+	for _, m := range g.members {
+		units = append(units, m.OuterBlocks(g.ctx)...)
+	}
+	return units
+}
+
+// Borrow implements core.Operand: worker 0 blocks until it holds a full
+// probe, the rest stand down if any shard's pool is at capacity.
+func (g Group) Borrow(w int, c *stats.Counters) (core.Probe, bool) {
+	var pr *probe
+	if w == 0 {
+		pr = acquire(g.ctx, g)
+	} else if p, ok := tryAcquire(g.ctx, g); ok {
+		pr = p
+	} else {
+		return nil, false
+	}
+	pr.ctr = c
+	return pr, true
+}
+
+// Return implements core.Operand: the handles go back to their pools and
+// the probe's per-shard counts fold into the counter it was borrowed with.
+func (g Group) Return(p core.Probe) {
+	pr := p.(*probe)
+	pr.release(pr.ctr)
+}
+
+// Select evaluates σ_{k,f} over the group: the exact global k nearest
+// neighbors of f, in ascending (distance, X, Y) order — byte-identical to
+// the single-relation KNNSelect.
+func Select(ctx context.Context, g Group, f geom.Point, k int, c *stats.Counters) []geom.Point {
+	if k <= 0 {
+		return nil
+	}
+	return core.KNNSelect(g.WithContext(ctx), f, k, c)
 }
 
 // Partition splits pts into nShards columnar stores under the given policy.

@@ -166,7 +166,15 @@ func TestMergedNeighborhoodKeepsDuplicates(t *testing.T) {
 	}
 }
 
-// TestJoinMatchesCore compares the scatter/gather join against the core
+// gatheredJoin is the kNN-join over groups as the public layer runs it: the one
+// core body, gathered into canonical order.
+func gatheredJoin(outer, inner Group, k, workers int, c *stats.Counters) []core.Pair {
+	out := core.Join(outer, inner, k, workers, c)
+	core.SortPairs(out)
+	return out
+}
+
+// TestJoinMatchesCore compares the join over groups against the core
 // sequential join (canonically sorted) with sharded and mixed operands.
 func TestJoinMatchesCore(t *testing.T) {
 	outerPts := testPoints(220, 6)
@@ -188,7 +196,7 @@ func TestJoinMatchesCore(t *testing.T) {
 				"inner-single": {outerG, SingleGroup(innerSingle)},
 			}
 			for name, gs := range cases {
-				got := Join(nil, gs[0], gs[1], 4, workers, nil)
+				got := gatheredJoin(gs[0], gs[1], 4, workers, nil)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("%v/%s/workers=%d: join differs (%d vs %d pairs)",
 						policy, name, workers, len(got), len(want))
@@ -244,7 +252,7 @@ func TestBoundedPoolDegradation(t *testing.T) {
 	want := core.KNNJoin(core.NewRelation(outerIx), core.NewRelation(innerIx).Acquire(), 3, nil)
 	core.SortPairs(want)
 
-	got := Join(nil, outerG, innerSharded.Group(), 3, 8, nil)
+	got := gatheredJoin(outerG, innerSharded.Group(), 3, 8, nil)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("degraded join differs: %d vs %d pairs", len(got), len(want))
 	}
@@ -261,15 +269,35 @@ func (m countingMember) TryAcquire() (Prober, error) {
 	return m.Member.TryAcquire()
 }
 
-// TestScatterCrewOnBoundedPools pins what scatter gets from the shared
-// core.RunCrew driver instead of a goroutine crew of its own, on a 3-member
-// group with bounded pools: workers that cannot assemble a full probe stand
-// down (nobody waits holding half of one, every unit is still emitted
-// exactly once), and a panic inside one worker surfaces once, on the
+// lastMember reports every handle borrowed from it: as the last member of a
+// group, every probe assembled in full.
+type lastMember struct {
+	Member
+	equipped func()
+}
+
+func (m lastMember) Acquire() Prober {
+	p := m.Member.Acquire()
+	m.equipped()
+	return p
+}
+
+func (m lastMember) TryAcquire() (Prober, error) {
+	p, err := m.Member.TryAcquire()
+	if err == nil {
+		m.equipped()
+	}
+	return p, err
+}
+
+// TestScatterCrewOnBoundedPools pins what a join over a group gets from the
+// shared core.RunCrew driver instead of a goroutine crew of its own, on a
+// 3-member group with bounded pools: workers that cannot assemble a full
+// probe stand down (nobody waits holding half of one, every unit is still
+// emitted exactly once), and a panic inside one worker surfaces once, on the
 // caller, after every handle went back to its pool.
 func TestScatterCrewOnBoundedPools(t *testing.T) {
 	outerG := buildGroup(t, testPoints(200, 11), 2, PolicyHash)
-	units := blockUnits(nil, outerG)
 	outstanding := func(rel *Relation) int {
 		n := 0
 		for i := 0; i < rel.NumShards(); i++ {
@@ -291,21 +319,17 @@ func TestScatterCrewOnBoundedPools(t *testing.T) {
 	var tries, equipped atomic.Int32
 	members := append([]Member(nil), one.Group().members...)
 	members[0] = countingMember{Member: members[0], tries: &tries}
-	emitted := scatter(nil, &core.PairArenas, units, MemberGroup(members, nil), 8, nil,
-		func(*probe, *stats.Counters) emitFn[core.Pair] {
-			if equipped.Add(1) == 1 {
-				for deadline := time.Now().Add(10 * time.Second); tries.Load() < 7; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Error("extra workers never attempted their probes")
-						break
-					}
+	members[2] = lastMember{Member: members[2], equipped: func() {
+		if equipped.Add(1) == 1 {
+			for deadline := time.Now().Add(10 * time.Second); tries.Load() < 7; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Error("extra workers never attempted their probes")
+					break
 				}
 			}
-			return func(u unit, dst []core.Pair) []core.Pair {
-				u.eachPoint(func(p geom.Point) { dst = append(dst, core.Pair{Left: p}) })
-				return dst
-			}
-		})
+		}
+	}}
+	emitted := core.Join(outerG, MemberGroup(members, nil), 1, 8, nil)
 	if len(emitted) != 200 {
 		t.Fatalf("degraded crew emitted %d tuples, want each of 200 once", len(emitted))
 	}
@@ -330,7 +354,7 @@ func TestScatterCrewOnBoundedPools(t *testing.T) {
 	recovered := func() (r any) {
 		defer fault.Disarm()
 		defer func() { r = recover() }()
-		Join(nil, outerG, two.Group(), 3, 8, new(stats.Counters))
+		gatheredJoin(outerG, two.Group(), 3, 8, new(stats.Counters))
 		return nil
 	}()
 	if p, ok := recovered.(*fault.Panic); !ok || p.Value != "crew test: poisoned probe" {
@@ -340,7 +364,7 @@ func TestScatterCrewOnBoundedPools(t *testing.T) {
 		t.Fatalf("%d handles outstanding after a worker panic", n)
 	}
 	// The pools survived the fault: the same join now runs clean.
-	if got, want := Join(nil, outerG, two.Group(), 3, 8, nil), Join(nil, outerG, two.Group(), 3, 1, nil); !reflect.DeepEqual(got, want) {
+	if got, want := gatheredJoin(outerG, two.Group(), 3, 8, nil), gatheredJoin(outerG, two.Group(), 3, 1, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("join after the fault differs: %d vs %d pairs", len(got), len(want))
 	}
 }

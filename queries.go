@@ -4,71 +4,64 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/plan"
-	"repro/internal/shard"
 )
 
-// shardedExplain renders the EXPLAIN header for a scatter/gather execution.
-func shardedExplain(op string, detail string, srcs ...Source) string {
-	s := fmt.Sprintf("execution: sharded scatter/gather %s", op)
-	if detail != "" {
-		s += " (" + detail + ")"
-	}
-	s += "\n"
-	for _, src := range srcs {
-		n := 1
-		if sh, ok := src.(*ShardedRelation); ok {
-			n = sh.NumShards()
-			s += fmt.Sprintf("  %s: %d points, %d %s shard(s)\n", src.Name(), src.Len(), n, sh.Policy())
-		} else {
-			s += fmt.Sprintf("  %s: %d points, un-sharded\n", src.Name(), src.Len())
-		}
-	}
-	return s
-}
-
-// allSingle reports whether every source is a single un-sharded relation,
-// returning the backing relations when so.
-func allSingle(srcs ...Source) ([]*Relation, bool) {
-	rels := make([]*Relation, len(srcs))
+// resolve binds a query's sources to the operands the executor runs on,
+// under the query's context. Each distinct source is loaded exactly once —
+// repeated arguments, Clones of one relation included, share one operand,
+// so a concurrent mutation cannot split a query across two data versions. A
+// *Relation resolves to its current snapshot, whose searcher handles the
+// executor borrows per step; anything else to its shard group. gathered
+// reports that some operand is a group: its blocks come in shard order, so
+// join rows are then returned in canonical SortPairs/SortTriples order,
+// where single relations keep scan order.
+func resolve(ctx context.Context, srcs ...Source) (ops [3]core.Operand, gathered bool) {
 	for i, s := range srcs {
 		r := s.singleRelation()
-		if r == nil {
-			return nil, false
+		gathered = gathered || r == nil
+		for j := 0; j < i && ops[i] == nil; j++ {
+			// Clones share data but differ as interface values.
+			if rj := srcs[j].singleRelation(); srcs[j] == s || r != nil && rj != nil && rj.d == r.d {
+				ops[i] = ops[j]
+			}
 		}
-		rels[i] = r
+		switch {
+		case ops[i] != nil:
+		case r != nil:
+			ops[i] = core.Pooled{Relation: r.snapshot().rel, Ctx: ctx}
+		default:
+			ops[i] = s.execGroup().WithContext(ctx)
+		}
 	}
-	return rels, true
+	return ops, gathered
 }
 
-// execGroups resolves the scatter/gather views of the sources, calling
-// execGroup exactly once per distinct source value so repeated arguments
-// resolve to one snapshot even while the relation is being mutated.
-func execGroups(srcs ...Source) []shard.Group {
-	out := make([]shard.Group, len(srcs))
-	for i, s := range srcs {
-		reused := false
-		for j := 0; j < i; j++ {
-			same := srcs[j] == s
-			if !same {
-				// Clones share data but differ as interface values.
-				if a, b := srcs[j].singleRelation(), s.singleRelation(); a != nil && b != nil && a.d == b.d {
-					same = true
-				}
-			}
-			if same {
-				out[i] = out[j]
-				reused = true
-				break
-			}
-		}
-		if !reused {
-			out[i] = s.execGroup()
+// explainPlan renders a query's EXPLAIN: what the optimizer decided and why
+// (headline; may be empty), the plan tree, any fallback the operands forced
+// on the plan (notes), and — when some operand is a group — one line per
+// source saying how it is laid out.
+func explainPlan(gathered bool, headline string, node *plan.Node, notes []string, srcs ...Source) string {
+	var sb strings.Builder
+	if headline != "" {
+		sb.WriteString(headline + "\n")
+	}
+	if node != nil {
+		sb.WriteString(node.Explain())
+	}
+	for _, n := range notes {
+		sb.WriteString(n + "\n")
+	}
+	if gathered {
+		sb.WriteString("operands: scatter/gather over shard groups (join rows in canonical order)\n")
+		for _, src := range srcs {
+			fmt.Fprintf(&sb, "  %s: %d points, %s\n", src.Name(), src.Len(), src.layout())
 		}
 	}
-	return out
+	return sb.String()
 }
 
 // Algorithm selects the evaluation strategy for queries with a selection on
@@ -168,7 +161,9 @@ func WithCountingThreshold(n int) QueryOption {
 	return func(c *queryConfig) { c.countingThreshold = n }
 }
 
-// WithJoinOrder forces the first join of UnchainedJoins (default OrderAuto).
+// WithJoinOrder forces the first join of UnchainedJoins (default OrderAuto),
+// and with it the pruned plan: the other join's outer blocks are tested
+// against Candidate/Safe marks (Procedure 4).
 func WithJoinOrder(o JoinOrder) QueryOption {
 	return func(c *queryConfig) { c.order = o }
 }
@@ -179,8 +174,10 @@ func WithChainedQEP(q ChainedQEP) QueryOption {
 }
 
 // WithExhaustivePreprocessing disables the contour early-stop of
-// Block-Marking preprocessing, checking every outer block individually.
-// Automatic for indexes whose blocks do not tile space (R-trees).
+// Block-Marking preprocessing, checking every non-empty outer block
+// individually. Automatic where the contour argument does not hold: an outer
+// index whose blocks do not tile space (R-trees), a sharded or remote outer
+// relation (EXPLAIN says so).
 func WithExhaustivePreprocessing() QueryOption {
 	return func(c *queryConfig) { c.exhaustive = true }
 }
@@ -190,17 +187,18 @@ func WithExhaustivePreprocessing() QueryOption {
 // sequential). Every join algorithm has a single body that takes the worker
 // count — sequential evaluation is that body at one worker, not a separate
 // code path — so the result is identical whatever n is, order included.
-// Each extra worker borrows a searcher handle from the inner relation's
-// pool and appends into a private arena, so no per-batch result allocation
-// occurs.
+// Each worker holds a probe on the inner relation — a searcher handle from
+// its pool, one per shard of a sharded relation, a wave of requests in
+// flight to a remote one — and appends into a private arena, so no per-batch
+// result allocation occurs.
 //
 // The option is honored by the join algorithms: KNNJoin, SelectInnerJoin
 // (all strategies), SelectOuterJoin, RangeInnerJoin (all strategies),
-// UnchainedJoins and ChainedJoins, on single and sharded relations alike.
-// KNNSelect and TwoSelects evaluate one or two tuples and ignore it. On a
-// relation bounded with WithMaxSearchers the fan-out degrades gracefully:
-// workers that cannot obtain a handle stand down instead of blocking, and
-// the query still completes.
+// UnchainedJoins and ChainedJoins, whatever backs their operands — it is the
+// same body. KNNSelect and TwoSelects evaluate one or two tuples and ignore
+// it. On a relation bounded with WithMaxSearchers the fan-out degrades
+// gracefully: workers that cannot obtain a handle stand down instead of
+// blocking, and the query still completes.
 //
 // WithConcurrency parallelizes one query. Independently of it, every query
 // entry point is safe to call from many goroutines against the same
@@ -232,21 +230,13 @@ func WithExplain(target *string) QueryOption {
 // dispatch uniformly. It errors on a nil source (ErrNilRelation) and
 // non-positive k (ErrNonPositiveK).
 func KNNSelect(rel Source, f Point, k int, opts ...QueryOption) ([]Point, error) {
-	if err := checkSources(rel); err != nil {
-		return nil, err
-	}
-	if err := checkK("k", k); err != nil {
+	if err := validate([]Source{rel}, kArg{"k", k}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	r := rel.singleRelation()
 	return runQuery(&cfg, func() ([]Point, error) {
-		if r == nil {
-			return shard.Select(cfg.ctx, rel.execGroup(), f, k, cfg.stats), nil
-		}
-		h := acquireHandle(cfg.ctx, r.snapshot().rel)
-		defer h.Release()
-		return core.KNNSelect(h, f, k, cfg.stats), nil
+		ops, _ := resolve(cfg.ctx, rel)
+		return core.KNNSelect(ops[0], f, k, cfg.stats), nil
 	})
 }
 
@@ -260,22 +250,11 @@ func KNNSelect(rel Source, f Point, k int, opts ...QueryOption) ([]Point, error)
 // it; see plan.ValidateSelectPushdown); the Counting and Block-Marking
 // strategies deliver the pruning instead.
 func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...QueryOption) ([]Pair, error) {
-	if err := checkSources(outer, inner); err != nil {
+	if err := validate([]Source{outer, inner}, kArg{"kJoin", kJoin}, kArg{"kSel", kSel}); err != nil {
 		return nil, err
 	}
-	if err := checkK("kJoin", kJoin); err != nil {
-		return nil, err
-	}
-	if err := checkK("kSel", kSel); err != nil {
-		return nil, err
-	}
-	return innerJoin("select-inner-join", outer, inner, kJoin, opts,
-		func(cfg *queryConfig, h *core.Relation, g shard.Group) core.InnerSelection {
-			if h != nil {
-				return core.KNNSelection(h, f, kSel, cfg.stats)
-			}
-			return shard.KNNSelection(cfg.ctx, g, f, kSel, cfg.stats)
-		},
+	return innerJoin(outer, inner, kJoin, opts,
+		func(inner core.Operand, c *Stats) core.InnerSelection { return core.KNNSelection(inner, f, kSel, c) },
 		func(alg Algorithm) *plan.Node {
 			return plan.SelectInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, kSel)
 		})
@@ -284,36 +263,26 @@ func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...Quer
 // innerJoin runs a kNN-join with a selection on its inner relation — the
 // kNN-select of SelectInnerJoin or the range of RangeInnerJoin — once the
 // arguments are validated. selection evaluates the predicate against the
-// inner side the executor holds: the borrowed handle h of a single
-// relation, or the scatter/gather group g (h == nil) otherwise.
-func innerJoin(op string, outer, inner Source, kJoin int, opts []QueryOption,
-	selection func(cfg *queryConfig, h *core.Relation, g shard.Group) core.InnerSelection,
+// resolved inner operand.
+func innerJoin(outer, inner Source, kJoin int, opts []QueryOption,
+	selection func(inner core.Operand, c *Stats) core.InnerSelection,
 	planNode func(alg Algorithm) *plan.Node) ([]Pair, error) {
 
 	cfg := applyOptions(opts)
 	alg, reason := plan.ChooseSelectJoinAlgorithm(cfg.algorithm, outer.Len(), cfg.countingThreshold)
-
-	rels, single := allSingle(outer, inner)
 	return runQuery(&cfg, func() ([]Pair, error) {
-		if !single {
-			gs := execGroups(outer, inner)
-			pairs := shard.InnerJoin(cfg.ctx, gs[0], gs[1], selection(&cfg, nil, gs[1]), kJoin,
-				alg, cfg.concurrency, cfg.stats)
-			if cfg.explain != nil {
-				*cfg.explain = shardedExplain(op, fmt.Sprintf("strategy %s: %s", alg, reason), outer, inner)
-			}
-			return pairs, nil
-		}
-
-		// Every strategy probes only the inner relation's searcher; the outer
-		// side is scanned through its immutable snapshot and needs no handle.
-		co, ci := snapshotPair(rels[0], rels[1])
-		hi := acquireHandle(cfg.ctx, ci)
-		defer hi.Release()
-		pairs := core.SelectInnerJoin(co, hi, selection(&cfg, hi, shard.Group{}), kJoin, alg,
+		ops, gathered := resolve(cfg.ctx, outer, inner)
+		pairs := core.SelectInnerJoin(ops[0], ops[1], selection(ops[1], cfg.stats), kJoin, alg,
 			core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
+		if gathered {
+			core.SortPairs(pairs)
+		}
 		if cfg.explain != nil {
-			*cfg.explain = fmt.Sprintf("strategy: %s (%s)\n%s", alg, reason, planNode(alg).Explain())
+			var notes []string
+			if alg == AlgorithmBlockMarking && !cfg.exhaustive && !core.ContourApplies(ops[0]) {
+				notes = append(notes, "preprocessing: exhaustive — the contour early-stop needs one space-tiling outer index, so every non-empty outer block is tested (§3.2)")
+			}
+			*cfg.explain = explainPlan(gathered, fmt.Sprintf("strategy: %s (%s)", alg, reason), planNode(alg), notes, outer, inner)
 		}
 		return pairs, nil
 	})
@@ -323,34 +292,19 @@ func innerJoin(op string, outer, inner Source, kJoin int, opts []QueryOption,
 // kNN-join: (σ_{kSel,f}(outer)) ⋈kNN inner. The pushdown is valid (paper,
 // Figure 3), so the select runs first and only selected points join.
 func SelectOuterJoin(outer, inner Source, f Point, kSel, kJoin int, opts ...QueryOption) ([]Pair, error) {
-	if err := checkSources(outer, inner); err != nil {
-		return nil, err
-	}
-	if err := checkK("kSel", kSel); err != nil {
-		return nil, err
-	}
-	if err := checkK("kJoin", kJoin); err != nil {
+	if err := validate([]Source{outer, inner}, kArg{"kSel", kSel}, kArg{"kJoin", kJoin}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	rels, single := allSingle(outer, inner)
 	return runQuery(&cfg, func() ([]Pair, error) {
-		if !single {
-			gs := execGroups(outer, inner)
-			pairs := shard.SelectOuterJoin(cfg.ctx, gs[0], gs[1], f, kSel, kJoin,
-				cfg.concurrency, cfg.stats)
-			if cfg.explain != nil {
-				*cfg.explain = shardedExplain("select-outer-join", "valid pushdown: select gathers first", outer, inner)
-			}
-			return pairs, nil
+		ops, gathered := resolve(cfg.ctx, outer, inner)
+		pairs := core.SelectOuterJoin(ops[0], ops[1], f, kSel, kJoin, cfg.concurrency, cfg.stats)
+		if gathered {
+			core.SortPairs(pairs)
 		}
-		co, ci := snapshotPair(rels[0], rels[1])
-		ho, hi := acquireHandlePair(cfg.ctx, co, ci)
-		defer core.ReleasePair(ho, hi)
-		pairs := core.SelectOuterJoin(ho, hi, f, kSel, kJoin, cfg.concurrency, cfg.stats)
 		if cfg.explain != nil {
 			node := plan.SelectOuterJoinPlan(outer.Name(), inner.Name(), outer.Len(), inner.Len(), kSel, kJoin)
-			*cfg.explain = node.Explain()
+			*cfg.explain = explainPlan(gathered, "", node, nil, outer, inner)
 		}
 		return pairs, nil
 	})
@@ -366,46 +320,32 @@ func SelectOuterJoin(outer, inner Source, f Point, kSel, kJoin int, opts ...Quer
 // invalid); Candidate/Safe block marking prunes the second join's outer
 // relation, and OrderAuto starts with the more clustered outer relation.
 // When both outer relations look uniform the optimizer skips the
-// preprocessing entirely (it would cost without payoff, Section 4.1.2).
+// preprocessing entirely (it would cost without payoff, Section 4.1.2). The
+// marks live on b's blocks, so a remote b — whose blocks are in other
+// processes — gets the same plan without them: both joins in full, as
+// EXPLAIN reports.
 func UnchainedJoins(a, b, c Source, kAB, kCB int, opts ...QueryOption) ([]Triple, error) {
-	if err := checkSources(a, b, c); err != nil {
-		return nil, err
-	}
-	if err := checkK("kAB", kAB); err != nil {
-		return nil, err
-	}
-	if err := checkK("kCB", kCB); err != nil {
+	if err := validate([]Source{a, b, c}, kArg{"kAB", kAB}, kArg{"kCB", kCB}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	rels, single := allSingle(a, b, c)
 	return runQuery(&cfg, func() ([]Triple, error) {
-		if !single {
-			// Scatter/gather evaluates both joins independently (the
-			// conceptually correct plan); WithJoinOrder only reorders work, so
-			// the sharded path ignores it without changing the answer.
-			gs := execGroups(a, b, c)
-			triples := shard.Unchained(cfg.ctx, gs[0], gs[1], gs[2], kAB, kCB,
-				cfg.concurrency, cfg.stats)
-			if cfg.explain != nil {
-				*cfg.explain = shardedExplain("unchained-joins", "both joins evaluated independently, intersected on B", a, b, c)
-			}
-			return triples, nil
-		}
-		cs := snapshotCores(rels)
-		covA := core.EstimateClusterCoverage(cs[0])
-		covC := core.EstimateClusterCoverage(cs[2])
+		ops, gathered := resolve(cfg.ctx, a, b, c)
+		covA := core.EstimateClusterCoverage(ops[0])
+		covC := core.EstimateClusterCoverage(ops[2])
 		order, prune, reason := plan.ChooseJoinOrder(cfg.order, covA, covC)
-
-		// Both unchained joins probe only B's searcher; A and C are scanned
-		// through their immutable snapshots and need no handles.
-		hb := acquireHandle(cfg.ctx, cs[1])
-		defer hb.Release()
-
-		triples := core.Unchained(cs[0], hb, cs[2], kAB, kCB, prune, order, cfg.concurrency, cfg.stats)
+		var notes []string
+		if prune && ops[1].Indexes() == nil {
+			prune = false
+			notes = append(notes, "pruning: off — Candidate/Safe marks need B's blocks in this process, so the second join runs unpruned (§4.1)")
+		}
+		triples := core.Unchained(ops[0], ops[1], ops[2], kAB, kCB, prune, order, cfg.concurrency, cfg.stats)
+		if gathered {
+			core.SortTriples(triples)
+		}
 		if cfg.explain != nil {
 			node := plan.UnchainedPlan(order, prune, a.Name(), b.Name(), c.Name(), a.Len(), b.Len(), c.Len(), kAB, kCB)
-			*cfg.explain = fmt.Sprintf("order: %s (%s)\n%s", order, reason, node.Explain())
+			*cfg.explain = explainPlan(gathered, fmt.Sprintf("order: %s (%s)", order, reason), node, notes, a, b, c)
 		}
 		return triples, nil
 	})
@@ -420,41 +360,20 @@ func UnchainedJoins(a, b, c Source, kAB, kCB int, opts ...QueryOption) ([]Triple
 // Figure 13 are available and produce identical results; ChainedAuto uses
 // the nested join with a neighborhood cache, the paper's winner.
 func ChainedJoins(a, b, c Source, kAB, kBC int, opts ...QueryOption) ([]Triple, error) {
-	if err := checkSources(a, b, c); err != nil {
-		return nil, err
-	}
-	if err := checkK("kAB", kAB); err != nil {
-		return nil, err
-	}
-	if err := checkK("kBC", kBC); err != nil {
+	if err := validate([]Source{a, b, c}, kArg{"kAB", kAB}, kArg{"kBC", kBC}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	rels, single := allSingle(a, b, c)
+	qep, reason := plan.ChooseChainedQEP(cfg.chained)
 	return runQuery(&cfg, func() ([]Triple, error) {
-		if !single {
-			// All Figure 13 QEPs produce identical triples; the scatter/gather
-			// path always runs the nested join with per-worker caches (the
-			// paper's winner), so WithChainedQEP does not change the answer.
-			gs := execGroups(a, b, c)
-			triples := shard.Chained(cfg.ctx, gs[0], gs[1], gs[2], kAB, kBC,
-				cfg.concurrency, cfg.stats)
-			if cfg.explain != nil {
-				*cfg.explain = shardedExplain("chained-joins", "nested join with per-worker neighborhood caches", a, b, c)
-			}
-			return triples, nil
+		ops, gathered := resolve(cfg.ctx, a, b, c)
+		triples := core.Chained(ops[0], ops[1], ops[2], kAB, kBC, qep, cfg.concurrency, cfg.stats)
+		if gathered {
+			core.SortTriples(triples)
 		}
-		qep, reason := plan.ChooseChainedQEP(cfg.chained)
-		cs := snapshotCores(rels)
-		// The chain probes B's and C's searchers (A is only scanned), so two
-		// handles suffice; AcquirePair dedups b == c and orders the blocking
-		// acquisitions deadlock-free.
-		hb, hc := acquireHandlePair(cfg.ctx, cs[1], cs[2])
-		defer core.ReleasePair(hb, hc)
-		triples := core.Chained(cs[0], hb, hc, kAB, kBC, qep, cfg.concurrency, cfg.stats)
 		if cfg.explain != nil {
 			node := plan.ChainedPlan(qep, a.Name(), b.Name(), c.Name(), a.Len(), b.Len(), c.Len(), kAB, kBC)
-			*cfg.explain = fmt.Sprintf("plan: %s (%s)\n%s", qep, reason, node.Explain())
+			*cfg.explain = explainPlan(gathered, fmt.Sprintf("plan: %s (%s)", qep, reason), node, nil, a, b, c)
 		}
 		return triples, nil
 	})
@@ -470,37 +389,21 @@ func ChainedJoins(a, b, c Source, kAB, kBC int, opts ...QueryOption) ([]Triple, 
 // predicate first and clips the larger predicate's locality to the answer's
 // possible extent, making cost nearly independent of the larger k.
 func TwoSelects(rel Source, f1 Point, k1 int, f2 Point, k2 int, opts ...QueryOption) ([]Point, error) {
-	if err := checkSources(rel); err != nil {
-		return nil, err
-	}
-	if err := checkK("k1", k1); err != nil {
-		return nil, err
-	}
-	if err := checkK("k2", k2); err != nil {
+	if err := validate([]Source{rel}, kArg{"k1", k1}, kArg{"k2", k2}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	r := rel.singleRelation()
 	return runQuery(&cfg, func() ([]Point, error) {
-		if r == nil {
-			pts := shard.TwoSelects(cfg.ctx, rel.execGroup(), f1, k1, f2, k2,
-				cfg.algorithm == AlgorithmConceptual, cfg.stats)
-			if cfg.explain != nil {
-				*cfg.explain = shardedExplain("two-selects", "smaller-k predicate first, per-shard clipped locality", rel)
-			}
-			return pts, nil
-		}
-		h := acquireHandle(cfg.ctx, r.snapshot().rel)
-		defer h.Release()
+		ops, gathered := resolve(cfg.ctx, rel)
 		var pts []Point
 		if cfg.algorithm == AlgorithmConceptual {
-			pts = core.TwoSelectsConceptual(h, f1, k1, f2, k2, cfg.stats)
+			pts = core.TwoSelectsConceptual(ops[0], f1, k1, f2, k2, cfg.stats)
 		} else {
-			pts = core.TwoSelects(h, f1, k1, f2, k2, cfg.stats)
+			pts = core.TwoSelects(ops[0], f1, k1, f2, k2, cfg.stats)
 		}
 		if cfg.explain != nil {
 			node := plan.TwoSelectsPlan(cfg.algorithm != AlgorithmConceptual, rel.Name(), rel.Len(), k1, k2)
-			*cfg.explain = node.Explain()
+			*cfg.explain = explainPlan(gathered, "", node, nil, rel)
 		}
 		return pts, nil
 	})
@@ -512,14 +415,11 @@ func TwoSelects(rel Source, f1 Point, k1 int, f2 Point, k2 int, opts ...QueryOpt
 // below the inner relation would be invalid; the same Counting and
 // Block-Marking algorithms deliver the pruning.
 func RangeInnerJoin(outer, inner Source, rng Rect, kJoin int, opts ...QueryOption) ([]Pair, error) {
-	if err := checkSources(outer, inner); err != nil {
+	if err := validate([]Source{outer, inner}, kArg{"kJoin", kJoin}); err != nil {
 		return nil, err
 	}
-	if err := checkK("kJoin", kJoin); err != nil {
-		return nil, err
-	}
-	return innerJoin("range-inner-join", outer, inner, kJoin, opts,
-		func(*queryConfig, *core.Relation, shard.Group) core.InnerSelection { return core.RangeSelection(rng) },
+	return innerJoin(outer, inner, kJoin, opts,
+		func(core.Operand, *Stats) core.InnerSelection { return core.RangeSelection(rng) },
 		func(alg Algorithm) *plan.Node {
 			return plan.RangeInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, rng.String())
 		})

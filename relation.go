@@ -93,12 +93,13 @@ var ErrNonPositiveK = errors.New("twoknn: k must be positive")
 // result.
 var ErrNilRelation = errors.New("twoknn: nil relation")
 
-// Source is the backing a query reads from: a single *Relation or a
-// *ShardedRelation. Every package-level query function accepts any mix of
-// the two — all-single arguments run the single-relation algorithms
-// unchanged, and any sharded argument routes the query through the
-// scatter/gather drivers (which also accept single relations as one-shard
-// groups). The interface is sealed; implementations live in this package.
+// Source is the backing a query reads from: a single *Relation, a
+// *ShardedRelation or a *RemoteRelation. Every package-level query function
+// accepts any mix of the three and runs the same algorithm over them — the
+// plan options mean the same thing on every backing; a backing decides only
+// how an operand is scanned and probed, and, when any operand is sharded or
+// remote, that join rows come back in canonical order. The interface is
+// sealed; implementations live in this package.
 type Source interface {
 	// Name returns the relation's name.
 	Name() string
@@ -114,11 +115,13 @@ type Source interface {
 	// it, so mutation invalidates cached answers automatically.
 	Epoch() uint64
 
-	// execGroup returns the scatter/gather view (seals the interface).
+	// execGroup returns the source's shard group (seals the interface).
 	execGroup() shard.Group
 	// singleRelation returns the backing *Relation when the source is a
 	// single un-sharded relation, nil otherwise.
 	singleRelation() *Relation
+	// layout describes how the source's points are laid out, for EXPLAIN.
+	layout() string
 	// srcNil reports whether the receiver is a typed nil pointer.
 	srcNil() bool
 }
@@ -300,10 +303,7 @@ func buildIndex(st *geom.PointStore, kind IndexKind, capacity int, bounds Rect) 
 // newCore wraps an index in a core relation with this relation's pool
 // policy.
 func (d *relData) newCore(ix index.Index) *core.Relation {
-	if d.cfg.maxSearchers > 0 {
-		return core.NewRelationBounded(ix, d.cfg.maxSearchers)
-	}
-	return core.NewRelation(ix)
+	return core.NewRelationBounded(ix, d.cfg.maxSearchers)
 }
 
 // NewRelation indexes pts under the given name. The name appears in EXPLAIN
@@ -451,87 +451,52 @@ func (r *Relation) execGroup() shard.Group { return shard.SingleGroup(r.snapshot
 // singleRelation implements Source.
 func (r *Relation) singleRelation() *Relation { return r }
 
+// layout implements Source.
+func (r *Relation) layout() string { return "un-sharded" }
+
 // srcNil implements Source.
 func (r *Relation) srcNil() bool { return r == nil }
 
 // KNNJoin evaluates outer ⋈kNN inner: all pairs (e1, e2) with e2 among the
-// k nearest neighbors of e1. Either side may be sharded; results are
-// identical (the sharded path returns them in canonical SortPairs order).
+// k nearest neighbors of e1. Either side may be sharded or remote; results
+// are identical (in canonical SortPairs order then, in outer scan order
+// between two single relations).
 // It errors on nil relations (ErrNilRelation) and non-positive k
 // (ErrNonPositiveK).
 func KNNJoin(outer, inner Source, k int, opts ...QueryOption) ([]Pair, error) {
-	if err := checkSources(outer, inner); err != nil {
-		return nil, err
-	}
-	if err := checkK("k", k); err != nil {
+	if err := validate([]Source{outer, inner}, kArg{"k", k}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	so, si := outer.singleRelation(), inner.singleRelation()
 	return runQuery(&cfg, func() ([]Pair, error) {
-		if so == nil || si == nil {
-			return shard.Join(cfg.ctx, outer.execGroup(), inner.execGroup(), k, cfg.concurrency, cfg.stats), nil
+		ops, gathered := resolve(cfg.ctx, outer, inner)
+		pairs := core.Join(ops[0], ops[1], k, cfg.concurrency, cfg.stats)
+		if gathered {
+			core.SortPairs(pairs)
 		}
-		// Resolve both sides' snapshots once, same-relation arguments to
-		// the same snapshot, so a concurrent mutation cannot split the
-		// query across two data versions.
-		co, ci := snapshotPair(so, si)
-		// The join only probes the inner relation's searcher; the outer side is
-		// scanned through its immutable index and needs no handle.
-		hi := acquireHandle(cfg.ctx, ci)
-		defer hi.Release()
-		return core.Join(co, hi, k, cfg.concurrency, cfg.stats), nil
+		return pairs, nil
 	})
 }
 
-// snapshotPair resolves the snapshots of two single relations coherently:
-// each distinct logical relation is loaded exactly once, and both arguments
-// referring to the same relation (directly or via Clone) resolve to the
-// same snapshot.
-func snapshotPair(a, b *Relation) (*core.Relation, *core.Relation) {
-	ca := a.snapshot().rel
-	if b.d == a.d {
-		return ca, ca
-	}
-	return ca, b.snapshot().rel
+// kArg names one k parameter of a query for validate.
+type kArg struct {
+	name string
+	k    int
 }
 
-// snapshotCores resolves the snapshots of a slice of single relations
-// coherently (see snapshotPair); rels[i] == nil yields nil.
-func snapshotCores(rels []*Relation) []*core.Relation {
-	out := make([]*core.Relation, len(rels))
-	for i, r := range rels {
-		if r == nil {
-			continue
-		}
-		for j := 0; j < i; j++ {
-			if rels[j] != nil && rels[j].d == r.d {
-				out[i] = out[j]
-				break
-			}
-		}
-		if out[i] == nil {
-			out[i] = r.snapshot().rel
-		}
-	}
-	return out
-}
-
-// checkK validates a k parameter; the returned error wraps ErrNonPositiveK.
-func checkK(name string, k int) error {
-	if k <= 0 {
-		return fmt.Errorf("%w: %s = %d", ErrNonPositiveK, name, k)
-	}
-	return nil
-}
-
-// checkSources validates relation arguments; the returned error wraps
-// ErrNilRelation. It runs before any other method touches the arguments, so
-// typed nil pointers are caught via srcNil (safe on nil receivers).
-func checkSources(srcs ...Source) error {
+// validate checks a query's arguments before anything else touches them:
+// the relations first — nil interfaces and, via srcNil (safe on nil
+// receivers), typed nil pointers; the error wraps ErrNilRelation — then the
+// k parameters in the order given; the error wraps ErrNonPositiveK.
+func validate(srcs []Source, ks ...kArg) error {
 	for i, s := range srcs {
 		if s == nil || s.srcNil() {
 			return fmt.Errorf("%w (argument %d)", ErrNilRelation, i+1)
+		}
+	}
+	for _, a := range ks {
+		if a.k <= 0 {
+			return fmt.Errorf("%w: %s = %d", ErrNonPositiveK, a.name, a.k)
 		}
 	}
 	return nil

@@ -19,13 +19,14 @@ import (
 // is the serving side — one shard of a dataset behind an http.Handler.
 //
 // Every query entry point accepts a *RemoteRelation wherever it accepts a
-// *Relation or *ShardedRelation: the scatter/gather drivers are transport-
-// agnostic, so results are byte-identical to in-process execution (the wire
-// carries stable IDs, coordinates and squared distances — the exact merge
-// keys). Each remote probe runs under a robustness envelope: a per-attempt
-// deadline, bounded retries with jittered exponential backoff, a hedged
-// second request after the endpoint's observed latency quantile, a
-// per-endpoint circuit breaker, and failover across a shard's replicas.
+// *Relation or *ShardedRelation: the algorithms see a remote operand only
+// through the probe contract, so results are byte-identical to in-process
+// execution (the wire carries stable IDs, coordinates and squared distances
+// — the exact merge keys). Each remote probe runs under a robustness
+// envelope: a per-attempt deadline, bounded retries with jittered
+// exponential backoff, a hedged second request after the endpoint's observed
+// latency quantile, a per-endpoint circuit breaker, and failover across a
+// shard's replicas.
 //
 // Failure semantics are fail-closed by default — if a shard's whole replica
 // set is exhausted the query errors with a chain wrapping
@@ -128,11 +129,16 @@ func (c *RemoteConfig) options() remote.Options {
 //
 // The relation snapshots each shard's identity card (cardinality, bounds,
 // block headers, epoch) at dial time; the served snapshots are immutable, so
-// the view never goes stale. Queries scatter probes through each shard's
-// replica-set envelope and gather exactly as the in-process sharded path
-// does — including the MINDIST shard skip and Block-Marking's block-level
-// pruning, which over remote shards saves network transfer (a pruned
-// block's points are never fetched).
+// the view never goes stale. Queries run the same algorithms as over any
+// other source: probes scatter through each shard's replica-set envelope,
+// a focal group per request and every shard's request in flight at once,
+// and gather by the merge the in-process sharded probe uses — including the
+// MINDIST shard skip and Block-Marking's block-level pruning, which over
+// remote shards saves network transfer (a pruned block's points are never
+// fetched). What a plan step needs and a remote operand cannot give —
+// Procedure 3's contour over one index, Procedure 4's marks on B's blocks —
+// falls back to the exhaustive or unpruned form of the same step, and
+// EXPLAIN says so.
 type RemoteRelation struct {
 	name     string
 	kind     IndexKind
@@ -262,6 +268,9 @@ func (rr *RemoteRelation) execGroup() shard.Group {
 // singleRelation implements Source.
 func (rr *RemoteRelation) singleRelation() *Relation { return nil }
 
+// layout implements Source.
+func (rr *RemoteRelation) layout() string { return fmt.Sprintf("%d remote shard(s)", len(rr.members)) }
+
 // srcNil implements Source.
 func (rr *RemoteRelation) srcNil() bool { return rr == nil }
 
@@ -333,34 +342,7 @@ func (rr *RemoteRelation) Snapshot() (perShard []ShardStats, total Stats) {
 
 // RemoteEndpointStats are one replica endpoint's robustness-envelope
 // counters.
-type RemoteEndpointStats struct {
-	// Endpoint is the replica's base URL (or the loopback transport's
-	// synthetic name).
-	Endpoint string `json:"endpoint"`
-
-	// Breaker is the circuit breaker's current state: "closed", "open" or
-	// "half-open".
-	Breaker string `json:"breaker"`
-
-	// Attempts/Successes/Failures count individual probe attempts.
-	Attempts  int64 `json:"attempts"`
-	Successes int64 `json:"successes"`
-	Failures  int64 `json:"failures"`
-
-	// Retries counts backoff re-attempts after transient failures.
-	Retries int64 `json:"retries"`
-
-	// Hedges counts hedged second requests launched while this endpoint
-	// was primary; HedgeWins counts hedges to this endpoint that answered
-	// first.
-	Hedges    int64 `json:"hedges"`
-	HedgeWins int64 `json:"hedge_wins"`
-
-	// BreakerTrips counts closed→open transitions; BreakerSkips counts
-	// failover decisions that skipped this endpoint on an open breaker.
-	BreakerTrips int64 `json:"breaker_trips"`
-	BreakerSkips int64 `json:"breaker_skips"`
-}
+type RemoteEndpointStats = remote.EndpointStats
 
 // RemoteShardStats are one remote shard's robustness-envelope counters: how
 // often the shard's calls failed over between replicas, exhausted the whole
@@ -387,20 +369,7 @@ func (rr *RemoteRelation) RemoteStats() []RemoteShardStats {
 			Failovers:   ns.Failovers,
 			Exhausted:   ns.Exhausted,
 			ForcedTries: ns.ForcedTries,
-		}
-		for _, ep := range ns.Endpoints {
-			rs.Endpoints = append(rs.Endpoints, RemoteEndpointStats{
-				Endpoint:     ep.Endpoint,
-				Breaker:      ep.Breaker,
-				Attempts:     ep.Attempts,
-				Successes:    ep.Successes,
-				Failures:     ep.Failures,
-				Retries:      ep.Retries,
-				Hedges:       ep.Hedges,
-				HedgeWins:    ep.HedgeWins,
-				BreakerTrips: ep.BreakerTrips,
-				BreakerSkips: ep.BreakerSkips,
-			})
+			Endpoints:   ns.Endpoints,
 		}
 		out[i] = rs
 	}
@@ -478,13 +447,7 @@ func NewShardHandler(name string, pts []Point, shardIdx, shards int, opts ...Rel
 	if err != nil {
 		return nil, fmt.Errorf("twoknn: building shard %d/%d of %q: %w", shardIdx, shards, name, err)
 	}
-	var rel *core.Relation
-	if cfg.maxSearchers > 0 {
-		rel = core.NewRelationBounded(ix, cfg.maxSearchers)
-	} else {
-		rel = core.NewRelation(ix)
-	}
-	return remote.NewShardServer(rel, remote.ShardServerConfig{
+	return remote.NewShardServer(core.NewRelationBounded(ix, cfg.maxSearchers), remote.ShardServerConfig{
 		Name:   name,
 		Shard:  shardIdx,
 		Shards: shards,

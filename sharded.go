@@ -7,10 +7,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/index"
-	"repro/internal/index/grid"
-	"repro/internal/index/kdtree"
-	"repro/internal/index/quadtree"
-	"repro/internal/index/rtree"
 	"repro/internal/shard"
 )
 
@@ -60,13 +56,15 @@ var ErrInvalidShardCount = errors.New("twoknn: shard count must be positive")
 // function accepts a *ShardedRelation wherever it accepts a *Relation (the
 // Source interface), and any mix of the two.
 //
-// Execution is scatter/gather — per-shard candidate generation fanned out
-// with WithConcurrency-style bounded parallelism, then an exact merge
-// (global k re-selection by the repository-wide (distance, X, Y) tie order
-// for kNN predicates) — so results are exactly the single-relation answers.
-// Join-shaped results come back in canonical SortPairs/SortTriples order;
-// KNNSelect and TwoSelects keep the single-relation order as-is. Global
-// stable point IDs (input positions) are preserved across the partition.
+// The query algorithms are the single-relation ones, unchanged: the outer
+// side of a join scans the shards' blocks one shard after the other, and
+// every neighborhood the inner side is asked for is scatter/gather —
+// per-shard candidate generation, then an exact merge (global k re-selection
+// by the repository-wide (distance, X, Y) tie order) — so results are
+// exactly the single-relation answers, under every plan option. Join-shaped
+// results come back in canonical SortPairs/SortTriples order; KNNSelect and
+// TwoSelects keep the single-relation order as-is. Global stable point IDs
+// (input positions) are preserved across the partition.
 //
 // Like *Relation, a ShardedRelation is safe for concurrent use: queries
 // borrow per-shard searcher handles from each shard's pool. WithMaxSearchers
@@ -126,32 +124,19 @@ func (sr *ShardedRelation) Epoch() uint64 { return sr.epoch.Load() }
 // Relation.Invalidate.
 func (sr *ShardedRelation) Invalidate() { sr.epoch.Add(1) }
 
-// shardIndexBuilder returns the per-shard index constructor for the kind.
-// An explicit relation bounds applies to every shard; otherwise non-empty
-// shards fit their own extent (the constructors derive an inflated MBR when
-// given no bounds) and empty shards (points fewer than shards, or heavy
-// skew) fall back to the derived relation-wide bounds so they index cleanly.
+// shardIndexBuilder returns the per-shard index constructor for the kind:
+// buildIndex, under a per-shard choice of bounds. An explicit relation
+// bounds applies to every shard; otherwise non-empty shards fit their own
+// extent (the constructors derive an inflated MBR when given no bounds) and
+// empty shards (points fewer than shards, or heavy skew) fall back to the
+// derived relation-wide bounds so they index cleanly.
 func shardIndexBuilder(kind IndexKind, capacity int, explicit, fallback Rect) shard.Build {
 	return func(st *geom.PointStore) (index.Index, error) {
 		bounds := explicit // zero: the constructor fits the shard's own extent
 		if bounds.Area() <= 0 && st.Len() == 0 {
 			bounds = fallback
 		}
-		switch kind {
-		case QuadtreeIndex:
-			return quadtree.NewFromStore(st, quadtree.Options{LeafCapacity: capacity, Bounds: bounds})
-		case KDTreeIndex:
-			return kdtree.NewFromStore(st, kdtree.Options{LeafCapacity: capacity, Bounds: bounds})
-		case RTreeIndex:
-			if st.Len() == 0 {
-				// An R-tree over nothing has no region; fall back to a
-				// single-cell grid, as NewRelation does for empty relations.
-				return grid.New(nil, grid.Options{Bounds: bounds, Cols: 1, Rows: 1})
-			}
-			return rtree.NewFromStore(st, rtree.Options{LeafCapacity: capacity})
-		default:
-			return grid.NewFromStore(st, grid.Options{TargetPerCell: capacity, Bounds: bounds})
-		}
+		return buildIndex(st, kind, capacity, bounds)
 	}
 }
 
@@ -193,6 +178,11 @@ func (sr *ShardedRelation) execGroup() shard.Group { return sr.sh.Group() }
 
 // singleRelation implements Source.
 func (sr *ShardedRelation) singleRelation() *Relation { return nil }
+
+// layout implements Source.
+func (sr *ShardedRelation) layout() string {
+	return fmt.Sprintf("%d %s shard(s)", sr.NumShards(), sr.policy)
+}
 
 // srcNil implements Source.
 func (sr *ShardedRelation) srcNil() bool { return sr == nil }
