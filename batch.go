@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/batch"
+	"repro/internal/core"
 	"repro/internal/locality"
+	"repro/internal/plan"
 	"repro/internal/shard"
 )
 
@@ -25,22 +27,18 @@ func KNNSelectBatch(rel Source, focals []Point, k int, opts ...QueryOption) ([][
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	r := rel.singleRelation()
-	return runQuery(&cfg, func() ([][]Point, error) {
-		if cfg.explain != nil {
-			*cfg.explain = explainPlan(r == nil, batchHeadline("knn-select-batch", r == nil,
-				fmt.Sprintf("%d focals, Z-order grouped shared block walk", len(focals))), nil, nil, rel)
+	return run(&cfg, plan.KNNSelectBatch(focals, k), func(p plan.Plan, ops [3]core.Operand) [][]Point {
+		single, ok := ops[0].(core.Pooled)
+		if !ok {
+			return shard.SelectBatch(cfg.ctx, ops[0].(shard.Group), p.Focals, p.K[0], cfg.stats)
 		}
-		if r == nil {
-			return shard.SelectBatch(cfg.ctx, rel.execGroup(), focals, k, cfg.stats), nil
-		}
-		h := acquireHandle(cfg.ctx, r.snapshot().rel)
+		h := acquireHandle(single.Ctx, single.Relation)
 		defer h.Release()
 		d := batch.Acquire()
 		defer batch.Release(d)
-		out, _, _ := flattenNbrs(d.KNNSelect(h, focals, k, cfg.stats))
-		return out, nil
-	})
+		out, _, _ := flattenNbrs(d.KNNSelect(h, p.Focals, p.K[0], cfg.stats))
+		return out
+	}, rel)
 }
 
 // TwoSelectsBatch evaluates σ_{k1,f1s[i]} ∩ σ_{k2,f2s[i]} for every focal
@@ -58,17 +56,14 @@ func TwoSelectsBatch(rel Source, f1s []Point, k1 int, f2s []Point, k2 int, opts 
 		return nil, fmt.Errorf("twoknn: TwoSelectsBatch focal slices differ in length (%d vs %d)", len(f1s), len(f2s))
 	}
 	cfg := applyOptions(opts)
-	r := rel.singleRelation()
-	conceptual := cfg.algorithm == AlgorithmConceptual
-	return runQuery(&cfg, func() ([][]Point, error) {
-		if cfg.explain != nil {
-			*cfg.explain = explainPlan(r == nil, batchHeadline("two-selects-batch", r == nil,
-				fmt.Sprintf("%d focal pairs, smaller-k predicate first, batched clipped locality", len(f1s))), nil, nil, rel)
+	return run(&cfg, plan.TwoSelectsBatch(cfg.algorithm, f1s, k1, f2s, k2), func(p plan.Plan, ops [3]core.Operand) [][]Point {
+		f1s, k1, f2s, k2 := p.Focals, p.K[0], p.Focals2, p.K[1]
+		conceptual := p.Algorithm == AlgorithmConceptual
+		single, ok := ops[0].(core.Pooled)
+		if !ok {
+			return shard.TwoSelectsBatch(cfg.ctx, ops[0].(shard.Group), f1s, k1, f2s, k2, conceptual, cfg.stats)
 		}
-		if r == nil {
-			return shard.TwoSelectsBatch(cfg.ctx, rel.execGroup(), f1s, k1, f2s, k2, conceptual, cfg.stats), nil
-		}
-		h := acquireHandle(cfg.ctx, r.snapshot().rel)
+		h := acquireHandle(single.Ctx, single.Relation)
 		defer h.Release()
 		d := batch.Acquire()
 		defer batch.Release(d)
@@ -105,19 +100,8 @@ func TwoSelectsBatch(rel Source, f1s []Point, k1 int, f2s []Point, k2 int, opts 
 			nb1 := locality.Neighborhood{Points: pts1[off1[i]:off1[i+1]]}
 			out[i] = nb1.Intersect(&res2[i])
 		}
-		return out, nil
-	})
-}
-
-// batchHeadline names what a batch ran on: the batched driver straight over
-// a relation's index, or once per shard of a group with the exact probe
-// merge gathering the per-shard answers.
-func batchHeadline(op string, grouped bool, detail string) string {
-	how := "batched driver on one relation"
-	if grouped {
-		how = "per-shard batch + gather"
-	}
-	return fmt.Sprintf("execution: %s, %s (%s)", op, how, detail)
+		return out
+	}, rel)
 }
 
 // flattenNbrs copies driver results into one flat backing array, returning

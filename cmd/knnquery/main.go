@@ -91,11 +91,11 @@ type params struct {
 }
 
 func run(p params) error {
-	kind, err := parseIndexKind(p.index)
+	kind, err := server.ParseIndexKind(p.index)
 	if err != nil {
 		return err
 	}
-	algorithm, err := parseAlgorithm(p.alg)
+	algorithm, err := server.ParseAlgorithm(p.alg)
 	if err != nil {
 		return err
 	}
@@ -202,7 +202,7 @@ func runBatch(p params) error {
 		return runBatchServed(p, focals)
 	}
 
-	kind, err := parseIndexKind(p.index)
+	kind, err := server.ParseIndexKind(p.index)
 	if err != nil {
 		return err
 	}
@@ -280,13 +280,6 @@ func runBatchServed(p params, focals []twoknn.Point) error {
 	}
 	return nil
 }
-
-// parseIndexKind and parseAlgorithm delegate to the server package's shared
-// flag parsers, so knnserve, knnquery and the wire codec accept the same
-// vocabulary.
-func parseIndexKind(s string) (twoknn.IndexKind, error) { return server.ParseIndexKind(s) }
-
-func parseAlgorithm(s string) (twoknn.Algorithm, error) { return server.ParseAlgorithm(s) }
 
 func printPlanAndStats(explain string, st *twoknn.Stats) {
 	fmt.Println("\nEXPLAIN")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	twoknn "repro"
+	"repro/internal/server"
 )
 
 func TestParseIndexKind(t *testing.T) {
@@ -14,12 +15,12 @@ func TestParseIndexKind(t *testing.T) {
 		"kdtree":   twoknn.KDTreeIndex,
 	}
 	for in, want := range cases {
-		got, err := parseIndexKind(in)
+		got, err := server.ParseIndexKind(in)
 		if err != nil || got != want {
-			t.Errorf("parseIndexKind(%q) = %v, %v", in, got, err)
+			t.Errorf("server.ParseIndexKind(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseIndexKind("btree"); err == nil {
+	if _, err := server.ParseIndexKind("btree"); err == nil {
 		t.Errorf("unknown index kind must error")
 	}
 }
@@ -32,12 +33,12 @@ func TestParseAlgorithm(t *testing.T) {
 		"block-marking": twoknn.AlgorithmBlockMarking,
 	}
 	for in, want := range cases {
-		got, err := parseAlgorithm(in)
+		got, err := server.ParseAlgorithm(in)
 		if err != nil || got != want {
-			t.Errorf("parseAlgorithm(%q) = %v, %v", in, got, err)
+			t.Errorf("server.ParseAlgorithm(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseAlgorithm("magic"); err == nil {
+	if _, err := server.ParseAlgorithm("magic"); err == nil {
 		t.Errorf("unknown algorithm must error")
 	}
 }

@@ -39,7 +39,9 @@
 // All query functions accept options: WithAlgorithm forces a strategy,
 // WithStats collects operation counters, WithExplain captures an EXPLAIN
 // tree of the chosen plan, WithConcurrency fans the join algorithms out
-// across pooled searchers.
+// across pooled searchers. Every entry point, the batches included, renders
+// EXPLAIN from the one plan value whose fields it ran, so what EXPLAIN
+// prints is what ran.
 //
 // # Determinism
 //

@@ -9,8 +9,8 @@
 //
 // The example demonstrates three things on a simulated city:
 //
-//  1. the classical optimizer rewrite (push the select below the join) is
-//     rejected by the library's plan validator, with the reason;
+//  1. the classical optimizer rewrite (push the select below the join)
+//     returns a different answer than the correct plans run beside it;
 //
 //  2. the conceptual plan, the Counting algorithm and the Block-Marking
 //     algorithm all return identical pairs;
@@ -27,7 +27,8 @@ import (
 
 	twoknn "repro"
 	"repro/internal/berlinmod"
-	"repro/internal/plan"
+	"repro/internal/core"
+	"repro/internal/index/grid"
 )
 
 func main() {
@@ -52,11 +53,28 @@ func main() {
 	}
 	shoppingCenter := twoknn.Point{X: 5000, Y: 5000}
 
-	// 1. The invalid rewrite is refused with an explanation.
-	fmt.Println("asking the optimizer to push the select below the join's inner relation:")
-	if err := plan.ValidateSelectPushdown(plan.InnerSide); err != nil {
-		fmt.Printf("  refused: %v\n\n", err)
+	// 1. The invalid rewrite changes the answer: below the inner relation
+	// the select leaves the join only the selected hotels, so every mechanic
+	// pairs with them. The wrong plan is not part of the public API; rebuild
+	// core-level relations over the same points to run it.
+	build := func(pts []twoknn.Point) (*core.Relation, error) {
+		ix, err := grid.New(pts, grid.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return core.NewRelation(ix), nil
 	}
+	var rels [2]*core.Relation
+	for i, pts := range [][]twoknn.Point{mechanicPts, hotelPts} {
+		if rels[i], err = build(pts); err != nil {
+			log.Fatal(err)
+		}
+	}
+	pushed, err := core.InvalidInnerPushdown(rels[0], rels[1], shoppingCenter, 2, 2, build, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%-32s %6d pairs (wrong)\n\n", "select pushed below the join", len(pushed))
 
 	// 2 & 3. Evaluate with all three strategies and compare.
 	type strategy struct {
@@ -95,6 +113,9 @@ func main() {
 		}
 	}
 	fmt.Println("\nall strategies returned identical pairs ✓")
+	if len(pushed) == len(first) {
+		log.Fatal("the pushed-down plan agrees with the correct one on this data")
+	}
 
 	if len(first) > 0 {
 		fmt.Println("\nbest options for the driver (mechanic, hotel):")

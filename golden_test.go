@@ -27,7 +27,7 @@ import (
 //
 //	go test -run TestGoldenDigests -update .
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_digests.json from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files (golden_digests.json, explain_golden.txt) from the current engine")
 
 const goldenPath = "testdata/golden_digests.json"
 

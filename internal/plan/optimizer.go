@@ -26,30 +26,13 @@ const (
 	BlockMarking = core.AlgorithmBlockMarking
 )
 
-// DefaultCountingThreshold is the outer-relation cardinality below which
-// Auto picks Counting for select-inner-join queries. Section 3.3 of the
-// paper: Counting wins at low outer density (no preprocessing phase),
-// Block-Marking at high density (per-block instead of per-tuple overhead).
-// The default reflects the crossover region observed in this repository's
-// Figure 20/21 reproduction; override per query with the public API option.
+// DefaultCountingThreshold is the outer-relation cardinality up to which
+// Auto picks Counting for the inner-join shapes. Section 3.3 of the paper
+// has Counting win at low outer density (no preprocessing phase) and
+// Block-Marking at high density (per-block instead of per-tuple overhead),
+// but names no crossover; 30000 is this package's default, not a measured
+// one. Override it per query with the public API option.
 const DefaultCountingThreshold = 30000
-
-// ChooseSelectJoinAlgorithm resolves Auto for a select-inner-join over an
-// outer relation of the given cardinality. Explicit choices pass through.
-func ChooseSelectJoinAlgorithm(alg Algorithm, outerCard, countingThreshold int) (Algorithm, string) {
-	if alg != Auto {
-		return alg, "explicitly requested"
-	}
-	if countingThreshold <= 0 {
-		countingThreshold = DefaultCountingThreshold
-	}
-	if outerCard <= countingThreshold {
-		return Counting, fmt.Sprintf("outer cardinality %d ≤ %d: per-tuple pruning beats per-block preprocessing (§3.3)",
-			outerCard, countingThreshold)
-	}
-	return BlockMarking, fmt.Sprintf("outer cardinality %d > %d: per-block pruning amortizes preprocessing (§3.3)",
-		outerCard, countingThreshold)
-}
 
 // UniformCoverageCutoff is the cluster-coverage fraction above which a
 // relation is treated as uniformly distributed for join ordering. Section
@@ -57,35 +40,78 @@ func ChooseSelectJoinAlgorithm(alg Algorithm, outerCard, countingThreshold int) 
 // has no payoff and the conceptual independent evaluation is preferred.
 const UniformCoverageCutoff = 0.85
 
-// ChooseJoinOrder resolves the order of two unchained kNN-joins from the
-// cluster coverage of their outer relations (Section 4.1.2): start with the
-// more clustered (smaller-coverage) relation. The second return value
-// reports whether Block-Marking is worth running at all — false when both
-// relations look uniform.
-func ChooseJoinOrder(order core.JoinOrder, covA, covC float64) (core.JoinOrder, bool, string) {
-	if order != core.OrderAuto {
-		return order, true, "explicitly requested"
-	}
-	bothUniform := covA >= UniformCoverageCutoff && covC >= UniformCoverageCutoff
-	if bothUniform {
-		return core.OrderABFirst, false,
-			fmt.Sprintf("coverage A=%.2f, C=%.2f: both uniform, preprocessing has no payoff; independent evaluation (§4.1.2)", covA, covC)
-	}
-	if covA <= covC {
-		return core.OrderABFirst, true,
-			fmt.Sprintf("coverage A=%.2f ≤ C=%.2f: start with the more clustered relation (§4.1.2)", covA, covC)
-	}
-	return core.OrderCBFirst, true,
-		fmt.Sprintf("coverage C=%.2f < A=%.2f: start with the more clustered relation (§4.1.2)", covC, covA)
+// reason is what the optimizer observed when it decided, kept as data: only
+// Explain formats it.
+type reason struct {
+	requested   bool    // the query's option named the choice: nothing to decide
+	outerCard   int     // §3.3: compared against CountingThreshold
+	covA, covC  float64 // §4.1.2: the unchained outer relations' cluster coverages
+	contourless bool    // Exhaustive was forced: no space-tiling outer index
+	remoteB     bool    // Prune was turned off: B's blocks are in other processes
 }
 
-// ChooseChainedQEP resolves the chained-join plan. Auto always selects the
-// nested join with neighborhood caching — the paper's uniform winner
-// (Section 4.2, Figures 24–25).
-func ChooseChainedQEP(qep core.ChainedQEP) (core.ChainedQEP, string) {
-	if qep != core.ChainedAuto {
-		return qep, "explicitly requested"
+// ChooseSelectJoinAlgorithm resolves Auto for a select-inner-join over an
+// outer relation of the given cardinality (countingThreshold ≤ 0 selects
+// DefaultCountingThreshold) and says why. Explicit choices pass through.
+func ChooseSelectJoinAlgorithm(alg Algorithm, outerCard, countingThreshold int) (Algorithm, string) {
+	p := SelectInnerJoinPlan(alg, "", "", outerCard, 0, 0, 0)
+	p.CountingThreshold = countingThreshold
+	p.chooseAlgorithm(outerCard)
+	return p.Algorithm, p.reason()
+}
+
+// chooseAlgorithm is Section 3.3: Counting for small outer relations,
+// Block-Marking for large ones.
+func (p *Plan) chooseAlgorithm(outerCard int) {
+	p.why.outerCard = outerCard
+	if p.CountingThreshold <= 0 {
+		p.CountingThreshold = DefaultCountingThreshold
 	}
-	return core.ChainedNestedJoinCached,
-		"nested join avoids neighborhoods for unselected b; cache absorbs repeats (§4.2)"
+	switch {
+	case p.why.requested:
+	case outerCard <= p.CountingThreshold:
+		p.Algorithm = Counting
+	default:
+		p.Algorithm = BlockMarking
+	}
+}
+
+// chooseOrder is Section 4.1.2: start with the more clustered
+// (smaller-coverage) outer relation, and skip the preprocessing — prune
+// nothing — when both look uniform. An explicit order prunes.
+func (p *Plan) chooseOrder() {
+	covA, covC := p.why.covA, p.why.covC
+	switch {
+	case p.why.requested:
+		p.Prune = true
+	case covA >= UniformCoverageCutoff && covC >= UniformCoverageCutoff:
+		p.Order = core.OrderABFirst
+	case covA <= covC:
+		p.Order, p.Prune = core.OrderABFirst, true
+	default:
+		p.Order, p.Prune = core.OrderCBFirst, true
+	}
+}
+
+// reason formats why the optimizer made the plan's decision.
+func (p *Plan) reason() string {
+	w := p.why
+	switch {
+	case w.requested:
+		return "explicitly requested"
+	case p.shape == chained:
+		return "nested join avoids neighborhoods for unselected b; cache absorbs repeats (§4.2)"
+	case p.shape == unchained && w.covA >= UniformCoverageCutoff && w.covC >= UniformCoverageCutoff:
+		return fmt.Sprintf("coverage A=%.2f, C=%.2f: both uniform, preprocessing has no payoff; independent evaluation (§4.1.2)", w.covA, w.covC)
+	case p.shape == unchained && p.Order == core.OrderABFirst:
+		return fmt.Sprintf("coverage A=%.2f ≤ C=%.2f: start with the more clustered relation (§4.1.2)", w.covA, w.covC)
+	case p.shape == unchained:
+		return fmt.Sprintf("coverage C=%.2f < A=%.2f: start with the more clustered relation (§4.1.2)", w.covC, w.covA)
+	case p.Algorithm == Counting:
+		return fmt.Sprintf("outer cardinality %d ≤ %d: per-tuple pruning beats per-block preprocessing (§3.3)",
+			w.outerCard, p.CountingThreshold)
+	default:
+		return fmt.Sprintf("outer cardinality %d > %d: per-block pruning amortizes preprocessing (§3.3)",
+			w.outerCard, p.CountingThreshold)
+	}
 }

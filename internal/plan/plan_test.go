@@ -1,73 +1,47 @@
 package plan
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/geom"
+	"repro/internal/index"
+	"repro/internal/index/grid"
 )
 
 func TestExplainRendering(t *testing.T) {
-	n := NewNode("∩", "intersect",
-		NewNode("kNN-join", "k=2", Scan("E1", 100), Scan("E2", 200)),
-		NewNode("kNN-select", "k=3", Scan("E2", 200)))
-	out := n.Explain()
+	p := SelectInnerJoinPlan(Conceptual, "E1", "E2", 100, 200, 2, 3)
+	out := p.Explain()
 
 	for _, want := range []string{"∩", "kNN-join", "kNN-select", "E1 (100 points)", "E2 (200 points)", "-> "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain output missing %q:\n%s", want, out)
 		}
 	}
-	if n.String() != out {
-		t.Errorf("String and Explain must agree")
-	}
 
-	// Indentation must increase with depth.
+	// A headline, then the tree: indentation increases with depth.
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("expected 6 plan lines, got %d:\n%s", len(lines), out)
+	if len(lines) != 7 {
+		t.Fatalf("expected 7 plan lines, got %d:\n%s", len(lines), out)
 	}
-	if strings.HasPrefix(lines[0], " ") {
+	if !strings.HasPrefix(lines[0], "strategy: conceptual (explicitly requested)") {
+		t.Errorf("headline must name the strategy and why:\n%s", out)
+	}
+	if strings.HasPrefix(lines[1], " ") {
 		t.Errorf("root must not be indented")
 	}
-	if !strings.HasPrefix(lines[1], "  ") {
-		t.Errorf("child must be indented")
+	if !strings.HasPrefix(lines[2], "  -> ") || !strings.HasPrefix(lines[3], "    -> ") {
+		t.Errorf("children must be indented under their parent:\n%s", out)
 	}
-}
-
-func TestValidateSelectPushdown(t *testing.T) {
-	if err := ValidateSelectPushdown(OuterSide); err != nil {
-		t.Errorf("outer pushdown must be valid, got %v", err)
+	if strings.Contains(out, "operands:") {
+		t.Errorf("a plan over single relations has no operand lines:\n%s", out)
 	}
-	err := ValidateSelectPushdown(InnerSide)
-	if err == nil {
-		t.Fatalf("inner pushdown must be invalid")
-	}
-	var ire *InvalidRewriteError
-	if !errors.As(err, &ire) {
-		t.Fatalf("error must be an *InvalidRewriteError, got %T", err)
-	}
-	if !strings.Contains(ire.Error(), "Counting") {
-		t.Errorf("error should point at the correct algorithms: %v", ire)
-	}
-}
-
-func TestValidateOtherRewrites(t *testing.T) {
-	if err := ValidateUnchainedSequential(); err == nil {
-		t.Errorf("sequential unchained evaluation must be invalid")
-	}
-	if err := ValidateTwoSelectsSequential(); err == nil {
-		t.Errorf("sequential two-select evaluation must be invalid")
-	}
-	if err := ValidateChainedReorder(); err != nil {
-		t.Errorf("chained reorder must be valid, got %v", err)
-	}
-}
-
-func TestJoinSideString(t *testing.T) {
-	if OuterSide.String() != "outer" || InnerSide.String() != "inner" {
-		t.Errorf("JoinSide strings wrong: %v / %v", OuterSide, InnerSide)
+	p.Gathered = true
+	p.Inputs[0].Layout, p.Inputs[1].Layout = "3 hash shard(s)", "un-sharded"
+	if out := p.Explain(); !strings.Contains(out, "  E1: 100 points, 3 hash shard(s)\n  E2: 200 points, un-sharded\n") {
+		t.Errorf("a gathered plan lists its inputs' layouts:\n%s", out)
 	}
 }
 
@@ -87,29 +61,34 @@ func TestChooseSelectJoinAlgorithm(t *testing.T) {
 }
 
 func TestChooseJoinOrder(t *testing.T) {
-	if order, _, _ := ChooseJoinOrder(core.OrderCBFirst, 0.1, 0.9); order != core.OrderCBFirst {
-		t.Errorf("explicit order must pass through")
+	order := func(requested core.JoinOrder, covA, covC float64) Plan {
+		p := Unchained(requested, 2, 2)
+		p.why.covA, p.why.covC = covA, covC
+		p.chooseOrder()
+		return p
 	}
-	order, prune, _ := ChooseJoinOrder(core.OrderAuto, 0.05, 0.9)
-	if order != core.OrderABFirst || !prune {
-		t.Errorf("clustered A must start with (A⋈B) and prune, got %v prune=%v", order, prune)
+	if p := order(core.OrderCBFirst, 0.1, 0.9); p.Order != core.OrderCBFirst || !p.Prune {
+		t.Errorf("explicit order must pass through and prune")
 	}
-	order, prune, _ = ChooseJoinOrder(core.OrderAuto, 0.9, 0.05)
-	if order != core.OrderCBFirst || !prune {
-		t.Errorf("clustered C must start with (C⋈B) and prune, got %v prune=%v", order, prune)
+	if p := order(core.OrderAuto, 0.05, 0.9); p.Order != core.OrderABFirst || !p.Prune {
+		t.Errorf("clustered A must start with (A⋈B) and prune, got %v prune=%v", p.Order, p.Prune)
 	}
-	_, prune, reason := ChooseJoinOrder(core.OrderAuto, 0.95, 0.92)
-	if prune {
-		t.Errorf("both uniform must disable pruning: %s", reason)
+	if p := order(core.OrderAuto, 0.9, 0.05); p.Order != core.OrderCBFirst || !p.Prune {
+		t.Errorf("clustered C must start with (C⋈B) and prune, got %v prune=%v", p.Order, p.Prune)
+	}
+	if p := order(core.OrderAuto, 0.95, 0.92); p.Prune {
+		t.Errorf("both uniform must disable pruning: %s", p.reason())
 	}
 }
 
 func TestChooseChainedQEP(t *testing.T) {
-	if qep, _ := ChooseChainedQEP(core.ChainedRightDeep); qep != core.ChainedRightDeep {
+	p := Chained(core.ChainedRightDeep, 2, 2)
+	if p.Optimize([3]core.Operand{}, false); p.QEP != core.ChainedRightDeep {
 		t.Errorf("explicit QEP must pass through")
 	}
-	if qep, reason := ChooseChainedQEP(core.ChainedAuto); qep != core.ChainedNestedJoinCached || reason == "" {
-		t.Errorf("auto must choose nested+cache, got %v", qep)
+	p = Chained(core.ChainedAuto, 2, 2)
+	if p.Optimize([3]core.Operand{}, false); p.QEP != core.ChainedNestedJoinCached || p.reason() == "" {
+		t.Errorf("auto must choose nested+cache, got %v", p.QEP)
 	}
 }
 
@@ -121,33 +100,94 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// TestPlanBuilders renders one plan value per shape and decision.
 func TestPlanBuilders(t *testing.T) {
+	decided := func(p Plan, decide func(*Plan)) Plan {
+		decide(&p)
+		return p
+	}
+	rng := geom.NewRect(0, 0, 1, 1)
 	cases := []struct {
 		name string
-		node *Node
+		plan Plan
 		want []string
 	}{
+		{"knn-select", KNNSelect(geom.Point{}, 7), []string{"kNN-select [k=7]", "-> scan"}},
+		{"knn-join", KNNJoin(3), []string{"kNN-join [k=3]"}},
 		{"select-inner-conceptual", SelectInnerJoinPlan(Conceptual, "M", "H", 10, 20, 2, 3), []string{"∩", "kNN-join", "kNN-select"}},
 		{"select-inner-counting", SelectInnerJoinPlan(Counting, "M", "H", 10, 20, 2, 3), []string{"counting"}},
-		{"select-inner-bm", SelectInnerJoinPlan(BlockMarking, "M", "H", 10, 20, 2, 3), []string{"block-marking", "mark-blocks"}},
-		{"select-outer", SelectOuterJoinPlan("M", "H", 10, 20, 3, 2), []string{"pushdown valid"}},
-		{"unchained-pruned", UnchainedPlan(core.OrderABFirst, true, "A", "B", "C", 1, 2, 3, 2, 2), []string{"∩B", "candidate/safe"}},
-		{"unchained-plain", UnchainedPlan(core.OrderABFirst, false, "A", "B", "C", 1, 2, 3, 2, 2), []string{"∩B"}},
-		{"unchained-cb", UnchainedPlan(core.OrderCBFirst, true, "A", "B", "C", 1, 2, 3, 2, 2), []string{"contributing blocks of A"}},
-		{"chained-rd", ChainedPlan(core.ChainedRightDeep, "A", "B", "C", 1, 2, 3, 2, 2), []string{"materialized"}},
-		{"chained-ji", ChainedPlan(core.ChainedJoinIntersection, "A", "B", "C", 1, 2, 3, 2, 2), []string{"∩B"}},
-		{"chained-nested", ChainedPlan(core.ChainedNestedJoinCached, "A", "B", "C", 1, 2, 3, 2, 2), []string{"cached"}},
-		{"two-selects", TwoSelectsPlan(true, "E", 100, 5, 50), []string{"clipped", "smaller k first"}},
-		{"two-selects-conc", TwoSelectsPlan(false, "E", 100, 5, 50), []string{"full locality"}},
-		{"range-counting", RangeInnerJoinPlan(Counting, "M", "H", 10, 20, 2, "[0,1]x[0,1]"), []string{"range", "counting"}},
-		{"range-conceptual", RangeInnerJoinPlan(Conceptual, "M", "H", 10, 20, 2, "[0,1]x[0,1]"), []string{"rectangle"}},
+		{"select-inner-bm", SelectInnerJoinPlan(BlockMarking, "M", "H", 10, 20, 2, 3), []string{"block-marking", "mark-blocks [contour"}},
+		{"select-inner-bm-exhaustive", decided(SelectInnerJoinPlan(BlockMarking, "M", "H", 10, 20, 2, 3), func(p *Plan) { p.Exhaustive = true }),
+			[]string{"mark-blocks [exhaustive"}},
+		{"select-inner-auto", decided(SelectInnerJoinPlan(Auto, "M", "H", 10, 20, 2, 3), func(p *Plan) { p.chooseAlgorithm(10) }),
+			[]string{"strategy: counting (outer cardinality 10 ≤ 30000"}},
+		{"select-outer", SelectOuterJoin(geom.Point{}, 3, 2), []string{"pushdown valid"}},
+		{"unchained-pruned", decided(Unchained(core.OrderABFirst, 2, 2), (*Plan).chooseOrder), []string{"∩B", "candidate/safe", "contributing blocks of C"}},
+		{"unchained-plain", decided(Unchained(core.OrderAuto, 2, 2), func(p *Plan) { p.why.covA, p.why.covC = 0.9, 0.9; p.chooseOrder() }),
+			[]string{"∩B", "both uniform"}},
+		{"unchained-cb", decided(Unchained(core.OrderCBFirst, 2, 2), (*Plan).chooseOrder), []string{"contributing blocks of A"}},
+		{"chained-rd", Chained(core.ChainedRightDeep, 2, 2), []string{"materialized"}},
+		{"chained-ji", Chained(core.ChainedJoinIntersection, 2, 2), []string{"∩B"}},
+		{"chained-nested", Chained(core.ChainedNestedJoinCached, 2, 2), []string{"cached"}},
+		{"two-selects", TwoSelects(Auto, geom.Point{}, 5, geom.Point{}, 50), []string{"clipped", "smaller k first"}},
+		{"two-selects-conc", TwoSelects(Conceptual, geom.Point{}, 5, geom.Point{}, 50), []string{"full locality"}},
+		{"range-counting", RangeInnerJoin(Counting, rng, 2), []string{"range", "counting"}},
+		{"range-conceptual", RangeInnerJoin(Conceptual, rng, 2), []string{"rectangle"}},
+		{"knn-select-batch", KNNSelectBatch(make([]geom.Point, 4), 3), []string{"knn-select-batch, batched driver on one relation (4 focals"}},
+		{"two-selects-batch-conc", TwoSelectsBatch(Conceptual, make([]geom.Point, 2), 1, nil, 2), []string{"2 focal pairs, both predicates in full"}},
 	}
 	for _, c := range cases {
-		out := c.node.Explain()
+		out := c.plan.Explain()
 		for _, want := range c.want {
 			if !strings.Contains(out, want) {
 				t.Errorf("%s: plan missing %q:\n%s", c.name, want, out)
 			}
 		}
+	}
+}
+
+// farOperand is an operand whose blocks are in another process: no
+// in-process indexes.
+type farOperand struct{ *core.Relation }
+
+func (farOperand) Indexes() []index.Index { return nil }
+
+// TestOptimizeFallbacks: where an operand cannot give a step what it needs,
+// Optimize falls back to the exhaustive or unpruned form of the same plan,
+// and EXPLAIN says so.
+func TestOptimizeFallbacks(t *testing.T) {
+	bounds := geom.NewRect(0, 0, 1000, 1000)
+	clustered, err := datagen.Clustered(datagen.ClusterConfig{NumClusters: 2, PointsPerCluster: 100, Radius: 30, Bounds: bounds, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := func(pts []geom.Point) *core.Relation {
+		ix, err := grid.New(pts, grid.Options{Bounds: bounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.NewRelation(ix)
+	}
+	a, b := rel(clustered), rel(datagen.Uniform(300, bounds, 4))
+	far := farOperand{b}
+
+	p := SelectInnerJoinPlan(BlockMarking, "A", "B", a.Len(), b.Len(), 2, 3)
+	if p.Optimize([3]core.Operand{a, b}, false); p.Exhaustive {
+		t.Errorf("a grid outer tiles space: the contour applies")
+	}
+	p = SelectInnerJoinPlan(BlockMarking, "A", "B", a.Len(), b.Len(), 2, 3)
+	p.Optimize([3]core.Operand{farOperand{a}, b}, true)
+	if out := p.Explain(); !p.Exhaustive || !strings.Contains(out, "preprocessing: exhaustive") {
+		t.Errorf("an outer without an in-process index must preprocess exhaustively, and say so:\n%s", out)
+	}
+
+	p = Unchained(core.OrderAuto, 2, 2)
+	if p.Optimize([3]core.Operand{a, b, a}, false); !p.Prune || p.Order != core.OrderABFirst {
+		t.Errorf("clustered outers over an in-process B prune: order %v prune %v", p.Order, p.Prune)
+	}
+	p = Unchained(core.OrderABFirst, 2, 2)
+	p.Optimize([3]core.Operand{a, far, a}, true)
+	if out := p.Explain(); p.Prune || !strings.Contains(out, "pruning: off") {
+		t.Errorf("Candidate marks need B's blocks in this process:\n%s", out)
 	}
 }

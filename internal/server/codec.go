@@ -69,30 +69,15 @@ func (c Common) Validate() error {
 	if c.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be non-negative, got %d", c.TimeoutMS)
 	}
-	switch c.Algorithm {
-	case "", "auto", "conceptual", "counting", "block-marking":
-		return nil
-	default:
-		return fmt.Errorf("unknown algorithm %q (want auto, conceptual, counting or block-marking)", c.Algorithm)
+	if c.Algorithm == "" {
+		return nil // auto
 	}
+	_, err := ParseAlgorithm(c.Algorithm)
+	return err
 }
 
 // timeoutMS returns the request's own evaluation budget (0 = none given).
 func (c Common) timeoutMS() int64 { return c.TimeoutMS }
-
-// algorithmOption resolves the Algorithm field; Validate has vetted it.
-func (c Common) algorithmOption() twoknn.Algorithm {
-	switch c.Algorithm {
-	case "conceptual":
-		return twoknn.AlgorithmConceptual
-	case "counting":
-		return twoknn.AlgorithmCounting
-	case "block-marking":
-		return twoknn.AlgorithmBlockMarking
-	default:
-		return twoknn.AlgorithmAuto
-	}
-}
 
 // Request is the interface every typed request struct implements; Validate
 // is the codec-level (structural) check run right after decoding.

@@ -175,20 +175,15 @@ func SplitDatasetArgRemote(s string) (name string, shards [][]string, opts Datas
 	return name, shards, opts, true, nil
 }
 
-// ParseIndexKind parses an index-kind flag value.
+// ParseIndexKind parses an index-kind flag value: the String form of one of
+// the four index kinds.
 func ParseIndexKind(s string) (twoknn.IndexKind, error) {
-	switch s {
-	case "grid":
-		return twoknn.GridIndex, nil
-	case "quadtree":
-		return twoknn.QuadtreeIndex, nil
-	case "rtree":
-		return twoknn.RTreeIndex, nil
-	case "kdtree":
-		return twoknn.KDTreeIndex, nil
-	default:
-		return 0, fmt.Errorf("unknown index kind %q (want grid, quadtree, rtree or kdtree)", s)
+	for _, k := range [...]twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex, twoknn.KDTreeIndex} {
+		if k.String() == s {
+			return k, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown index kind %q (want grid, quadtree, rtree or kdtree)", s)
 }
 
 // ParseShardPolicy parses a shard-policy flag value.
@@ -204,18 +199,14 @@ func ParseShardPolicy(s string) (twoknn.ShardPolicy, error) {
 }
 
 // ParseAlgorithm parses an algorithm flag value (the CLI form of the wire
-// codec's Common.Algorithm field).
+// codec's Common.Algorithm field): the String form of one of the four
+// strategies.
 func ParseAlgorithm(s string) (twoknn.Algorithm, error) {
-	switch s {
-	case "auto":
-		return twoknn.AlgorithmAuto, nil
-	case "conceptual":
-		return twoknn.AlgorithmConceptual, nil
-	case "counting":
-		return twoknn.AlgorithmCounting, nil
-	case "block-marking":
-		return twoknn.AlgorithmBlockMarking, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want auto, conceptual, counting or block-marking)", s)
+	for _, a := range [...]twoknn.Algorithm{twoknn.AlgorithmAuto, twoknn.AlgorithmConceptual,
+		twoknn.AlgorithmCounting, twoknn.AlgorithmBlockMarking} {
+		if a.String() == s {
+			return a, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown algorithm %q (want auto, conceptual, counting or block-marking)", s)
 }

@@ -13,10 +13,16 @@ import (
 // context (deadline + cancellation), per-request stats, the forced algorithm
 // and, when asked for, an EXPLAIN target.
 func queryOpts(ctx context.Context, c *Common, st *twoknn.Stats) ([]twoknn.QueryOption, *string) {
+	// Validate vetted the name; the empty one is auto and parses nothing,
+	// so the common request formats no error.
+	alg := twoknn.AlgorithmAuto
+	if c.Algorithm != "" {
+		alg, _ = ParseAlgorithm(c.Algorithm)
+	}
 	opts := []twoknn.QueryOption{
 		twoknn.WithContext(ctx),
 		twoknn.WithStats(st),
-		twoknn.WithAlgorithm(c.algorithmOption()),
+		twoknn.WithAlgorithm(alg),
 	}
 	var explain *string
 	if c.Explain {

@@ -346,6 +346,12 @@ func TestExplainAndStats(t *testing.T) {
 	if resp.Stats.Neighborhoods == 0 {
 		t.Error("stats should record neighborhood computations for a join")
 	}
+	// Every route renders the plan that ran, the single-predicate ones too.
+	joinReq := &server.KNNJoinRequest{Outer: "outer-single", Inner: "inner-single", K: 3}
+	joinReq.Explain = true
+	if resp := reg.query(t, "knn-join", joinReq); !strings.Contains(resp.Explain, "kNN-join [k=3]") {
+		t.Errorf("knn-join explain requested, got %q", resp.Explain)
+	}
 	noExplain := reg.query(t, "knn-join", &server.KNNJoinRequest{Outer: "outer-single", Inner: "inner-single", K: 3})
 	if noExplain.Explain != "" {
 		t.Error("explain not requested but response has one")

@@ -2,9 +2,7 @@ package twoknn
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -40,28 +38,32 @@ func resolve(ctx context.Context, srcs ...Source) (ops [3]core.Operand, gathered
 	return ops, gathered
 }
 
-// explainPlan renders a query's EXPLAIN: what the optimizer decided and why
-// (headline; may be empty), the plan tree, any fallback the operands forced
-// on the plan (notes), and — when some operand is a group — one line per
-// source saying how it is laid out.
-func explainPlan(gathered bool, headline string, node *plan.Node, notes []string, srcs ...Source) string {
-	var sb strings.Builder
-	if headline != "" {
-		sb.WriteString(headline + "\n")
-	}
-	if node != nil {
-		sb.WriteString(node.Explain())
-	}
-	for _, n := range notes {
-		sb.WriteString(n + "\n")
-	}
-	if gathered {
-		sb.WriteString("operands: scatter/gather over shard groups (join rows in canonical order)\n")
-		for _, src := range srcs {
-			fmt.Fprintf(&sb, "  %s: %d points, %s\n", src.Name(), src.Len(), src.layout())
+// run is what every entry point does once its arguments are valid: resolve
+// the sources to operands, let the plan observe them, execute it, return
+// join rows in canonical order when some operand is gathered, and render
+// EXPLAIN from the plan that ran. exec is the entry point's one executor
+// call, fed from the plan's fields.
+func run[T any](cfg *queryConfig, p plan.Plan, exec func(plan.Plan, [3]core.Operand) T, srcs ...Source) (T, error) {
+	return runQuery(cfg, func() (T, error) {
+		ops, gathered := resolve(cfg.ctx, srcs...)
+		p.Optimize(ops, gathered)
+		out := exec(p, ops)
+		if gathered {
+			switch rows := any(out).(type) {
+			case []Pair:
+				core.SortPairs(rows)
+			case []Triple:
+				core.SortTriples(rows)
+			}
 		}
-	}
-	return sb.String()
+		if cfg.explain != nil {
+			for i, s := range srcs {
+				p.Inputs[i] = plan.Input{Name: s.Name(), Card: s.Len(), Layout: s.layout()}
+			}
+			*cfg.explain = p.Explain()
+		}
+		return out, nil
+	})
 }
 
 // Algorithm selects the evaluation strategy for queries with a selection on
@@ -218,7 +220,7 @@ func WithStats(s *Stats) QueryOption {
 }
 
 // WithExplain stores an EXPLAIN rendering of the executed plan (including
-// the optimizer's reasoning) into target.
+// the optimizer's reasoning) into target. Every entry point honors it.
 func WithExplain(target *string) QueryOption {
 	return func(c *queryConfig) { c.explain = target }
 }
@@ -234,10 +236,9 @@ func KNNSelect(rel Source, f Point, k int, opts ...QueryOption) ([]Point, error)
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	return runQuery(&cfg, func() ([]Point, error) {
-		ops, _ := resolve(cfg.ctx, rel)
-		return core.KNNSelect(ops[0], f, k, cfg.stats), nil
-	})
+	return run(&cfg, plan.KNNSelect(f, k), func(p plan.Plan, ops [3]core.Operand) []Point {
+		return core.KNNSelect(ops[0], p.Focal, p.K[0], cfg.stats)
+	}, rel)
 }
 
 // SelectInnerJoin evaluates the Section 3 query
@@ -246,46 +247,20 @@ func KNNSelect(rel Source, f Point, k int, opts ...QueryOption) ([]Point, error)
 //
 // returning pairs (e1, e2) where e2 is among the kJoin nearest neighbors of
 // e1 AND among the kSel nearest neighbors of the focal point f. Pushing the
-// select below the inner relation would be invalid (the optimizer refuses
-// it; see plan.ValidateSelectPushdown); the Counting and Block-Marking
-// strategies deliver the pruning instead.
+// select below the inner relation would be invalid — the join would see
+// only the selected points (paper, Figures 1–2) — so no plan does it; the
+// Counting and Block-Marking strategies deliver the pruning instead.
 func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...QueryOption) ([]Pair, error) {
 	if err := validate([]Source{outer, inner}, kArg{"kJoin", kJoin}, kArg{"kSel", kSel}); err != nil {
 		return nil, err
 	}
-	return innerJoin(outer, inner, kJoin, opts,
-		func(inner core.Operand, c *Stats) core.InnerSelection { return core.KNNSelection(inner, f, kSel, c) },
-		func(alg Algorithm) *plan.Node {
-			return plan.SelectInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, kSel)
-		})
-}
-
-// innerJoin runs a kNN-join with a selection on its inner relation — the
-// kNN-select of SelectInnerJoin or the range of RangeInnerJoin — once the
-// arguments are validated. selection evaluates the predicate against the
-// resolved inner operand.
-func innerJoin(outer, inner Source, kJoin int, opts []QueryOption,
-	selection func(inner core.Operand, c *Stats) core.InnerSelection,
-	planNode func(alg Algorithm) *plan.Node) ([]Pair, error) {
-
 	cfg := applyOptions(opts)
-	alg, reason := plan.ChooseSelectJoinAlgorithm(cfg.algorithm, outer.Len(), cfg.countingThreshold)
-	return runQuery(&cfg, func() ([]Pair, error) {
-		ops, gathered := resolve(cfg.ctx, outer, inner)
-		pairs := core.SelectInnerJoin(ops[0], ops[1], selection(ops[1], cfg.stats), kJoin, alg,
-			core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
-		if gathered {
-			core.SortPairs(pairs)
-		}
-		if cfg.explain != nil {
-			var notes []string
-			if alg == AlgorithmBlockMarking && !cfg.exhaustive && !core.ContourApplies(ops[0]) {
-				notes = append(notes, "preprocessing: exhaustive — the contour early-stop needs one space-tiling outer index, so every non-empty outer block is tested (§3.2)")
-			}
-			*cfg.explain = explainPlan(gathered, fmt.Sprintf("strategy: %s (%s)", alg, reason), planNode(alg), notes, outer, inner)
-		}
-		return pairs, nil
-	})
+	p := plan.SelectInnerJoinPlan(cfg.algorithm, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, kSel)
+	p.Focal, p.CountingThreshold, p.Exhaustive = f, cfg.countingThreshold, cfg.exhaustive
+	return run(&cfg, p, func(p plan.Plan, ops [3]core.Operand) []Pair {
+		return core.SelectInnerJoin(ops[0], ops[1], core.KNNSelection(ops[1], p.Focal, p.K[1], cfg.stats), p.K[0],
+			p.Algorithm, core.BlockMarkingOptions{Exhaustive: p.Exhaustive}, cfg.concurrency, cfg.stats)
+	}, outer, inner)
 }
 
 // SelectOuterJoin evaluates a kNN-select on the outer relation of a
@@ -296,18 +271,9 @@ func SelectOuterJoin(outer, inner Source, f Point, kSel, kJoin int, opts ...Quer
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	return runQuery(&cfg, func() ([]Pair, error) {
-		ops, gathered := resolve(cfg.ctx, outer, inner)
-		pairs := core.SelectOuterJoin(ops[0], ops[1], f, kSel, kJoin, cfg.concurrency, cfg.stats)
-		if gathered {
-			core.SortPairs(pairs)
-		}
-		if cfg.explain != nil {
-			node := plan.SelectOuterJoinPlan(outer.Name(), inner.Name(), outer.Len(), inner.Len(), kSel, kJoin)
-			*cfg.explain = explainPlan(gathered, "", node, nil, outer, inner)
-		}
-		return pairs, nil
-	})
+	return run(&cfg, plan.SelectOuterJoin(f, kSel, kJoin), func(p plan.Plan, ops [3]core.Operand) []Pair {
+		return core.SelectOuterJoin(ops[0], ops[1], p.Focal, p.K[0], p.K[1], cfg.concurrency, cfg.stats)
+	}, outer, inner)
 }
 
 // UnchainedJoins evaluates the Section 4.1 query
@@ -329,26 +295,9 @@ func UnchainedJoins(a, b, c Source, kAB, kCB int, opts ...QueryOption) ([]Triple
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	return runQuery(&cfg, func() ([]Triple, error) {
-		ops, gathered := resolve(cfg.ctx, a, b, c)
-		covA := core.EstimateClusterCoverage(ops[0])
-		covC := core.EstimateClusterCoverage(ops[2])
-		order, prune, reason := plan.ChooseJoinOrder(cfg.order, covA, covC)
-		var notes []string
-		if prune && ops[1].Indexes() == nil {
-			prune = false
-			notes = append(notes, "pruning: off — Candidate/Safe marks need B's blocks in this process, so the second join runs unpruned (§4.1)")
-		}
-		triples := core.Unchained(ops[0], ops[1], ops[2], kAB, kCB, prune, order, cfg.concurrency, cfg.stats)
-		if gathered {
-			core.SortTriples(triples)
-		}
-		if cfg.explain != nil {
-			node := plan.UnchainedPlan(order, prune, a.Name(), b.Name(), c.Name(), a.Len(), b.Len(), c.Len(), kAB, kCB)
-			*cfg.explain = explainPlan(gathered, fmt.Sprintf("order: %s (%s)", order, reason), node, notes, a, b, c)
-		}
-		return triples, nil
-	})
+	return run(&cfg, plan.Unchained(cfg.order, kAB, kCB), func(p plan.Plan, ops [3]core.Operand) []Triple {
+		return core.Unchained(ops[0], ops[1], ops[2], p.K[0], p.K[1], p.Prune, p.Order, cfg.concurrency, cfg.stats)
+	}, a, b, c)
 }
 
 // ChainedJoins evaluates the Section 4.2 query over chained joins a→b→c,
@@ -364,19 +313,9 @@ func ChainedJoins(a, b, c Source, kAB, kBC int, opts ...QueryOption) ([]Triple, 
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	qep, reason := plan.ChooseChainedQEP(cfg.chained)
-	return runQuery(&cfg, func() ([]Triple, error) {
-		ops, gathered := resolve(cfg.ctx, a, b, c)
-		triples := core.Chained(ops[0], ops[1], ops[2], kAB, kBC, qep, cfg.concurrency, cfg.stats)
-		if gathered {
-			core.SortTriples(triples)
-		}
-		if cfg.explain != nil {
-			node := plan.ChainedPlan(qep, a.Name(), b.Name(), c.Name(), a.Len(), b.Len(), c.Len(), kAB, kBC)
-			*cfg.explain = explainPlan(gathered, fmt.Sprintf("plan: %s (%s)", qep, reason), node, nil, a, b, c)
-		}
-		return triples, nil
-	})
+	return run(&cfg, plan.Chained(cfg.chained, kAB, kBC), func(p plan.Plan, ops [3]core.Operand) []Triple {
+		return core.Chained(ops[0], ops[1], ops[2], p.K[0], p.K[1], p.QEP, cfg.concurrency, cfg.stats)
+	}, a, b, c)
 }
 
 // TwoSelects evaluates the Section 5 query
@@ -393,20 +332,12 @@ func TwoSelects(rel Source, f1 Point, k1 int, f2 Point, k2 int, opts ...QueryOpt
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	return runQuery(&cfg, func() ([]Point, error) {
-		ops, gathered := resolve(cfg.ctx, rel)
-		var pts []Point
-		if cfg.algorithm == AlgorithmConceptual {
-			pts = core.TwoSelectsConceptual(ops[0], f1, k1, f2, k2, cfg.stats)
-		} else {
-			pts = core.TwoSelects(ops[0], f1, k1, f2, k2, cfg.stats)
+	return run(&cfg, plan.TwoSelects(cfg.algorithm, f1, k1, f2, k2), func(p plan.Plan, ops [3]core.Operand) []Point {
+		if p.Algorithm == AlgorithmConceptual {
+			return core.TwoSelectsConceptual(ops[0], p.Focal, p.K[0], p.Focal2, p.K[1], cfg.stats)
 		}
-		if cfg.explain != nil {
-			node := plan.TwoSelectsPlan(cfg.algorithm != AlgorithmConceptual, rel.Name(), rel.Len(), k1, k2)
-			*cfg.explain = explainPlan(gathered, "", node, nil, rel)
-		}
-		return pts, nil
-	})
+		return core.TwoSelects(ops[0], p.Focal, p.K[0], p.Focal2, p.K[1], cfg.stats)
+	}, rel)
 }
 
 // RangeInnerJoin evaluates the footnote-1 extension of Section 3: pairs
@@ -418,11 +349,13 @@ func RangeInnerJoin(outer, inner Source, rng Rect, kJoin int, opts ...QueryOptio
 	if err := validate([]Source{outer, inner}, kArg{"kJoin", kJoin}); err != nil {
 		return nil, err
 	}
-	return innerJoin(outer, inner, kJoin, opts,
-		func(core.Operand, *Stats) core.InnerSelection { return core.RangeSelection(rng) },
-		func(alg Algorithm) *plan.Node {
-			return plan.RangeInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, rng.String())
-		})
+	cfg := applyOptions(opts)
+	p := plan.RangeInnerJoin(cfg.algorithm, rng, kJoin)
+	p.CountingThreshold, p.Exhaustive = cfg.countingThreshold, cfg.exhaustive
+	return run(&cfg, p, func(p plan.Plan, ops [3]core.Operand) []Pair {
+		return core.SelectInnerJoin(ops[0], ops[1], core.RangeSelection(p.Rect), p.K[0],
+			p.Algorithm, core.BlockMarkingOptions{Exhaustive: p.Exhaustive}, cfg.concurrency, cfg.stats)
+	}, outer, inner)
 }
 
 // SortPairs orders pairs canonically (Left then Right) in place, so results

@@ -15,6 +15,7 @@ import (
 	"repro/internal/index/overlay"
 	"repro/internal/index/quadtree"
 	"repro/internal/index/rtree"
+	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/stats"
 )
@@ -468,14 +469,9 @@ func KNNJoin(outer, inner Source, k int, opts ...QueryOption) ([]Pair, error) {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
-	return runQuery(&cfg, func() ([]Pair, error) {
-		ops, gathered := resolve(cfg.ctx, outer, inner)
-		pairs := core.Join(ops[0], ops[1], k, cfg.concurrency, cfg.stats)
-		if gathered {
-			core.SortPairs(pairs)
-		}
-		return pairs, nil
-	})
+	return run(&cfg, plan.KNNJoin(k), func(p plan.Plan, ops [3]core.Operand) []Pair {
+		return core.Join(ops[0], ops[1], p.K[0], cfg.concurrency, cfg.stats)
+	}, outer, inner)
 }
 
 // kArg names one k parameter of a query for validate.
