@@ -297,9 +297,11 @@
 // The kNN primitive underneath every query — one neighborhood computation
 // per tuple — is allocation-free in steady state. Each searcher owns its
 // MINDIST/MAXDIST block iterators (reset per query instead of rebuilt), a
-// bounded selection heap, and a single reusable result buffer; block-level
-// pruning skips blocks whose MINDIST exceeds the running k-th-neighbor
-// distance.
+// k-selection buffer, and a single reusable result buffer. The buffer fills
+// unsorted, is heapified once when it reaches k, and is sorted once when the
+// result is extracted; block-level pruning skips blocks whose MINDIST
+// exceeds the running k-th-neighbor distance. Intersecting two
+// neighborhoods binary-searches the second one's sorted order.
 //
 // The reuse imposes an ownership contract on the internal layers: a
 // locality.Neighborhood returned by a Searcher is valid only until the next

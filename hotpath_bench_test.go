@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	twoknn "repro"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -26,7 +27,11 @@ import (
 // the paper's default k=10 regime.
 const hotK = 10
 
-func benchNeighborhood(b *testing.B, kind testutil.IndexKind) {
+// largeK is the larger neighborhood of the 2-kNN-select benchmarks (Fig. 26's
+// k2 regime), where extracting the k-selection dominates a neighborhood.
+const largeK = 640
+
+func benchNeighborhood(b *testing.B, kind testutil.IndexKind, k int) {
 	pts := bench.UniformPoints("hot/nbr", 50000)
 	queries := bench.UniformPoints("hot/nbrq", 1024)
 	ix, err := testutil.NewIndex(kind, pts)
@@ -37,14 +42,41 @@ func benchNeighborhood(b *testing.B, kind testutil.IndexKind) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Neighborhood(queries[i%len(queries)], hotK, nil)
+		s.Neighborhood(queries[i%len(queries)], k, nil)
 	}
 }
 
-func BenchmarkNeighborhoodGrid(b *testing.B)     { benchNeighborhood(b, testutil.Grid) }
-func BenchmarkNeighborhoodQuadtree(b *testing.B) { benchNeighborhood(b, testutil.Quadtree) }
-func BenchmarkNeighborhoodKDTree(b *testing.B)   { benchNeighborhood(b, testutil.KDTree) }
-func BenchmarkNeighborhoodRTree(b *testing.B)    { benchNeighborhood(b, testutil.RTree) }
+func BenchmarkNeighborhoodGrid(b *testing.B)     { benchNeighborhood(b, testutil.Grid, hotK) }
+func BenchmarkNeighborhoodQuadtree(b *testing.B) { benchNeighborhood(b, testutil.Quadtree, hotK) }
+func BenchmarkNeighborhoodKDTree(b *testing.B)   { benchNeighborhood(b, testutil.KDTree, hotK) }
+func BenchmarkNeighborhoodRTree(b *testing.B)    { benchNeighborhood(b, testutil.RTree, hotK) }
+func BenchmarkNeighborhoodGridK640(b *testing.B) { benchNeighborhood(b, testutil.Grid, largeK) }
+
+// BenchmarkTwoSelects measures the public 2-kNN-select, σ_{10,f} ∩
+// σ_{640,f+(30,−30)}, over BerlinMOD trips: clustered along a road network,
+// with co-located duplicates (50 000 points on about 10 000 positions, up to
+// 154 copies of one). Focals are data points, as in Fig. 26. The second
+// predicate's clipped neighborhood holds a few hundred candidates, so its
+// extraction and the intersection are a large share of the query.
+func BenchmarkTwoSelects(b *testing.B) {
+	pts := bench.BerlinMODPoints("hot/trips", 50000)
+	rel, err := twoknn.NewRelation("trips", pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	focals := make([]twoknn.Point, 1024)
+	for i := range focals {
+		focals[i] = pts[(i*7919)%len(pts)]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := focals[i%len(focals)]
+		if _, err := twoknn.TwoSelects(rel, f, hotK, twoknn.Point{X: f.X + 30, Y: f.Y - 30}, largeK); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkKNNJoin measures the full outer ⋈kNN inner join on uniform data:
 // one neighborhood computation per outer point.

@@ -58,8 +58,8 @@ func kClosestTo(pts []geom.Point, q geom.Point, k int) []geom.Point {
 	}
 	out := make([]geom.Point, len(pts))
 	copy(out, pts)
-	// Small inputs: simple selection sort by the canonical order is clear
-	// and allocation-free.
+	// Small inputs: a partial selection sort by the canonical order, in
+	// place on the one copy of pts.
 	for i := 0; i < len(out) && i < k; i++ {
 		best := i
 		for j := i + 1; j < len(out); j++ {

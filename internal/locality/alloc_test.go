@@ -7,6 +7,7 @@ package locality_test
 // the query path may touch the garbage collector.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/geom"
@@ -22,45 +23,56 @@ func searcherForKind(t *testing.T, kind testutil.IndexKind) (*locality.Searcher,
 	return locality.NewSearcher(testutil.BuildIndex(t, kind, pts)), queries
 }
 
+// selectionKs are the neighborhood sizes the steady-state tests run: the
+// paper's small-k regime, and a k large enough that the extraction sort
+// handles hundreds of candidates.
+var selectionKs = []int{16, 640}
+
 func TestNeighborhoodZeroAllocsSteadyState(t *testing.T) {
-	const k = 16
 	for _, kind := range testutil.AllIndexKinds {
 		t.Run(string(kind), func(t *testing.T) {
 			s, queries := searcherForKind(t, kind)
-			// Warm up: let every scratch buffer reach steady-state capacity.
-			for _, q := range queries {
-				s.Neighborhood(q, k, nil)
-			}
-			i := 0
-			avg := testing.AllocsPerRun(200, func() {
-				s.Neighborhood(queries[i%len(queries)], k, nil)
-				i++
-			})
-			if avg != 0 {
-				t.Errorf("%s: Neighborhood allocates %v per call in steady state, want 0", kind, avg)
+			for _, k := range selectionKs {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					// Warm up: let every scratch buffer reach steady-state capacity.
+					for _, q := range queries {
+						s.Neighborhood(q, k, nil)
+					}
+					i := 0
+					avg := testing.AllocsPerRun(200, func() {
+						s.Neighborhood(queries[i%len(queries)], k, nil)
+						i++
+					})
+					if avg != 0 {
+						t.Errorf("%s k=%d: Neighborhood allocates %v per call in steady state, want 0", kind, k, avg)
+					}
+				})
 			}
 		})
 	}
 }
 
 func TestNeighborhoodWithinZeroAllocsSteadyState(t *testing.T) {
-	const k = 16
 	for _, kind := range testutil.AllIndexKinds {
 		t.Run(string(kind), func(t *testing.T) {
 			s, queries := searcherForKind(t, kind)
-			for _, q := range queries {
-				s.NeighborhoodWithin(q, k, 150, nil)
-				s.NeighborhoodClipped(q, k, 150, nil)
-			}
-			i := 0
-			avg := testing.AllocsPerRun(200, func() {
-				q := queries[i%len(queries)]
-				s.NeighborhoodWithin(q, k, 150, nil)
-				s.NeighborhoodClipped(q, k, 150, nil)
-				i++
-			})
-			if avg != 0 {
-				t.Errorf("%s: clipped neighborhoods allocate %v per call in steady state, want 0", kind, avg)
+			for _, k := range selectionKs {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					for _, q := range queries {
+						s.NeighborhoodWithin(q, k, 150, nil)
+						s.NeighborhoodClipped(q, k, 150, nil)
+					}
+					i := 0
+					avg := testing.AllocsPerRun(200, func() {
+						q := queries[i%len(queries)]
+						s.NeighborhoodWithin(q, k, 150, nil)
+						s.NeighborhoodClipped(q, k, 150, nil)
+						i++
+					})
+					if avg != 0 {
+						t.Errorf("%s k=%d: clipped neighborhoods allocate %v per call in steady state, want 0", kind, k, avg)
+					}
+				})
 			}
 		})
 	}

@@ -157,29 +157,64 @@ func (n *Neighborhood) Clone() *Neighborhood {
 // in different orders) disagreed on duplicates; the native fuzz harness
 // found the divergence on three co-located points. min-multiplicity is
 // symmetric, and all plans agree again.
+//
+// Both operands must be in Neighborhood order — ascending (distance², X, Y)
+// about their own Center — as every producer leaves them: the Searcher, the
+// batch driver's ExtractInto, the shard merge, a shard group answer's view
+// and NaiveKNN. Copies of one point are then adjacent in n, so Intersect
+// walks n's runs of equal points, and finds each one's multiplicity in m by
+// two binary searches over m's order, recomputing distances with
+// geom.Point.DistSq — bit-identical to the kernels that ordered m. The cost
+// is O(|n|·log|m|); the result is allocated once, at the first match.
 func (n *Neighborhood) Intersect(m *Neighborhood) []geom.Point {
 	var out []geom.Point
-	for i, p := range n.Points {
-		inM := 0
-		for _, q := range m.Points {
-			if q == p {
-				inM++
+	for i := 0; i < len(n.Points); {
+		p := n.Points[i]
+		a := 1
+		for i+a < len(n.Points) && n.Points[i+a] == p {
+			a++
+		}
+		if b := m.multiplicity(p); b > 0 {
+			if out == nil {
+				out = make([]geom.Point, 0, min(len(n.Points)-i, len(m.Points)))
+			}
+			for range min(a, b) {
+				out = append(out, p)
 			}
 		}
-		if inM == 0 {
-			continue
-		}
-		soFar := 0
-		for _, q := range n.Points[:i+1] {
-			if q == p {
-				soFar++
-			}
-		}
-		if soFar <= inM {
-			out = append(out, p)
-		}
+		i += a
 	}
 	return out
+}
+
+// multiplicity returns the number of copies of p among n's points: the first
+// entry not ordering before p under lessPD, then the end of the run of p
+// that starts there. A point that compares unequal to itself (NaN
+// coordinates) is never found.
+func (n *Neighborhood) multiplicity(p geom.Point) int {
+	pts, e := n.Points, pdEntry{p: p, dSq: p.DistSq(n.Center)}
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lessPD(pdEntry{p: pts[mid], dSq: pts[mid].DistSq(n.Center)}, e) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(pts) || pts[lo] != p {
+		return 0
+	}
+	end, hi := lo+1, len(pts)
+	for end < hi {
+		mid := int(uint(end+hi) >> 1)
+		if pts[mid] == p {
+			end = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return end - lo
 }
 
 // NaiveKNN computes the k nearest neighbors of p among pts by sorting all
@@ -541,10 +576,18 @@ func lessPD(a, b pdEntry) bool {
 	return a.p.Less(b.p)
 }
 
-// maxKHeap is a bounded max-heap on the neighbor order (worst candidate at
-// the root) used for k-selection. It is filled through offer, which ignores
-// candidates that cannot displace the current k-th neighbor, and exposes
-// the running k-th distance through boundSq for block-level pruning.
+// maxKHeap is the k-selection buffer: it fills unsorted until it holds k
+// candidates, is then heapified once, bottom-up, into a bounded max-heap on
+// the neighbor order (worst candidate at the root), and is sorted once on
+// extraction. Candidates are fed through offer, which ignores those that
+// cannot displace the current k-th neighbor; once full, boundSq exposes the
+// running k-th distance for block-level pruning.
+//
+// The answer does not depend on the heap's internal layout: lessPD is a
+// total order on distinct (dSq, X, Y) values and equal entries are identical
+// points, so the held multiset — and hence its sorted order — is the same
+// whatever order candidates were appended, heapified or displaced in. The
+// only layout read, the root, is read only once the heap is full.
 type maxKHeap struct {
 	k     int
 	items []pdEntry
@@ -563,22 +606,32 @@ func (h *maxKHeap) full() bool { return len(h.items) >= h.k }
 // candidate. Call only when full.
 func (h *maxKHeap) boundSq() float64 { return h.items[0].dSq }
 
-// offer considers one candidate: pushed while the heap is below k,
-// displacing the worst held candidate otherwise when it orders before it.
+// offer considers one candidate. Below k it is appended unsorted, and the
+// append that brings the heap to k heapifies it; from then on a candidate
+// displaces the worst held one when it orders before it.
 func (h *maxKHeap) offer(q geom.Point, dSq float64) {
+	e := pdEntry{p: q, dSq: dSq}
 	if len(h.items) < h.k {
-		h.push(pdEntry{p: q, dSq: dSq})
+		h.items = append(h.items, e)
+		if len(h.items) == h.k {
+			for i := len(h.items)/2 - 1; i >= 0; i-- {
+				h.siftDown(i)
+			}
+		}
 		return
 	}
-	if e := (pdEntry{p: q, dSq: dSq}); lessPD(e, h.items[0]) {
+	if lessPD(e, h.items[0]) {
 		h.items[0] = e
 		h.siftDown(0)
 	}
 }
 
-// extractInto empties the heap into res in ascending neighbor order,
-// reusing res's backing arrays when they are large enough.
+// extractInto empties the heap into res in ascending neighbor order with one
+// sort of the held candidates — heap-ordered if the heap filled, in arrival
+// order if it never did — reusing res's backing arrays when they are large
+// enough.
 func (h *maxKHeap) extractInto(res *Neighborhood, center geom.Point) *Neighborhood {
+	sortPD(h.items)
 	n := len(h.items)
 	res.Center = center
 	if cap(res.Points) < n {
@@ -588,27 +641,60 @@ func (h *maxKHeap) extractInto(res *Neighborhood, center geom.Point) *Neighborho
 		res.Points = res.Points[:n]
 		res.Dists = res.Dists[:n]
 	}
-	for i := n - 1; i >= 0; i-- {
-		e := h.items[0]
-		h.items[0] = h.items[len(h.items)-1]
-		h.items = h.items[:len(h.items)-1]
-		h.siftDown(0)
+	for i, e := range h.items {
 		res.Points[i] = e.p
 		res.Dists[i] = math.Sqrt(e.dSq)
 	}
+	h.items = h.items[:0]
 	return res
 }
 
-func (h *maxKHeap) push(e pdEntry) {
-	h.items = append(h.items, e)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !lessPD(h.items[parent], h.items[i]) {
-			break
+// sortPD sorts s ascending in lessPD order without allocating. It is a
+// three-way quicksort: co-located duplicates are common in trajectory data
+// (a BerlinMOD relation repeats one position up to hundreds of times), and
+// the equal band collapses each run into one partition step. Spans of up to
+// 12 entries finish by insertion sort.
+func sortPD(s []pdEntry) {
+	for len(s) > 12 {
+		a, b, c := s[0], s[len(s)/2], s[len(s)-1]
+		if lessPD(b, a) {
+			a, b = b, a
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
-		i = parent
+		if lessPD(c, b) {
+			b = c
+			if lessPD(b, a) {
+				b = a
+			}
+		}
+		pivot := b // median of three
+		lt, i, gt := 0, 0, len(s)
+		for i < gt {
+			switch {
+			case lessPD(s[i], pivot):
+				s[lt], s[i] = s[i], s[lt]
+				lt++
+				i++
+			case lessPD(pivot, s[i]):
+				gt--
+				s[i], s[gt] = s[gt], s[i]
+			default:
+				i++
+			}
+		}
+		// Recurse into the smaller side, loop on the larger: stack depth
+		// stays O(log n).
+		if lt < len(s)-gt {
+			sortPD(s[:lt])
+			s = s[gt:]
+		} else {
+			sortPD(s[gt:])
+			s = s[:lt]
+		}
+	}
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && lessPD(s[j], s[j-1]); j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package locality_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/kernel"
 	"repro/internal/locality"
 	"repro/internal/stats"
 	"repro/internal/testutil"
@@ -130,9 +132,9 @@ func TestNeighborhoodHelpers(t *testing.T) {
 	if n.Points[0] != (geom.Point{X: 1, Y: 0}) {
 		t.Errorf("Clone shares backing storage with the original")
 	}
-	m := &locality.Neighborhood{
+	m := &locality.Neighborhood{ // in Neighborhood order, as Intersect requires
 		Center: geom.Point{X: 9, Y: 9},
-		Points: []geom.Point{{X: 0, Y: 2}, {X: 7, Y: 7}},
+		Points: []geom.Point{{X: 7, Y: 7}, {X: 0, Y: 2}},
 	}
 	inter := n.Intersect(m)
 	if len(inter) != 1 || inter[0] != (geom.Point{X: 0, Y: 2}) {
@@ -145,6 +147,169 @@ func TestNeighborhoodHelpers(t *testing.T) {
 	}
 	if got := n.FarthestDistTo(q); math.Abs(got-math.Hypot(1, 3)) > 1e-12 {
 		t.Errorf("FarthestDistTo = %v, want %v", got, math.Hypot(1, 3))
+	}
+}
+
+// duplicateHeavyPoints returns n points on integer coordinates (so distinct
+// points tie exactly in distance) around a few clusters, each position
+// repeated 1 to maxCopies times, in shuffled order.
+func duplicateHeavyPoints(n, maxCopies int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Point, 0, n)
+	for _, p := range testutil.ClusteredPoints(n, 4, 40, geom.NewRect(0, 0, 1000, 1000), seed) {
+		p = geom.Point{X: math.Round(p.X), Y: math.Round(p.Y)}
+		for c := 1 + rng.Intn(maxCopies); c > 0 && len(pts) < n; c-- {
+			pts = append(pts, p)
+		}
+	}
+	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	return pts
+}
+
+// linearIntersect is the O(|n|·|m|) multiset intersection Intersect
+// replaced, kept as its reference: n's first min(a, b) copies of a point
+// held a times in n and b times in m, in n's order.
+func linearIntersect(n, m *locality.Neighborhood) []geom.Point {
+	var out []geom.Point
+	for i, p := range n.Points {
+		inM := 0
+		for _, q := range m.Points {
+			if q == p {
+				inM++
+			}
+		}
+		if inM == 0 {
+			continue
+		}
+		soFar := 0
+		for _, q := range n.Points[:i+1] {
+			if q == p {
+				soFar++
+			}
+		}
+		if soFar <= inM {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestIntersectMatchesLinearCount holds Intersect's binary-search
+// multiplicities to the linear count on neighborhoods in Neighborhood order
+// about different centers, over points repeated up to 50 times — including
+// empty operands and k beyond the data set.
+func TestIntersectMatchesLinearCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	unequalRuns := 0
+	for trial := 0; trial < 30; trial++ {
+		pts := duplicateHeavyPoints(100+rng.Intn(500), 50, int64(trial))
+		c1 := pts[rng.Intn(len(pts))]
+		centers := []geom.Point{
+			c1,
+			{X: c1.X + 30, Y: c1.Y - 30},
+			pts[rng.Intn(len(pts))],
+			{X: math.Round(rng.Float64() * 1000), Y: math.Round(rng.Float64() * 1000)},
+		}
+		for _, k := range [][2]int{{0, 10}, {10, 0}, {1, 1}, {10, 640}, {60, 60}, {200, 20}, {len(pts), len(pts) + 3}} {
+			for _, c2 := range centers[1:] {
+				n := locality.NaiveKNN(pts, c1, k[0])
+				m := locality.NaiveKNN(pts, c2, k[1])
+				got, want := n.Intersect(m), linearIntersect(n, m)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d k=%v centers %v %v:\n got %v\nwant %v", trial, k, c1, c2, got, want)
+				}
+				if rev := m.Intersect(n); len(rev) != len(got) {
+					t.Fatalf("trial %d k=%v: |m∩n| = %d, |n∩m| = %d", trial, k, len(rev), len(got))
+				}
+				for i, p := range got {
+					if i > 0 && got[i-1] == p {
+						continue
+					}
+					if a, b := countOf(n.Points, p), countOf(m.Points, p); a > 1 && b > 1 && a != b {
+						unequalRuns++
+					}
+				}
+			}
+		}
+	}
+	if unequalRuns == 0 {
+		t.Fatalf("no intersected point was repeated a different number of times in each operand; the data exercises nothing")
+	}
+}
+
+func countOf(pts []geom.Point, p geom.Point) int {
+	c := 0
+	for _, q := range pts {
+		if q == p {
+			c++
+		}
+	}
+	return c
+}
+
+// TestSelectionAtHeapBoundary pins k-selection where the heap reaches k in
+// the middle of a span (k around the block capacity) and where it never
+// fills (k ≥ n), on both span-scan paths — the fused scalar loop (capacity
+// 16, below every kernel's batch grain) and the batched kernels (capacity
+// 128) — under every available kernel, over co-located duplicates and exact
+// distance ties. Neighborhood must equal NaiveKNN, and NeighborhoodWithinSq
+// the k closest points of the blocks within the threshold.
+func TestSelectionAtHeapBoundary(t *testing.T) {
+	pts := duplicateHeavyPoints(1500, 50, 61)
+	rng := rand.New(rand.NewSource(62))
+	var focals []geom.Point
+	for i := 0; i < 3; i++ {
+		focals = append(focals, pts[rng.Intn(len(pts))],
+			geom.Point{X: math.Round(rng.Float64() * 1000), Y: math.Round(rng.Float64() * 1000)})
+	}
+	for _, kname := range kernel.Available() {
+		t.Run(kname, func(t *testing.T) {
+			restore, err := kernel.Use(kname)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+			for _, capacity := range []int{16, 128} {
+				for _, kind := range testutil.AllIndexKinds {
+					ix, err := testutil.NewIndexCapacity(kind, pts, capacity)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s := locality.NewSearcher(ix)
+					for _, k := range []int{1, 10, capacity - 1, capacity, capacity + 1, 640, len(pts), len(pts) + 3} {
+						for _, f := range focals {
+							label := func(what string) string {
+								return fmt.Sprintf("%s cap=%d %s k=%d f=%v: %s", kind, capacity, kname, k, f, what)
+							}
+							want := locality.NaiveKNN(pts, f, k)
+							sameNeighborhood(t, label("Neighborhood"), s.Neighborhood(f, k, nil), want)
+							mid := want.Points[len(want.Points)/2]
+							for _, thrSq := range []float64{mid.DistSq(f), rng.Float64() * 150 * 150} {
+								var admitted []geom.Point
+								for _, b := range ix.Blocks() {
+									if b.Bounds.MinDistSq(f) <= thrSq {
+										admitted = b.AppendPoints(admitted)
+									}
+								}
+								sameNeighborhood(t, label(fmt.Sprintf("NeighborhoodWithinSq(%v)", thrSq)),
+									s.NeighborhoodWithinSq(f, k, thrSq, nil), locality.NaiveKNN(admitted, f, k))
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func sameNeighborhood(t *testing.T, label string, got, want *locality.Neighborhood) {
+	t.Helper()
+	same := got.Center == want.Center && got.Len() == want.Len() && len(got.Dists) == len(want.Dists)
+	for i := 0; same && i < want.Len(); i++ {
+		same = got.Points[i] == want.Points[i] && got.Dists[i] == want.Dists[i]
+	}
+	if !same {
+		t.Fatalf("%s:\n got %v %v\nwant %v %v", label, got.Points, got.Dists, want.Points, want.Dists)
 	}
 }
 

@@ -26,10 +26,10 @@ func TestPublicQueryAllocs(t *testing.T) {
 		run  func() error
 	}{
 		{"KNNSelect", 3, func() error { _, err := twoknn.KNNSelect(b, f1, 10); return err }},
-		{"TwoSelects", 9, func() error { _, err := twoknn.TwoSelects(b, f1, 10, f2, 640); return err }},
+		{"TwoSelects", 5, func() error { _, err := twoknn.TwoSelects(b, f1, 10, f2, 640); return err }},
 		{"SelectOuterJoin", 13, func() error { _, err := twoknn.SelectOuterJoin(a, b, f1, 10, 10); return err }},
 		{"KNNJoin", 12, func() error { _, err := twoknn.KNNJoin(c, b, 5); return err }},
-		{"SelectInnerJoin", 31, func() error { _, err := twoknn.SelectInnerJoin(a, b, f1, 10, 10); return err }},
+		{"SelectInnerJoin", 28, func() error { _, err := twoknn.SelectInnerJoin(a, b, f1, 10, 10); return err }},
 	} {
 		if err := q.run(); err != nil {
 			t.Fatalf("%s: %v", q.name, err)
