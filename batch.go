@@ -3,21 +3,18 @@ package twoknn
 import (
 	"fmt"
 
-	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/locality"
 	"repro/internal/plan"
-	"repro/internal/shard"
 )
 
 // KNNSelectBatch evaluates σ_{k,f}(rel) for every focal point in one batch,
 // returning one result slice per focal in input order — byte-identical to
 // calling KNNSelect once per focal, including the ascending (distance, X, Y)
-// result order. The batch driver sorts the focals in Z-order, cuts them into
-// spatially tight groups and walks the index once per block for each group,
-// so dense batches amortize traversal and feed the batched distance kernels
-// long spans; sparse batches degrade gracefully to sequential cost. Sharded
-// sources run the batch per shard and gather through the exact probe merge.
+// result order, and costing the same operation counts (WithStats). The batch
+// is the focal group of a kNN-join: the sequential searcher runs focal by
+// focal on one borrowed handle, so the whole batch reads one snapshot of the
+// relation. A sharded source probes each focal under the shard skip; a
+// remote one sends the whole batch as one focal group per wave.
 //
 // The returned slices share one backing array. It errors on a nil source
 // (ErrNilRelation) and non-positive k (ErrNonPositiveK); an empty focal
@@ -28,26 +25,19 @@ func KNNSelectBatch(rel Source, focals []Point, k int, opts ...QueryOption) ([][
 	}
 	cfg := applyOptions(opts)
 	return run(&cfg, plan.KNNSelectBatch(focals, k), func(p plan.Plan, ops [3]core.Operand) [][]Point {
-		single, ok := ops[0].(core.Pooled)
-		if !ok {
-			return shard.SelectBatch(cfg.ctx, ops[0].(shard.Group), p.Focals, p.K[0], cfg.stats)
-		}
-		h := acquireHandle(single.Ctx, single.Relation)
-		defer h.Release()
-		d := batch.Acquire()
-		defer batch.Release(d)
-		out, _, _ := flattenNbrs(d.KNNSelect(h, p.Focals, p.K[0], cfg.stats))
-		return out
+		return core.KNNSelectBatch(ops[0], p.Focals, p.K[0], cfg.stats)
 	}, rel)
 }
 
 // TwoSelectsBatch evaluates σ_{k1,f1s[i]} ∩ σ_{k2,f2s[i]} for every focal
 // pair in one batch, returning one result slice per pair in input order —
-// byte-identical to calling TwoSelects once per pair. Both phases run
-// through the batch driver: the smaller-k predicate as a batched kNN
-// select, the larger one as a batched threshold-clipped select (or both in
-// full under WithAlgorithm(AlgorithmConceptual)). The focal slices must
-// have equal length.
+// byte-identical to calling TwoSelects once per pair, at the same operation
+// counts. Each predicate runs as one focal group, as in KNNSelectBatch, on
+// one handle held across both, so the batch reads one snapshot: the
+// smaller-k predicate as a kNN select, the larger one clipped per pair by
+// the first answer's search threshold (or both in full under
+// WithAlgorithm(AlgorithmConceptual)). The focal slices must have equal
+// length.
 func TwoSelectsBatch(rel Source, f1s []Point, k1 int, f2s []Point, k2 int, opts ...QueryOption) ([][]Point, error) {
 	if err := validate([]Source{rel}, kArg{"k1", k1}, kArg{"k2", k2}); err != nil {
 		return nil, err
@@ -57,71 +47,8 @@ func TwoSelectsBatch(rel Source, f1s []Point, k1 int, f2s []Point, k2 int, opts 
 	}
 	cfg := applyOptions(opts)
 	return run(&cfg, plan.TwoSelectsBatch(cfg.algorithm, f1s, k1, f2s, k2), func(p plan.Plan, ops [3]core.Operand) [][]Point {
-		f1s, k1, f2s, k2 := p.Focals, p.K[0], p.Focals2, p.K[1]
-		conceptual := p.Algorithm == AlgorithmConceptual
-		single, ok := ops[0].(core.Pooled)
-		if !ok {
-			return shard.TwoSelectsBatch(cfg.ctx, ops[0].(shard.Group), f1s, k1, f2s, k2, conceptual, cfg.stats)
-		}
-		h := acquireHandle(single.Ctx, single.Relation)
-		defer h.Release()
-		d := batch.Acquire()
-		defer batch.Release(d)
-
-		if !conceptual && k1 > k2 {
-			f1s, f2s = f2s, f1s
-			k1, k2 = k2, k1
-		}
-		// Copy phase 1 out of the driver's kNN arena: the conceptual mode's
-		// second kNN batch would overwrite it.
-		_, pts1, off1 := flattenNbrs(d.KNNSelect(h, f1s, k1, cfg.stats))
-
-		var res2 []locality.Neighborhood
-		if conceptual {
-			res2 = d.KNNSelect(h, f2s, k2, cfg.stats)
-		} else {
-			thresholds := make([]float64, len(f1s))
-			for i := range f1s {
-				if off1[i] == off1[i+1] {
-					thresholds[i] = -1 // empty first answer: skip the query
-					continue
-				}
-				nb := locality.Neighborhood{Points: pts1[off1[i]:off1[i+1]]}
-				thresholds[i] = nb.FarthestDistSqTo(f2s[i])
-			}
-			res2 = d.SelectWithinSq(h, f2s, k2, thresholds, cfg.stats)
-		}
-
-		out := make([][]Point, len(f1s))
-		for i := range f1s {
-			if !conceptual && off1[i] == off1[i+1] {
-				continue
-			}
-			nb1 := locality.Neighborhood{Points: pts1[off1[i]:off1[i+1]]}
-			out[i] = nb1.Intersect(&res2[i])
-		}
-		return out
+		return core.TwoSelectsBatch(ops[0], p.Focals, p.K[0], p.Focals2, p.K[1], p.Algorithm == AlgorithmConceptual, cfg.stats)
 	}, rel)
-}
-
-// flattenNbrs copies driver results into one flat backing array, returning
-// per-query slice headers, the flat array and its offsets.
-func flattenNbrs(res []locality.Neighborhood) ([][]Point, []Point, []int) {
-	total := 0
-	for i := range res {
-		total += len(res[i].Points)
-	}
-	pts := make([]Point, 0, total)
-	off := make([]int, len(res)+1)
-	for i := range res {
-		pts = append(pts, res[i].Points...)
-		off[i+1] = len(pts)
-	}
-	out := make([][]Point, len(res))
-	for i := range out {
-		out[i] = pts[off[i]:off[i+1]:off[i+1]]
-	}
-	return out, pts, off
 }
 
 // KNNSelectBatch is the method form of the package-level KNNSelectBatch.

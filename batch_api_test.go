@@ -18,7 +18,7 @@ import (
 // kernel — the full matrix the acceptance criteria name.
 
 // batchTestFocals mixes clustered, uniform, duplicate and out-of-bounds
-// focal points — the regimes that stress the driver's Z-order grouping.
+// focal points.
 func batchTestFocals(n int, seed int64) []twoknn.Point {
 	rng := rand.New(rand.NewSource(seed))
 	focals := make([]twoknn.Point, n)
@@ -51,12 +51,13 @@ func TestKNNSelectBatchDifferentialMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, k := range []int{1, 13} {
-					got, err := twoknn.KNNSelectBatch(src, focals, k)
+					var batchSt, seqSt twoknn.Stats
+					got, err := twoknn.KNNSelectBatch(src, focals, k, twoknn.WithStats(&batchSt))
 					if err != nil {
 						t.Fatalf("kernel %s k=%d: %v", kname, k, err)
 					}
 					for i, f := range focals {
-						want, err := twoknn.KNNSelect(src, f, k)
+						want, err := twoknn.KNNSelect(src, f, k, twoknn.WithStats(&seqSt))
 						if err != nil {
 							t.Fatalf("sequential: %v", err)
 						}
@@ -64,6 +65,11 @@ func TestKNNSelectBatchDifferentialMatrix(t *testing.T) {
 							t.Fatalf("kernel %s k=%d focal %d %v:\n batch %v\n  seq  %v",
 								kname, k, i, f, got[i], want)
 						}
+					}
+					// A batch costs what its selects cost: every field,
+					// blocks and shard probes included.
+					if b, s := batchSt.Snapshot(), seqSt.Snapshot(); b != s {
+						t.Fatalf("kernel %s k=%d: batch counters %+v, per-focal selects %+v", kname, k, b, s)
 					}
 				}
 				restore()
@@ -84,18 +90,22 @@ func TestTwoSelectsBatchDifferentialMatrix(t *testing.T) {
 			for _, alg := range []twoknn.Algorithm{twoknn.AlgorithmCounting, twoknn.AlgorithmConceptual} {
 				// k1 > k2 exercises the swap; Counting selects the default
 				// optimized two-select plan here.
-				got, err := twoknn.TwoSelectsBatch(src, f1s, 17, f2s, 5, twoknn.WithAlgorithm(alg))
+				var batchSt, seqSt twoknn.Stats
+				got, err := twoknn.TwoSelectsBatch(src, f1s, 17, f2s, 5, twoknn.WithAlgorithm(alg), twoknn.WithStats(&batchSt))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := range f1s {
-					want, err := twoknn.TwoSelects(src, f1s[i], 17, f2s[i], 5, twoknn.WithAlgorithm(alg))
+					want, err := twoknn.TwoSelects(src, f1s[i], 17, f2s[i], 5, twoknn.WithAlgorithm(alg), twoknn.WithStats(&seqSt))
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got[i], want) {
 						t.Fatalf("alg %v pair %d:\n batch %v\n  seq  %v", alg, i, got[i], want)
 					}
+				}
+				if b, s := batchSt.Snapshot(), seqSt.Snapshot(); b != s {
+					t.Fatalf("alg %v: batch counters %+v, per-pair selects %+v", alg, b, s)
 				}
 			}
 		})
@@ -132,9 +142,10 @@ func TestBatchArgValidation(t *testing.T) {
 	if st.Neighborhoods == 0 || st.PointsCompared == 0 {
 		t.Fatalf("stats did not move: %+v", st)
 	}
-	// EXPLAIN names what ran: the batched driver straight on a relation, or
-	// once per shard with a gather on a group — never one for the other.
-	if !strings.Contains(explain, "batched driver on one relation") || strings.Contains(explain, "shard") {
+	// EXPLAIN names what ran: the searcher focal by focal on one probe, on a
+	// relation and on an in-process group alike.
+	const focalByFocal = "sequential searcher focal by focal on one probe"
+	if !strings.Contains(explain, focalByFocal) || strings.Contains(explain, "shard") {
 		t.Fatalf("single-relation batch explain:\n%s", explain)
 	}
 	sh, err := twoknn.NewShardedRelation("args-sh", clusteredTestPoints(100, 7), 2)
@@ -144,7 +155,7 @@ func TestBatchArgValidation(t *testing.T) {
 	if _, err := twoknn.TwoSelectsBatch(sh, focals, 3, focals, 5, twoknn.WithExplain(&explain)); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"per-shard batch + gather", "args-sh: 100 points, 2 hash shard(s)"} {
+	for _, want := range []string{focalByFocal, "args-sh: 100 points, 2 hash shard(s)"} {
 		if !strings.Contains(explain, want) {
 			t.Fatalf("sharded batch explain missing %q:\n%s", want, explain)
 		}
@@ -152,7 +163,7 @@ func TestBatchArgValidation(t *testing.T) {
 	if _, err := twoknn.TwoSelectsBatch(rel, focals, 3, focals, 5, twoknn.WithExplain(&explain)); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(explain, "batched driver on one relation") {
+	if !strings.Contains(explain, focalByFocal) {
 		t.Fatalf("single-relation two-selects batch explain:\n%s", explain)
 	}
 }

@@ -13,8 +13,8 @@ import (
 // of fuzzRelations (grid, kd-tree, hash- and spatially-sharded). Focals are
 // decoded on the same coarse grid as the data points, so the fuzzer hits
 // duplicate focals, focals co-located with data points, and exact distance
-// ties — the regimes where the driver's shared walk could diverge from the
-// per-query order if any of its skips were unsound.
+// ties — the regimes where a batch could diverge from the per-query order
+// if it reused one focal's state for another.
 func FuzzKNNSelectBatch(f *testing.F) {
 	f.Add([]byte("spatial queries with two knn predicates"), []byte("batched execution"), uint8(3))
 	f.Add([]byte{10, 10, 10, 10, 10, 10, 200, 200}, []byte{10, 10, 10, 10, 200, 200}, uint8(2))

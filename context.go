@@ -161,15 +161,3 @@ func cancelErr(cause error) error {
 	}
 	return fmt.Errorf("%w: %w", ErrQueryCanceled, cause)
 }
-
-// acquireHandle borrows a searcher handle bound to ctx, converting an
-// acquisition failure (expired context, bounded pool wait cut short) into
-// the same cancellation unwind the block checkpoints use, so runQuery maps
-// every abort path through one recover.
-func acquireHandle(ctx context.Context, r *core.Relation) *core.Relation {
-	h, err := r.AcquireCtx(ctx)
-	if err != nil {
-		panic(&fault.Cancel{Err: err})
-	}
-	return h
-}

@@ -179,21 +179,18 @@
 // # Batched execution and result caching
 //
 // KNNSelectBatch and TwoSelectsBatch evaluate many focal points against one
-// Source in a single call. The batch driver (internal/batch) sorts the
-// focals into Z-order, partitions them into spatially compact groups, and
-// walks the index once per group instead of once per query: a MAXDIST
-// counting pass establishes a per-focal search bound, then one shared
-// MINDIST block walk scans each block against every still-active focal of
-// the group through the batched distance kernels — the longer effective
-// spans are exactly the shape the SIMD layer wants. Per-focal results are
-// byte-identical to calling KNNSelect in a loop (a differential matrix and
-// the FuzzKNNSelectBatch target enforce this across index kinds and
-// sharded sources), the driver's scratch is pooled so steady-state batch
-// evaluation allocates nothing per query. BENCH_PR8.json holds the
-// amortization curve its abl-batch experiment recorded; the standing
-// benchmark tracks it as batch.ns_per_focal and batch.blocks_scanned_ratio.
+// Source in a single call. A batch of selects is the kNN-join of its focal
+// list against the relation (§2 of the paper), and it runs as that join's
+// focal group: the sequential searcher focal by focal on one borrowed
+// handle, so the whole batch reads one snapshot. A sharded source probes
+// each focal under the shard skip; a remote one sends the whole batch as
+// one focal group per wave, so a batch costs the round trips of one select
+// (two for TwoSelectsBatch). Per-focal results are byte-identical to
+// calling KNNSelect (or TwoSelects) in a loop, at the same operation counts
+// — a differential matrix and the FuzzKNNSelectBatch target enforce this
+// across index kinds and sharded sources.
 //
-// Above the driver sits an epoch-guarded result cache. Relation and
+// Above the batch sits an epoch-guarded result cache. Relation and
 // ShardedRelation carry a monotonic dataset epoch (Epoch reads it;
 // Invalidate bumps it by hand, and on a Relation every Insert, Remove and
 // Update batch bumps it automatically);

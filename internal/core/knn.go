@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"repro/internal/geom"
+	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -16,6 +17,36 @@ func KNNSelect(rel Operand, f geom.Point, k int, c *stats.Counters) []geom.Point
 	nbr := p.Neighborhood(f, k, c)
 	out := make([]geom.Point, len(nbr.Points))
 	copy(out, nbr.Points)
+	return out
+}
+
+// KNNSelectBatch evaluates σ_{k,f}(E) for every focal of a batch: one answer
+// per focal, in input order, each the one KNNSelect returns. A batch of
+// selects is the kNN-join of the focal list against rel (§2), so it runs as
+// that join's focal group: one probe — one snapshot — and one Neighborhoods
+// call, which a probe over remote shards sends as one gather. The answers
+// share one backing array.
+func KNNSelectBatch(rel Operand, focals []geom.Point, k int, c *stats.Counters) [][]geom.Point {
+	if k <= 0 || len(focals) == 0 {
+		return make([][]geom.Point, len(focals))
+	}
+	p, _ := rel.Borrow(0, c)
+	defer rel.Return(p)
+	return selectRows(p, focals, k, min(k, rel.Len()), c)
+}
+
+// selectRows computes the k nearest neighbors of every focal on p. Answer i
+// is copied into window i of one backing array, m = min(k, |E|) points wide:
+// the size of every kNN answer, which only shards lost in partial-results
+// mode make shorter.
+func selectRows(p Probe, focals []geom.Point, k, m int, c *stats.Counters) [][]geom.Point {
+	out := make([][]geom.Point, len(focals))
+	pts := make([]geom.Point, len(focals)*m)
+	p.Neighborhoods(focals, k, nil, c, func(i int, nbr *locality.Neighborhood) {
+		lo := i * m
+		hi := lo + copy(pts[lo:lo+m], nbr.Points)
+		out[i] = pts[lo:hi:hi]
+	})
 	return out
 }
 

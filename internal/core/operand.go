@@ -36,6 +36,15 @@ type Probe interface {
 	// locality.Searcher.NeighborhoodWithinSq).
 	NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *locality.Neighborhood
 
+	// Neighborhoods is the focal-group form of both: emit sees focal i with
+	// its neighborhood, in input order, valid until emit returns. A nil
+	// thresholdsSq asks for Neighborhood; otherwise focal i gets
+	// NeighborhoodWithinSq under thresholdsSq[i], and a negative threshold
+	// an empty neighborhood without a search. A handle loops over its
+	// searcher; a probe over remote shards sends the group as one gather.
+	Neighborhoods(focals []geom.Point, k int, thresholdsSq []float64, c *stats.Counters,
+		emit func(i int, nbr *locality.Neighborhood))
+
 	// JoinUnit is the kNN-join of one unit: emit sees every point of u with
 	// its exact k-neighborhood. A non-nil closerThan applies the Counting
 	// prune (Procedure 1) first: a point with at least k inner points
@@ -215,6 +224,22 @@ func (r *Relation) Neighborhood(p geom.Point, k int, c *stats.Counters) *localit
 // NeighborhoodWithinSq implements Probe.
 func (r *Relation) NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *locality.Neighborhood {
 	return r.S.NeighborhoodWithinSq(p, k, thresholdSq, c)
+}
+
+// Neighborhoods implements Probe: focal by focal on r's searcher.
+func (r *Relation) Neighborhoods(focals []geom.Point, k int, thresholdsSq []float64, c *stats.Counters,
+	emit func(i int, nbr *locality.Neighborhood)) {
+
+	for i, f := range focals {
+		switch {
+		case thresholdsSq == nil:
+			emit(i, r.S.Neighborhood(f, k, c))
+		case thresholdsSq[i] < 0:
+			emit(i, &locality.Neighborhood{Center: f})
+		default:
+			emit(i, r.S.NeighborhoodWithinSq(f, k, thresholdsSq[i], c))
+		}
+	}
 }
 
 // JoinUnit implements Probe: count, then neighborhood, point by point.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/geom"
+	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -107,6 +108,43 @@ func TwoSelects(rel Operand, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *st
 	// area, not on k2.
 	nbr2 := p.NeighborhoodWithinSq(f2, k2, thresholdSq, c)
 	return nbr1.Intersect(nbr2)
+}
+
+// TwoSelectsBatch evaluates σ_{k1,f1s[i]} ∩ σ_{k2,f2s[i]} for every focal
+// pair of a batch, each answer the one TwoSelects — or, when conceptual,
+// TwoSelectsConceptual — returns. Each predicate is one focal group on one
+// probe (see KNNSelectBatch), held across both so that the batch reads one
+// snapshot. As in TwoSelects, the smaller k runs first and each pair's
+// second locality is clipped by the farthest point of its first answer; an
+// empty first answer skips the pair's second search (negative threshold).
+func TwoSelectsBatch(rel Operand, f1s []geom.Point, k1 int, f2s []geom.Point, k2 int, conceptual bool, c *stats.Counters) [][]geom.Point {
+	if k1 <= 0 || k2 <= 0 || len(f1s) == 0 {
+		return make([][]geom.Point, len(f1s))
+	}
+	if !conceptual && k1 > k2 {
+		f1s, f2s = f2s, f1s
+		k1, k2 = k2, k1
+	}
+	p, _ := rel.Borrow(0, c)
+	defer rel.Return(p)
+	rows := selectRows(p, f1s, k1, min(k1, rel.Len()), c)
+	var thresholdsSq []float64
+	if !conceptual {
+		thresholdsSq = make([]float64, len(f1s))
+		for i, f2 := range f2s {
+			nbr1 := locality.Neighborhood{Points: rows[i]}
+			thresholdsSq[i] = nbr1.FarthestDistSqTo(f2)
+			if nbr1.Len() == 0 {
+				thresholdsSq[i] = -1
+			}
+		}
+	}
+	// Each pair's answer takes the place of its first neighborhood.
+	p.Neighborhoods(f2s, k2, thresholdsSq, c, func(i int, nbr2 *locality.Neighborhood) {
+		nbr1 := locality.Neighborhood{Points: rows[i]}
+		rows[i] = nbr1.Intersect(nbr2)
+	})
+	return rows
 }
 
 // TwoSelectsProcedure5 evaluates the same query with the paper's Procedure

@@ -6,12 +6,11 @@ import (
 	"repro/internal/kernel"
 )
 
-// SpanScratch holds the per-scanner buffers the batched kernel paths of a
+// spanScratch holds the per-scanner buffers the batched kernel paths of a
 // span scan need: one squared-distance lane per point and one qualifying-lane
 // index per point. A scratch is shared across queries but not across
-// goroutines; the batch driver keeps one per driver, the Searcher one per
-// searcher.
-type SpanScratch struct {
+// goroutines; each Searcher keeps one.
+type spanScratch struct {
 	dists  []float64 // batched-kernel scratch: per-lane squared distances
 	selIdx []int32   // batched-kernel scratch: qualifying lane indices
 }
@@ -25,11 +24,7 @@ type SpanScratch struct {
 // states — the kernels perform the scalar loop's exact float64 operations —
 // so query answers do not depend on the route taken. Returns the number of
 // points examined.
-//
-// This is the single span-scan implementation: the sequential Searcher and
-// the batch driver both run it, which is what makes their answers
-// byte-identical by construction.
-func (h *maxKHeap) scanSpan(b *index.Block, p geom.Point, sc *SpanScratch) int {
+func (h *maxKHeap) scanSpan(b *index.Block, p geom.Point, sc *spanScratch) int {
 	xs, ys := b.XYs()
 	if len(xs) < kernel.BatchGrain() {
 		for i, x := range xs {
@@ -75,42 +70,4 @@ func (h *maxKHeap) scanSpan(b *index.Block, p geom.Point, sc *SpanScratch) int {
 		h.offer(geom.Point{X: xs[i], Y: ys[i]}, dSq)
 	}
 	return len(xs)
-}
-
-// KHeap is the exported face of the k-selection heap, for drivers outside
-// this package (the batch executor) that need the exact candidate order and
-// span-scan behavior of the sequential Searcher. The zero value is usable
-// after Reset.
-type KHeap struct {
-	h maxKHeap
-}
-
-// Reset prepares the heap for a new query of size k.
-func (h *KHeap) Reset(k int) { h.h.reset(k) }
-
-// Len returns the number of candidates currently held.
-func (h *KHeap) Len() int { return len(h.h.items) }
-
-// Full reports whether the heap holds k candidates.
-func (h *KHeap) Full() bool { return h.h.full() }
-
-// BoundSq returns the squared distance of the current k-th (worst) held
-// candidate. Call only when Full.
-func (h *KHeap) BoundSq() float64 { return h.h.boundSq() }
-
-// Offer considers one candidate with its squared distance to the query
-// point, under the canonical (distance, X, Y) neighbor order.
-func (h *KHeap) Offer(q geom.Point, dSq float64) { h.h.offer(q, dSq) }
-
-// ScanSpan feeds every point of b into the heap exactly as the sequential
-// Searcher's span scan does, using sc for kernel scratch. Returns the number
-// of points examined.
-func (h *KHeap) ScanSpan(b *index.Block, p geom.Point, sc *SpanScratch) int {
-	return h.h.scanSpan(b, p, sc)
-}
-
-// ExtractInto empties the heap into res in ascending neighbor order,
-// reusing res's backing arrays when they are large enough.
-func (h *KHeap) ExtractInto(res *Neighborhood, center geom.Point) *Neighborhood {
-	return h.h.extractInto(res, center)
 }

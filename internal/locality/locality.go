@@ -160,12 +160,12 @@ func (n *Neighborhood) Clone() *Neighborhood {
 //
 // Both operands must be in Neighborhood order — ascending (distance², X, Y)
 // about their own Center — as every producer leaves them: the Searcher, the
-// batch driver's ExtractInto, the shard merge, a shard group answer's view
-// and NaiveKNN. Copies of one point are then adjacent in n, so Intersect
-// walks n's runs of equal points, and finds each one's multiplicity in m by
-// two binary searches over m's order, recomputing distances with
-// geom.Point.DistSq — bit-identical to the kernels that ordered m. The cost
-// is O(|n|·log|m|); the result is allocated once, at the first match.
+// shard merge, a shard group answer's view and NaiveKNN. Copies of one point
+// are then adjacent in n, so Intersect walks n's runs of equal points, and
+// finds each one's multiplicity in m by two binary searches over m's order,
+// recomputing distances with geom.Point.DistSq — bit-identical to the
+// kernels that ordered m. The cost is O(|n|·log|m|); the result is
+// allocated once, at the first match.
 func (n *Neighborhood) Intersect(m *Neighborhood) []geom.Point {
 	var out []geom.Point
 	for i := 0; i < len(n.Points); {
@@ -267,7 +267,7 @@ type Searcher struct {
 	result  Neighborhood
 	inLoc   []bool // per-block locality membership, cleared via touched
 	touched []int  // block IDs marked in inLoc during the current query
-	span    SpanScratch
+	span    spanScratch
 }
 
 // NewSearcher returns a Searcher over ix.
@@ -438,9 +438,8 @@ func (s *Searcher) neighborhoodWithinSq(p geom.Point, k int, thresholdSq float64
 	return s.heap.extractInto(&s.result, p)
 }
 
-// scanSpan feeds the points of b into the selection heap via the shared
-// span-scan implementation on maxKHeap (see kheap.go), which the batch
-// driver also runs — one code path, byte-identical answers by construction.
+// scanSpan feeds the points of b into the selection heap via the span scan
+// on maxKHeap (see kheap.go).
 func (s *Searcher) scanSpan(b *index.Block, p geom.Point) int {
 	return s.heap.scanSpan(b, p, &s.span)
 }

@@ -48,6 +48,7 @@ type reason struct {
 	covA, covC  float64 // §4.1.2: the unchained outer relations' cluster coverages
 	contourless bool    // Exhaustive was forced: no space-tiling outer index
 	remoteB     bool    // Prune was turned off: B's blocks are in other processes
+	remote      bool    // a batch's relation is in other processes: one focal group per wave
 }
 
 // ChooseSelectJoinAlgorithm resolves Auto for a select-inner-join over an

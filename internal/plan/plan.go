@@ -197,6 +197,8 @@ func (p *Plan) Optimize(ops [3]core.Operand, gathered bool) {
 		if !p.why.requested {
 			p.QEP = core.ChainedNestedJoinCached
 		}
+	case knnSelectBatch, twoSelectsBatch:
+		p.why.remote = gathered && ops[0].Indexes() == nil
 	}
 }
 
@@ -296,9 +298,9 @@ func (p *Plan) tree() (head string, root *node, note string) {
 			{"kNN-select", fmt.Sprintf(first, min(k0, k1)), []*node{a}},
 			{"kNN-select", fmt.Sprintf(second, max(k0, k1)), []*node{a}}}}
 	case knnSelectBatch:
-		head = p.batchHead("knn-select-batch", fmt.Sprintf("%d focals, Z-order grouped shared block walk", len(p.Focals)))
+		head = p.batchHead("knn-select-batch", fmt.Sprintf("%d focals", len(p.Focals)))
 	case twoSelectsBatch:
-		how := "smaller-k predicate first, batched clipped locality"
+		how := "smaller-k predicate first, locality clipped per pair"
 		if p.Algorithm == Conceptual {
 			how = "both predicates in full"
 		}
@@ -307,13 +309,13 @@ func (p *Plan) tree() (head string, root *node, note string) {
 	return head, root, note
 }
 
-// batchHead names what a batch runs on: the batched driver straight over a
-// relation's index, or once per shard of a group with the exact probe
-// merge gathering the per-shard answers.
+// batchHead names how a batch runs: a focal group on one probe, which asks
+// the sequential searcher focal by focal in process and sends the whole
+// group, one wave at a time, to remote shards.
 func (p *Plan) batchHead(op, detail string) string {
-	how := "batched driver on one relation"
-	if p.Gathered {
-		how = "per-shard batch + gather"
+	how := "sequential searcher focal by focal on one probe"
+	if p.why.remote {
+		how = "one focal group per wave on one probe"
 	}
 	return fmt.Sprintf("execution: %s, %s (%s)", op, how, detail)
 }

@@ -133,7 +133,9 @@ func TestPlanBuilders(t *testing.T) {
 		{"two-selects-conc", TwoSelects(Conceptual, geom.Point{}, 5, geom.Point{}, 50), []string{"full locality"}},
 		{"range-counting", RangeInnerJoin(Counting, rng, 2), []string{"range", "counting"}},
 		{"range-conceptual", RangeInnerJoin(Conceptual, rng, 2), []string{"rectangle"}},
-		{"knn-select-batch", KNNSelectBatch(make([]geom.Point, 4), 3), []string{"knn-select-batch, batched driver on one relation (4 focals"}},
+		{"knn-select-batch", KNNSelectBatch(make([]geom.Point, 4), 3), []string{"knn-select-batch, sequential searcher focal by focal on one probe (4 focals)"}},
+		{"knn-select-batch-remote", decided(KNNSelectBatch(make([]geom.Point, 4), 3), func(p *Plan) { p.why.remote = true }),
+			[]string{"knn-select-batch, one focal group per wave on one probe (4 focals)"}},
 		{"two-selects-batch-conc", TwoSelectsBatch(Conceptual, make([]geom.Point, 2), 1, nil, 2), []string{"2 focal pairs, both predicates in full"}},
 	}
 	for _, c := range cases {

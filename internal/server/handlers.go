@@ -119,8 +119,8 @@ func (s *Server) handleKNNSelectBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // evalKNNSelectBatch is the batch route's leader evaluation: probe the
-// dataset's epoch-keyed result cache per focal, run the engine's batched
-// driver once over all misses, store their IDs back, and render. EXPLAIN
+// dataset's epoch-keyed result cache per focal, run one KNNSelectBatch over
+// all misses, store their IDs back, and render. EXPLAIN
 // requests bypass the cache so the rendered plan reflects a real evaluation.
 func (s *Server) evalKNNSelectBatch(ctx context.Context, d *dataset, req *KNNSelectBatchRequest) (QueryResponse, error) {
 	var st twoknn.Stats

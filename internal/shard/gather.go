@@ -200,7 +200,7 @@ func (pr *probe) wave(count bool, focals []geom.Point, k int, thresholdsSq []flo
 // over the remote members, one span per focal, in two waves at most (see
 // the file comment). A non-nil thresholdsSq is the within-threshold mode of
 // neighborhoodWithinSq, per focal; a negative threshold short-circuits its
-// focal to an empty span, as in the batched local driver.
+// focal to an empty span, as core.Probe.Neighborhoods defines it.
 func (pr *probe) gather(focals []geom.Point, k int, thresholdsSq []float64, out *GroupAnswer) {
 	g := pr.remote
 	g.begin(len(focals))

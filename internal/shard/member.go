@@ -43,8 +43,8 @@ type Prober interface {
 	Release()
 
 	// Local returns the borrowed *core.Relation handle of an in-process
-	// member — its searcher answers the probe's per-point walk and the
-	// batched drivers — and nil for a remote one, which is a GroupProber.
+	// member — its searcher answers the probe's per-point walk — and nil
+	// for a remote one, which is a GroupProber.
 	Local() *core.Relation
 }
 

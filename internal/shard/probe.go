@@ -127,6 +127,33 @@ func (pr *probe) NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, 
 	return pr.neighborhoodWithinSq(p, k, thresholdSq)
 }
 
+// Neighborhoods implements core.Probe. In-process members are asked focal by
+// focal, each under the shard skip; remote ones get the focals as one focal
+// group, one gather of at most two waves.
+func (pr *probe) Neighborhoods(focals []geom.Point, k int, thresholdsSq []float64, _ *stats.Counters,
+	emit func(i int, nbr *locality.Neighborhood)) {
+
+	if pr.remote != nil {
+		res := pr.gatherReused(focals, k, thresholdsSq)
+		var nbr locality.Neighborhood
+		for i, f := range focals {
+			res.view(i, f, &nbr)
+			emit(i, &nbr)
+		}
+		return
+	}
+	for i, f := range focals {
+		switch {
+		case thresholdsSq == nil:
+			emit(i, pr.neighborhood(f, k))
+		case thresholdsSq[i] < 0:
+			emit(i, &locality.Neighborhood{Center: f})
+		default:
+			emit(i, pr.neighborhoodWithinSq(f, k, thresholdsSq[i]))
+		}
+	}
+}
+
 // Checkpoint implements core.Probe.
 func (pr *probe) Checkpoint() { pr.checkpoint() }
 
@@ -162,12 +189,7 @@ func (pr *probe) JoinUnit(u core.Unit, k int, closerThan func(geom.Point) float6
 		ctr.AddOuterSkipped(len(pts) - len(kept))
 		pts = kept
 	}
-	res := pr.gatherReused(pts, k, nil)
-	var nbr locality.Neighborhood
-	for i, e1 := range pts {
-		res.view(i, e1, &nbr)
-		emit(e1, &nbr)
-	}
+	pr.Neighborhoods(pts, k, nil, ctr, func(i int, nbr *locality.Neighborhood) { emit(pts[i], nbr) })
 }
 
 func newProbe(g Group) *probe {

@@ -4,12 +4,12 @@
 // is the probe — per-shard candidate generation on each shard's own index
 // and searcher pool, in-process or over the wire, followed by an exact merge
 // whose tie-breaking — ascending (distance, X, Y), the repository-wide
-// neighbor order — is identical to the single-relation code — plus the
-// batched drivers. Every per-tuple result is therefore exactly the
-// single-relation one, and a query over groups returns the un-sharded
-// evaluation's rows (in canonical order for join shapes, which the public
-// layer sorts), which the differential oracle tests at the module root
-// enforce across shard counts, partitioning policies and index families.
+// neighbor order — is identical to the single-relation code. Every
+// per-tuple result is therefore exactly the single-relation one, and a
+// query over groups returns the un-sharded evaluation's rows (in canonical
+// order for join shapes, which the public layer sorts), which the
+// differential oracle tests at the module root enforce across shard counts,
+// partitioning policies and index families.
 //
 // The partition preserves global stable point IDs: shard stores carry each
 // point's position in the original input (geom.PointStore.IDs), so a point

@@ -19,6 +19,11 @@ func TestPublicQueryAllocs(t *testing.T) {
 	b := uniformRelation(t, "B", 3000, 2)
 	c := uniformRelation(t, "C", 2000, 3)
 	f1, f2 := twoknn.Point{X: 500, Y: 500}, twoknn.Point{X: 520, Y: 470}
+	focals, focals2 := make([]twoknn.Point, 64), make([]twoknn.Point, 64)
+	for i := range focals {
+		focals[i] = twoknn.Point{X: f1.X + float64(i%8)*40, Y: f1.Y + float64(i/8)*40}
+		focals2[i] = twoknn.Point{X: focals[i].X + 20, Y: focals[i].Y - 30}
+	}
 
 	for _, q := range []struct {
 		name string
@@ -30,6 +35,8 @@ func TestPublicQueryAllocs(t *testing.T) {
 		{"SelectOuterJoin", 13, func() error { _, err := twoknn.SelectOuterJoin(a, b, f1, 10, 10); return err }},
 		{"KNNJoin", 12, func() error { _, err := twoknn.KNNJoin(c, b, 5); return err }},
 		{"SelectInnerJoin", 28, func() error { _, err := twoknn.SelectInnerJoin(a, b, f1, 10, 10); return err }},
+		{"KNNSelectBatch", 5, func() error { _, err := twoknn.KNNSelectBatch(b, focals, 10); return err }},
+		{"TwoSelectsBatch", 71, func() error { _, err := twoknn.TwoSelectsBatch(b, focals, 10, focals2, 640); return err }},
 	} {
 		if err := q.run(); err != nil {
 			t.Fatalf("%s: %v", q.name, err)

@@ -252,6 +252,19 @@ func TestRemoteRoundTripCounts(t *testing.T) {
 		samePoints(t, fmt.Sprintf("KNNSelectBatch[%d]", i), wantBatches[i], batches[i], false)
 	}
 
+	// Both predicates of every pair ride one wave each: 64 pairs one at a
+	// time would cost 64 times as many.
+	rt.reset(3)
+	f2s := interiorFocals(64, 76)
+	batches, err = twoknn.TwoSelectsBatch(rr, focals, 10, f2s, 64)
+	must(err)
+	rt.want(t, "TwoSelectsBatch", 6, 2, 3)
+	wantBatches, err = twoknn.TwoSelectsBatch(single, focals, 10, f2s, 64)
+	must(err)
+	for i := range focals {
+		samePoints(t, fmt.Sprintf("TwoSelectsBatch[%d]", i), wantBatches[i], batches[i], false)
+	}
+
 	// Inner join, algorithm auto: the selection's own select, then per
 	// non-empty outer block one wave of counts and at most two of
 	// neighborhoods.

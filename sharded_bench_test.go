@@ -2,6 +2,7 @@ package twoknn_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	twoknn "repro"
@@ -66,5 +67,41 @@ func BenchmarkShardedKNNSelect(b *testing.B) {
 		if len(pts) != 10 {
 			b.Fatalf("select returned %d points", len(pts))
 		}
+	}
+}
+
+// BenchmarkShardedKNNSelectBatch measures a batch of 64 Zipf-drawn focals
+// (Zipf(1.1) over a pool of 4096 jittered data points, the shape of the
+// standing benchmark's batch traffic) over 3 shards of each policy: the
+// batch probes focal by focal, so the spatial tiles keep the shard skip.
+func BenchmarkShardedKNNSelectBatch(b *testing.B) {
+	const n, k = 50000, 10
+	for _, policy := range []twoknn.ShardPolicy{twoknn.HashSharding, twoknn.SpatialSharding} {
+		b.Run(fmt.Sprintf("shards=3/%s", policy), func(b *testing.B) {
+			rel := buildShardedBench(b, "fig19-inner", n, 3, policy)
+			pts := bench.BerlinMODPoints("fig19-inner", n)
+			rng := rand.New(rand.NewSource(7))
+			pool := make([]twoknn.Point, 4096)
+			for i := range pool {
+				p := pts[rng.Intn(len(pts))]
+				pool[i] = twoknn.Point{X: p.X + (rng.Float64()*2-1)*50, Y: p.Y + (rng.Float64()*2-1)*50}
+			}
+			zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(pool)-1))
+			focals := make([]twoknn.Point, 64)
+			for i := range focals {
+				focals[i] = pool[zipf.Uint64()]
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := rel.KNNSelectBatch(focals, k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res) != len(focals) || len(res[0]) != k {
+					b.Fatalf("batch returned %d answers", len(res))
+				}
+			}
+		})
 	}
 }
