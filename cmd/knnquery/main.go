@@ -20,8 +20,7 @@
 // driver — every line of the file is one focal point, k comes from -kjoin,
 // and the relation is -outer (or generated). With -addr host:port the batch
 // is instead POSTed to a running knnserve's /v1/query/knn-select-batch route
-// (-dataset names the server-side dataset), exercising its result cache and
-// request coalescing:
+// (-dataset names the server-side dataset), exercising its result cache:
 //
 //	knnquery -batch focals.csv -kjoin 10
 //	knnquery -batch focals.csv -kjoin 10 -addr 127.0.0.1:8080 -dataset trips

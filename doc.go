@@ -156,11 +156,12 @@
 // The engine is servable over HTTP/JSON: cmd/knnserve holds one named
 // dataset (a Relation or ShardedRelation built from a dataset spec) per
 // -dataset flag and exposes all eight query entry points as POST routes
-// under /v1/query/, plus /metrics and /healthz. The wire layer
-// (internal/server) carries results as stable int32 point IDs plus
-// coordinates and adds nothing to the answer — an end-to-end differential
-// battery holds every served route byte-identical (after canonical sort)
-// to the direct in-process call.
+// under /v1/query/, the two mutation routes under /v1/data/, plus /metrics
+// and /healthz; every POST route is one entry of a route table and runs
+// one request lifecycle. The wire layer (internal/server) carries results
+// as stable int32 point IDs plus coordinates and adds nothing to the
+// answer — an end-to-end differential battery holds every served route
+// byte-identical (after canonical sort) to the direct in-process call.
 //
 // The error taxonomy above maps directly onto statuses: a bounded pool's
 // ErrSearchersExhausted (and the server's own per-dataset inflight gate)
@@ -199,9 +200,8 @@
 // allocates nothing. Because the epoch is part of the key, invalidation is
 // O(1) and stale entries can never be served. Cache probes are counted by
 // the CacheHits/CacheMisses stats counters; the serving layer exposes them
-// per dataset on /metrics, serves repeated focals from the cache on the
-// POST /v1/query/knn-select-batch route, and coalesces identical
-// concurrent requests into one evaluation (single-flight).
+// per dataset on /metrics and serves repeated focals from the cache on the
+// POST /v1/query/knn-select-batch route.
 //
 // # Sharding
 //

@@ -34,15 +34,11 @@ type Options struct {
 	RetryBackoff time.Duration
 
 	// HedgeAfter is the floor of the hedging delay: if an attempt has not
-	// answered after max(HedgeAfter, observed p-quantile latency), a second
-	// request is sent to the next healthy replica and the first answer
-	// wins. Default 50ms; NoHedging disables hedging.
+	// answered after max(HedgeAfter, hedgeQuantile of the endpoint's recent
+	// success latencies), a second request is sent to the next healthy
+	// replica and the first answer wins. Default 50ms; NoHedging disables
+	// hedging.
 	HedgeAfter time.Duration
-
-	// HedgeQuantile is the latency quantile (over the endpoint's recent
-	// successes) that can stretch the hedging delay past HedgeAfter, so a
-	// normally-slow endpoint is not hedged on every call. Default 0.9.
-	HedgeQuantile float64
 
 	// BreakerThreshold is the consecutive-transient-failure count that
 	// trips an endpoint's circuit breaker. Default 3; NoBreaker disables
@@ -77,9 +73,6 @@ func (o Options) withDefaults() Options {
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = 50 * time.Millisecond
 	}
-	if o.HedgeQuantile == 0 {
-		o.HedgeQuantile = 0.9
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 3
 	} else if o.BreakerThreshold < 0 {
@@ -107,9 +100,14 @@ type endpoint struct {
 	breakerSkips atomic.Int64 // times failover skipped this endpoint on an open breaker
 }
 
+// hedgeQuantile is the success-latency quantile that can stretch the hedging
+// delay past HedgeAfter, so a normally-slow endpoint is not hedged on every
+// call.
+const hedgeQuantile = 0.9
+
 // hedgeDelay is when to launch a hedge while waiting on this endpoint.
 func (e *endpoint) hedgeDelay(o Options) time.Duration {
-	if q := e.lat.quantile(o.HedgeQuantile); q > o.HedgeAfter {
+	if q := e.lat.quantile(hedgeQuantile); q > o.HedgeAfter {
 		return q
 	}
 	return o.HedgeAfter

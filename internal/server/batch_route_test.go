@@ -4,8 +4,8 @@ package server_test
 // is byte-identical per focal to the knn-select route's answers, repeated
 // requests are served from the epoch-keyed result cache (hits visible in the
 // response stats and /metrics), Invalidate() makes the cache miss again
-// without changing answers, identical concurrent requests coalesce, and the
-// error taxonomy matches the sequential route.
+// without changing answers, concurrent identical requests all get the same
+// rows, and the error taxonomy matches the sequential route.
 
 import (
 	"encoding/json"
@@ -140,8 +140,8 @@ func TestBatchRouteMetrics(t *testing.T) {
 }
 
 // TestBatchRouteConcurrent hammers one identical request from many
-// goroutines (exercising single-flight and the cache under -race); every
-// response must be 200 with identical rows.
+// goroutines (exercising the cache under -race); every response must be 200
+// with identical rows.
 func TestBatchRouteConcurrent(t *testing.T) {
 	reg := newRegistry(t, server.Config{})
 	req := &server.KNNSelectBatchRequest{Dataset: "outer-hash3", Focals: batchFocals, K: 5}

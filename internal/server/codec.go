@@ -76,8 +76,8 @@ func (c Common) Validate() error {
 	return err
 }
 
-// timeoutMS returns the request's own evaluation budget (0 = none given).
-func (c Common) timeoutMS() int64 { return c.TimeoutMS }
+// common returns the embedded Common of a query request.
+func (c *Common) common() *Common { return c }
 
 // Request is the interface every typed request struct implements; Validate
 // is the codec-level (structural) check run right after decoding.
@@ -97,7 +97,7 @@ type KNNSelectRequest struct {
 // one batch: POST /v1/query/knn-select-batch. Results come back per focal in
 // input order, each byte-identical to the knn-select route's answer for that
 // focal; repeated focals are served from the dataset's epoch-keyed result
-// cache, and identical concurrent requests coalesce into one evaluation.
+// cache.
 type KNNSelectBatchRequest struct {
 	Dataset string     `json:"dataset"`
 	Focals  []PointArg `json:"focals"`

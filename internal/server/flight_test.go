@@ -1,125 +1,14 @@
 package server
 
-// White-box tests of the serving-side state PR 8 adds: the single-flight
-// coalescer (deterministically, with a blockable compute), the per-dataset
-// admission-gate override, and the dataset spec grammar's max_inflight
-// segment. The end-to-end behavior rides through batch_route_test.go.
+// White-box tests of the per-dataset admission-gate override and the
+// dataset spec grammar's max_inflight segment.
 
 import (
-	"context"
-	"errors"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	twoknn "repro"
 	"repro/internal/dataload"
 )
-
-// TestSingleFlightCoalesces blocks a leader mid-compute, piles followers on
-// the same key, and asserts exactly one evaluation ran and every caller got
-// its result.
-func TestSingleFlightCoalesces(t *testing.T) {
-	s := New(Config{})
-	var computes atomic.Int32
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-
-	const followers = 8
-	var wg sync.WaitGroup
-	results := make([]QueryResponse, followers+1)
-	errs := make([]error, followers+1)
-	run := func(i int) {
-		defer wg.Done()
-		results[i], errs[i] = s.singleFlight(context.Background(), "key", func(context.Context) (QueryResponse, error) {
-			if computes.Add(1) == 1 {
-				close(started)
-			}
-			<-unblock
-			return QueryResponse{Count: 42}, nil
-		})
-	}
-
-	wg.Add(1)
-	go run(0)
-	<-started // the leader is inside compute; everyone else must coalesce
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go run(i)
-	}
-	// Followers park on the leader's done channel; a different key is
-	// unaffected and computes immediately.
-	other, err := s.singleFlight(context.Background(), "other", func(context.Context) (QueryResponse, error) {
-		return QueryResponse{Count: 7}, nil
-	})
-	if err != nil || other.Count != 7 {
-		t.Fatalf("unrelated key blocked by the flight: %v %v", other, err)
-	}
-	for { // release the leader only once every follower is parked
-		s.flightMu.Lock()
-		parked := s.flights["key"].waiters.Load()
-		s.flightMu.Unlock()
-		if parked == followers {
-			break
-		}
-		runtime.Gosched()
-	}
-	close(unblock)
-	wg.Wait()
-
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("%d computations for %d concurrent identical calls, want 1", n, followers+1)
-	}
-	for i := range results {
-		if errs[i] != nil || results[i].Count != 42 {
-			t.Fatalf("caller %d: %v %v", i, results[i], errs[i])
-		}
-	}
-
-	// The flight is gone: a later call recomputes rather than reusing.
-	_, err = s.singleFlight(context.Background(), "key", func(context.Context) (QueryResponse, error) {
-		computes.Add(1)
-		return QueryResponse{}, nil
-	})
-	if err != nil || computes.Load() != 2 {
-		t.Fatalf("sequential call did not recompute: computes=%d err=%v", computes.Load(), err)
-	}
-}
-
-// TestSingleFlightWaiterCancel: a follower whose context dies while the
-// leader computes gives up with the engine's cancellation error (504), and
-// the leader is unaffected.
-func TestSingleFlightWaiterCancel(t *testing.T) {
-	s := New(Config{})
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, err := s.singleFlight(context.Background(), "key", func(context.Context) (QueryResponse, error) {
-			close(started)
-			<-unblock
-			return QueryResponse{Count: 1}, nil
-		})
-		leaderDone <- err
-	}()
-	<-started
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := s.singleFlight(ctx, "key", func(context.Context) (QueryResponse, error) {
-		t.Error("follower must not compute")
-		return QueryResponse{}, nil
-	})
-	if !errors.Is(err, twoknn.ErrQueryCanceled) {
-		t.Fatalf("canceled waiter: %v, want ErrQueryCanceled", err)
-	}
-
-	close(unblock)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader: %v", err)
-	}
-}
 
 // TestRegisterInflightOverride checks the three DatasetOptions.MaxInflight
 // regimes against the server-wide default.

@@ -2,8 +2,6 @@ package server
 
 import (
 	"net/http"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,27 +21,20 @@ type routeMetrics struct {
 	internal    atomic.Int64 // 500, anything else
 }
 
+// metrics holds the server's route counters: one set per route table
+// entry, created with the server, so the map is never written after New and
+// /metrics lists every route from startup.
 type metrics struct {
-	start time.Time
-
-	mu     sync.Mutex
+	start  time.Time
 	routes map[string]*routeMetrics
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now(), routes: make(map[string]*routeMetrics)}
-}
-
-// route returns (lazily creating) the counters for a route name.
-func (m *metrics) route(name string) *routeMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rm, ok := m.routes[name]
-	if !ok {
-		rm = &routeMetrics{}
-		m.routes[name] = rm
+	m := &metrics{start: time.Now(), routes: make(map[string]*routeMetrics, len(routes))}
+	for _, rt := range routes {
+		m.routes[rt.name] = &routeMetrics{}
 	}
-	return rm
+	return m
 }
 
 // RouteMetrics is one route's counters on the /metrics wire.
@@ -136,14 +127,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 
 	s.mu.RLock()
-	names := make([]string, 0, len(s.datasets))
-	for n := range s.datasets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	ds := make([]*dataset, 0, len(names))
-	for _, n := range names {
-		ds = append(ds, s.datasets[n])
+	ds := make([]*dataset, 0, len(s.datasets))
+	for _, d := range s.datasets {
+		ds = append(ds, d)
 	}
 	s.mu.RUnlock()
 
@@ -168,26 +154,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			dm.OutstandingSearchers = r.OutstandingSearchers()
 			dm.Shards = r.NumShards()
 			dm.Policy = r.Policy().String()
-			perShard, _ := r.Snapshot()
-			dm.ShardStats = make([]ShardMetrics, len(perShard))
-			for i, sh := range perShard {
-				dm.ShardStats[i] = ShardMetrics{Shard: sh.Shard, Points: sh.Points, Ops: sh.Ops}
-			}
+			dm.ShardStats = shardMetrics(r.Snapshot())
 		case *twoknn.RemoteRelation:
 			// Searcher pools live in the shard processes; what the
 			// coordinator owns is the transport envelope, surfaced whole.
 			dm.Shards = r.NumShards()
-			perShard, _ := r.Snapshot()
-			dm.ShardStats = make([]ShardMetrics, len(perShard))
-			for i, sh := range perShard {
-				dm.ShardStats[i] = ShardMetrics{Shard: sh.Shard, Points: sh.Points, Ops: sh.Ops}
-			}
+			dm.ShardStats = shardMetrics(r.Snapshot())
 			dm.Remote = r.RemoteStats()
 		}
 		resp.Datasets[d.name] = dm
 	}
 
-	s.metrics.mu.Lock()
 	for name, rm := range s.metrics.routes {
 		resp.Routes[name] = RouteMetrics{
 			Requests:    rm.requests.Load(),
@@ -200,9 +177,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			Internal:    rm.internal.Load(),
 		}
 	}
-	s.metrics.mu.Unlock()
 
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// shardMetrics flattens a Snapshot's per-shard counters for the wire; the
+// total is dropped.
+func shardMetrics(perShard []twoknn.ShardStats, _ twoknn.Stats) []ShardMetrics {
+	out := make([]ShardMetrics, len(perShard))
+	for i, sh := range perShard {
+		out[i] = ShardMetrics{Shard: sh.Shard, Points: sh.Points, Ops: sh.Ops}
+	}
+	return out
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

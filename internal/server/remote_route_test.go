@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,6 +232,37 @@ func TestRemoteDatasetFailoverKeepsServing(t *testing.T) {
 	}
 	if failovers == 0 {
 		t.Error("no failovers recorded despite dead primaries")
+	}
+}
+
+// TestRegisterRemoteUnreachableShard: a remote dataset whose shard cannot
+// hand over its points fails the registration, naming the shard, instead
+// of serving rows with ID -1 — its epoch never moves, so a table built
+// without them would never be rebuilt.
+func TestRegisterRemoteUnreachableShard(t *testing.T) {
+	outer, _, _ := testPoints(t)
+	const shards = 2
+	endpoints := make([][]string, shards)
+	servers := make([]*httptest.Server, shards)
+	for s := 0; s < shards; s++ {
+		h, err := twoknn.NewShardHandler("mesh", outer, s, shards, twoknn.WithBlockCapacity(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[s] = httptest.NewServer(h)
+		t.Cleanup(servers[s].Close)
+		endpoints[s] = []string{servers[s].URL}
+	}
+	rr, err := twoknn.DialRemote(context.Background(), "mesh", endpoints, &twoknn.RemoteConfig{
+		ProbeTimeout: time.Second, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers[1].Close()
+
+	err = server.New(server.Config{}).Register("mesh", rr)
+	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("Register over an unreachable shard: %v, want an error naming shard 1", err)
 	}
 }
 

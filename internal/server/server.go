@@ -1,9 +1,10 @@
 // Package server is the HTTP/JSON query front-end of the twoknn engine: it
 // holds one query source (single, sharded or remote relation) per named
 // dataset and routes every public entry point — including the batched
-// kNN-select, whose route adds an epoch-keyed result cache and single-flight
-// request coalescing — through typed request/response structs that carry
-// stable int32 point IDs plus coordinates.
+// kNN-select, whose route adds an epoch-keyed per-focal result cache — from
+// one route table, through one request lifecycle, over typed
+// request/response structs that carry stable int32 point IDs plus
+// coordinates.
 //
 // The wire layer adds nothing to the answer — the differential battery in
 // server_test.go holds every route byte-identical (after canonical sort) to
@@ -28,10 +29,10 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -173,12 +174,9 @@ func (d *dataset) render() *renderTable {
 		t = newRenderTable(epoch, pts, ids)
 	case *twoknn.ShardedRelation:
 		t = newRenderTable(epoch, r.Points(), r.PointIDs())
-	case *twoknn.RemoteRelation:
-		// Fetched once through the transport envelope and cached by the
-		// relation; an unreachable shard leaves an empty table (rows then
-		// render with ID -1) rather than failing the registration.
-		t = newRenderTable(epoch, r.Points(), r.PointIDs())
-	default: // Register rejects other source types
+	default:
+		// Register rejects other source types, and builds a remote
+		// relation's one table from FetchPoints.
 		t = newRenderTable(epoch, nil, nil)
 	}
 	d.table.Store(t)
@@ -214,24 +212,6 @@ type Server struct {
 
 	mu       sync.RWMutex
 	datasets map[string]*dataset
-
-	// flights coalesces identical concurrent batch requests: the first
-	// request with a key becomes the leader and evaluates; followers wait on
-	// its done channel and share the response. Keys are the canonical
-	// re-encoding of the decoded request, so "identical" means
-	// field-for-field equal.
-	flightMu sync.Mutex
-	flights  map[string]*flightCall
-}
-
-// flightCall is one in-flight coalesced evaluation. waiters counts the
-// followers currently parked on done (an observability hook; the coalescing
-// tests synchronize on it).
-type flightCall struct {
-	done    chan struct{}
-	waiters atomic.Int32
-	resp    QueryResponse
-	err     error
 }
 
 // New builds a Server with no datasets.
@@ -240,7 +220,6 @@ func New(cfg Config) *Server {
 		cfg:      cfg.withDefaults(),
 		metrics:  newMetrics(),
 		datasets: make(map[string]*dataset),
-		flights:  make(map[string]*flightCall),
 	}
 }
 
@@ -311,6 +290,15 @@ func (s *Server) RegisterWithOptions(name string, src twoknn.Source, o DatasetOp
 		maxTimeout:     time.Duration(o.MaxTimeoutMS) * time.Millisecond,
 		retryAfter:     time.Duration(o.RetryAfterMS) * time.Millisecond,
 	}
+	if rr, ok := src.(*twoknn.RemoteRelation); ok {
+		// A remote epoch is fixed at dial time, so this table is the only
+		// one: a shard that cannot hand over its points fails here.
+		pts, ids, err := rr.FetchPoints()
+		if err != nil {
+			return fmt.Errorf("server: dataset %q: %w", name, err)
+		}
+		d.table.Store(newRenderTable(rr.Epoch(), pts, ids))
+	}
 	d.render() // build the initial table eagerly, off the serving path
 	inflight := s.cfg.MaxInflight
 	if o.MaxInflight != 0 {
@@ -349,28 +337,15 @@ func (s *Server) lookup(name string) *dataset {
 	return s.datasets[name]
 }
 
-// Handler returns the routing handler:
-//
-//	POST /v1/query/knn-select         POST /v1/query/two-selects
-//	POST /v1/query/knn-select-batch   POST /v1/query/unchained-joins
-//	POST /v1/query/knn-join           POST /v1/query/chained-joins
-//	POST /v1/query/select-inner-join  POST /v1/query/range-inner-join
-//	POST /v1/query/select-outer-join
-//	POST /v1/data/insert              POST /v1/data/remove
-//	GET  /metrics                     GET  /healthz
+// Handler returns the routing handler: every entry of the route table
+// (handlers.go) as a POST route — the nine query routes under /v1/query/
+// and the two data routes under /v1/data/ — plus GET /metrics and
+// GET /healthz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/query/knn-select", s.handleKNNSelect)
-	mux.HandleFunc("POST /v1/query/knn-select-batch", s.handleKNNSelectBatch)
-	mux.HandleFunc("POST /v1/query/knn-join", s.handleKNNJoin)
-	mux.HandleFunc("POST /v1/query/select-inner-join", s.handleSelectInnerJoin)
-	mux.HandleFunc("POST /v1/query/select-outer-join", s.handleSelectOuterJoin)
-	mux.HandleFunc("POST /v1/query/two-selects", s.handleTwoSelects)
-	mux.HandleFunc("POST /v1/query/unchained-joins", s.handleUnchainedJoins)
-	mux.HandleFunc("POST /v1/query/chained-joins", s.handleChainedJoins)
-	mux.HandleFunc("POST /v1/query/range-inner-join", s.handleRangeInnerJoin)
-	mux.HandleFunc("POST /v1/data/insert", s.handleInsert)
-	mux.HandleFunc("POST /v1/data/remove", s.handleRemove)
+	for _, rt := range routes {
+		mux.HandleFunc("POST "+rt.path, rt.handler(s, s.metrics.routes[rt.name]))
+	}
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
@@ -381,13 +356,11 @@ func (s *Server) Handler() http.Handler {
 // immediately). On success the returned release undoes all claims; on
 // failure nothing stays claimed and admit reports false.
 func admit(ds ...*dataset) (release func(), ok bool) {
-	seen := make(map[*dataset]bool, len(ds))
 	claimed := make([]*dataset, 0, len(ds))
-	for _, d := range ds {
-		if d == nil || seen[d] {
+	for i, d := range ds {
+		if d == nil || slices.Contains(ds[:i], d) {
 			continue
 		}
-		seen[d] = true
 		if !d.tryAcquire() {
 			for _, c := range claimed {
 				c.release()
@@ -413,46 +386,10 @@ func source(d *dataset) twoknn.Source {
 }
 
 // queryRequest is a Request that embeds Common — every query route's request
-// type, and none of the mutation routes', which run without a deadline.
+// type, and none of the mutation routes'.
 type queryRequest interface {
 	Request
-	timeoutMS() int64
-}
-
-// serve is the request lifecycle every query handler runs: strict decode,
-// admission, deadline budget, evaluation, and the error→status mapping.
-// plan resolves the decoded request's datasets and returns the evaluation
-// closure, which runs under the request context and fills the response
-// envelope.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, route string, req queryRequest,
-	plan func() ([]*dataset, func(ctx context.Context) (QueryResponse, error))) {
-	m := s.metrics.route(route)
-	m.requests.Add(1)
-
-	if err := DecodeRequest(r.Body, req); err != nil {
-		m.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error(), Code: "bad_request"})
-		return
-	}
-	datasets, run := plan()
-
-	release, ok := admit(datasets...)
-	if !ok {
-		s.shed(w, m, s.retryAfterFor(datasets...), fmt.Errorf("server: dataset admission gate full"))
-		return
-	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.budgetFor(datasets, req.timeoutMS()))
-	defer cancel()
-
-	resp, err := run(ctx)
-	if err != nil {
-		s.writeQueryError(w, m, s.retryAfterFor(datasets...), err)
-		return
-	}
-	m.ok.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	common() *Common
 }
 
 // budgetFor resolves a request's evaluation budget against its datasets'
@@ -497,40 +434,6 @@ func (s *Server) retryAfterFor(ds ...*dataset) time.Duration {
 		ra = s.cfg.RetryAfter
 	}
 	return ra
-}
-
-// singleFlight coalesces concurrent evaluations sharing a key: the first
-// caller computes under its own context, every concurrent caller with the
-// same key waits for that result and shares it (response, error and all).
-// The key is deleted before done closes, so a request arriving after the
-// leader finished starts a fresh flight — coalescing only ever spans truly
-// concurrent work and never serves stale answers (result reuse across time
-// is the epoch-keyed cache's job). A waiter whose own context expires first
-// gives up with the engine's cancellation error, mapping to 504.
-func (s *Server) singleFlight(ctx context.Context, key string, compute func(context.Context) (QueryResponse, error)) (QueryResponse, error) {
-	s.flightMu.Lock()
-	if c, ok := s.flights[key]; ok {
-		c.waiters.Add(1)
-		s.flightMu.Unlock()
-		defer c.waiters.Add(-1)
-		select {
-		case <-c.done:
-			return c.resp, c.err
-		case <-ctx.Done():
-			return QueryResponse{}, fmt.Errorf("%w: %v while waiting on a coalesced request", twoknn.ErrQueryCanceled, ctx.Err())
-		}
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flights[key] = c
-	s.flightMu.Unlock()
-
-	c.resp, c.err = compute(ctx)
-
-	s.flightMu.Lock()
-	delete(s.flights, key)
-	s.flightMu.Unlock()
-	close(c.done)
-	return c.resp, c.err
 }
 
 // shed writes the 429 shed-load response with its Retry-After hint.

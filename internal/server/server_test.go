@@ -463,18 +463,50 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 }
 
-// TestMethodAndRouteErrors pins the HTTP-level rejections.
+// TestMethodAndRouteErrors pins the HTTP-level rejections on every POST
+// route, from one list: /metrics lists each route with zero counts before
+// its first request, GET answers 405 and a truncated body 400; an unknown
+// route is a 404.
 func TestMethodAndRouteErrors(t *testing.T) {
 	reg := newRegistry(t, server.Config{})
-	resp, err := http.Get(reg.ts.URL + "/v1/query/knn-select")
-	if err != nil {
-		t.Fatal(err)
+	routes := map[string]string{
+		"knn-select":        "/v1/query/knn-select",
+		"knn-select-batch":  "/v1/query/knn-select-batch",
+		"knn-join":          "/v1/query/knn-join",
+		"select-inner-join": "/v1/query/select-inner-join",
+		"select-outer-join": "/v1/query/select-outer-join",
+		"two-selects":       "/v1/query/two-selects",
+		"unchained-joins":   "/v1/query/unchained-joins",
+		"chained-joins":     "/v1/query/chained-joins",
+		"range-inner-join":  "/v1/query/range-inner-join",
+		"data-insert":       "/v1/data/insert",
+		"data-remove":       "/v1/data/remove",
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET on a query route: status %d, want 405", resp.StatusCode)
+	m := metricsOf(t, reg.ts.URL)
+	for name, path := range routes {
+		if rm, ok := m.Routes[name]; !ok || rm != (server.RouteMetrics{}) {
+			t.Errorf("/metrics before any request: route %s = %+v (listed %v), want zero counts", name, rm, ok)
+		}
+		resp, err := http.Get(reg.ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s: status %d, want 405", path, resp.StatusCode)
+		}
+		resp, err = http.Post(reg.ts.URL+path, "application/json", strings.NewReader("{"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with truncated JSON: status %d, want 400", path, resp.StatusCode)
+		}
 	}
-	resp, err = http.Post(reg.ts.URL+"/v1/query/teleport", "application/json", strings.NewReader("{}"))
+	resp, err := http.Post(reg.ts.URL+"/v1/query/teleport", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,14 +79,10 @@ type RemoteConfig struct {
 	RetryBackoff time.Duration
 
 	// HedgeAfter is the floor of the hedging delay: when an attempt has
-	// not answered after max(HedgeAfter, the endpoint's observed
-	// HedgeQuantile latency), a second request goes to the next healthy
-	// replica and the first answer wins. Default 50ms; NoHedging disables.
+	// not answered after max(HedgeAfter, the endpoint's observed p90
+	// success latency), a second request goes to the next healthy replica
+	// and the first answer wins. Default 50ms; NoHedging disables.
 	HedgeAfter time.Duration
-
-	// HedgeQuantile is the success-latency quantile that can stretch the
-	// hedging delay past HedgeAfter. Default 0.9.
-	HedgeQuantile float64
 
 	// BreakerThreshold is the consecutive-transient-failure count that
 	// trips an endpoint's circuit breaker open (failover then skips the
@@ -116,7 +112,6 @@ func (c *RemoteConfig) options() remote.Options {
 		MaxRetries:       c.MaxRetries,
 		RetryBackoff:     c.RetryBackoff,
 		HedgeAfter:       c.HedgeAfter,
-		HedgeQuantile:    c.HedgeQuantile,
 		BreakerThreshold: c.BreakerThreshold,
 		BreakerCooldown:  c.BreakerCooldown,
 	}
