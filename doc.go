@@ -300,6 +300,12 @@
 // exceeds the running k-th-neighbor distance. Intersecting two
 // neighborhoods binary-searches the second one's sorted order.
 //
+// Join rows are written once, at their final size: a sequential kNN-join
+// allocates its |outer|·min(k, |inner|) pairs up front, and the unchained
+// intersection and the chained QEPs count their triples before writing
+// them, one side's points counting-sorted into one flat array under dense
+// int32 ids of the distinct b values — no slice per b, no append regrowth.
+//
 // The reuse imposes an ownership contract on the internal layers: a
 // locality.Neighborhood returned by a Searcher is valid only until the next
 // query on that searcher, so callers that retain results must copy them out

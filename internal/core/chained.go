@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/locality"
 	"repro/internal/stats"
@@ -86,67 +88,24 @@ func ChainedJoins(a, b, cRel *Relation, kAB, kBC int, qep ChainedQEP, c *stats.C
 	return Chained(a, b, cRel, kAB, kBC, qep, 1, c)
 }
 
-// chainedRightDeep is QEP1: materialize the full join (B ⋈kNN C) as a map
-// from b to its C-neighborhood, then probe it — shared read-only across
-// workers — for every b produced by (A ⋈kNN B). No output is produced until
-// the inner join completes, and neighborhoods are computed even for b
+// chainedRightDeep is QEP1: materialize the full join (B ⋈kNN C), grouped
+// by b, then probe it for every pair of (A ⋈kNN B). No output is produced
+// until the inner join completes, and neighborhoods are computed even for b
 // values never selected by any a.
 func chainedRightDeep(a, b, cRel Operand, kAB, kBC, workers int, c *stats.Counters) []Triple {
-	bc := groupRightsByLeft(Join(b, cRel, kBC, workers, c), min(kBC, cRel.Len()))
-	units := a.Units()
-	return scatter(&TripleArenas, len(units), b, workers, 0, c,
-		func(p Probe, ctr *stats.Counters) func(int, []Triple) []Triple {
-			var out []Triple
-			emit := func(ap geom.Point, nbrA *locality.Neighborhood) {
-				for _, bp := range nbrA.Points {
-					for _, cp := range bc[bp] {
-						out = append(out, Triple{A: ap, B: bp, C: cp})
-					}
-				}
-			}
-			return func(i int, dst []Triple) []Triple {
-				out = dst
-				p.JoinUnit(units[i], kAB, nil, ctr, emit)
-				dst, out = out, nil
-				return dst
-			}
-		})
+	bcPairs := Join(b, cRel, kBC, workers, c)
+	bc := groupOn(indexB(bcPairs, onLeft), bcPairs, onLeft, min(kBC, cRel.Len()))
+	return joinOnB(nil, Join(a, b, kAB, workers, c), bc)
 }
 
 // chainedJoinIntersection is QEP2: both joins run independently (one after
-// the other, each fanned out) and their pair sets are intersected on B.
+// the other, each fanned out) and their pair sets are intersected on B. A
+// duplicate b of B adds a repeat of its neighborhood's min(k, |C|) pairs,
+// so capping each b's group there keeps one copy, as in QEP1 and QEP3.
 func chainedJoinIntersection(a, b, cRel Operand, kAB, kBC, workers int, c *stats.Counters) []Triple {
 	abPairs := Join(a, b, kAB, workers, c)
-	cByB := groupRightsByLeft(Join(b, cRel, kBC, workers, c), min(kBC, cRel.Len()))
-	var out []Triple
-	for _, pr := range abPairs {
-		for _, cp := range cByB[pr.Right] {
-			out = append(out, Triple{A: pr.Left, B: pr.Right, C: cp})
-		}
-	}
-	return out
-}
-
-// groupRightsByLeft groups the Right components of pairs by their Left
-// point, capping each list at maxLen. B may hold duplicate coordinates
-// (e.g. co-located observations), and each duplicate instance contributes
-// an identical neighborhood run to the pair set; every neighborhood has
-// exactly maxLen = min(k, |inner|) entries, so the cap keeps the first full
-// copy and drops repeats, regardless of run interleaving — one list per
-// distinct b value, as the probing QEPs expect, each allocated once at its
-// final size.
-func groupRightsByLeft(pairs []Pair, maxLen int) map[geom.Point][]geom.Point {
-	m := make(map[geom.Point][]geom.Point)
-	for _, pr := range pairs {
-		lst, ok := m[pr.Left]
-		if !ok {
-			lst = make([]geom.Point, 0, maxLen)
-		}
-		if len(lst) < maxLen {
-			m[pr.Left] = append(lst, pr.Right)
-		}
-	}
-	return m
+	bcPairs := Join(b, cRel, kBC, workers, c)
+	return joinOnB(nil, abPairs, groupOn(indexB(abPairs, onRight), bcPairs, onLeft, min(kBC, cRel.Len())))
 }
 
 // chainedNestedJoin is QEP3: the first join runs in full, then its pairs
@@ -156,7 +115,9 @@ func groupRightsByLeft(pairs []Pair, maxLen int) map[geom.Point][]geom.Point {
 // other, so a worker holds a probe on B or on C, never both. When caching,
 // each worker keeps its own neighborhood cache: a shared one would serialize
 // the crew behind a lock, so a parallel run trades duplicate misses across
-// workers (same answers, lower hit counts) for lock-free probing.
+// workers (same answers, lower hit counts) for lock-free probing. The cache
+// keeps a worker's neighborhoods in one flat slice under their b's id, and a
+// chunk's triples are counted before they are written.
 func chainedNestedJoin(a, b, cRel Operand, kAB, kBC int, useCache bool, workers int, c *stats.Counters) []Triple {
 	abPairs := Join(a, b, kAB, workers, c)
 	var chunks [][]Pair
@@ -170,14 +131,16 @@ func chainedNestedJoin(a, b, cRel Operand, kAB, kBC int, useCache bool, workers 
 				chunk []Pair
 				next  int          // uncached: the pair the next neighborhood belongs to
 				bs    []geom.Point // scratch: the b values the chunk probes, in pair order
-				cache map[geom.Point][]geom.Point
+				cache bGroups      // cached: every neighborhood computed, under its b
 			)
 			if useCache {
-				cache = make(map[geom.Point][]geom.Point)
+				cache = bGroups{ids: make(map[geom.Point]int32), off: []int32{0}}
 			}
 			emit := func(bp geom.Point, nbr *locality.Neighborhood) {
 				if useCache {
-					cache[bp] = append([]geom.Point(nil), nbr.Points...)
+					// JoinUnit emits in bs order, which is id order.
+					cache.pts = append(cache.pts, nbr.Points...)
+					cache.off = append(cache.off, int32(len(cache.pts)))
 					return
 				}
 				for _, cp := range nbr.Points {
@@ -188,26 +151,27 @@ func chainedNestedJoin(a, b, cRel Operand, kAB, kBC int, useCache bool, workers 
 			return func(i int, dst []Triple) []Triple {
 				chunk, next, out, bs = chunks[i], 0, dst, bs[:0]
 				// The chunk's b values — when caching, the distinct uncached
-				// ones in first-occurrence order — are one join unit of their
-				// own: over remote shards, one focal group.
+				// ones in first-occurrence order, each given the next id — are
+				// one join unit of their own: over remote shards, one focal
+				// group.
 				for _, pr := range chunk {
 					if useCache {
-						if _, ok := cache[pr.Right]; ok {
+						if hasB(cache.ids, pr.Right) {
 							ctr.AddCacheHit()
 							continue
 						}
 						ctr.AddCacheMiss()
-						cache[pr.Right] = nil
+						cache.ids[pr.Right] = int32(len(cache.ids))
 					}
 					bs = append(bs, pr.Right)
 				}
+				if useCache {
+					cache.pts = slices.Grow(cache.pts, len(bs)*min(kBC, cRel.Len()))
+					cache.off = slices.Grow(cache.off, len(bs))
+				}
 				p.JoinUnit(Unit{Points: bs}, kBC, nil, ctr, emit)
 				if useCache {
-					for _, pr := range chunk {
-						for _, cp := range cache[pr.Right] {
-							out = append(out, Triple{A: pr.Left, B: pr.Right, C: cp})
-						}
-					}
+					out = joinOnB(out, chunk, cache)
 				}
 				dst, out = out, nil
 				return dst

@@ -50,13 +50,6 @@ func selectRows(p Probe, focals []geom.Point, k, m int, c *stats.Counters) [][]g
 	return out
 }
 
-// maxJoinPrealloc caps the up-front capacity reserved for a join's result
-// slice. The exact result size of a kNN-join is outer.Len()·min(k, |inner|),
-// but reserving it eagerly means one huge allocation for large outer
-// relations before the first pair is produced; past the cap, append grows
-// the slice geometrically as results actually materialize.
-const maxJoinPrealloc = 1 << 16
-
 // Join evaluates outer ⋈kNN inner: all pairs (e1, e2) with e1 from the
 // outer relation and e2 among the k nearest neighbors of e1 in the inner
 // relation, in outer scan order. This is the paper's basic join building
@@ -64,13 +57,14 @@ const maxJoinPrealloc = 1 << 16
 // computation, fanned out over the outer relation's blocks across workers
 // (≤ 1: sequential; each worker holds a probe on the inner relation, and
 // the result does not depend on the count, order included). The result is
-// non-nil for valid k.
+// non-nil for valid k and holds |outer|·min(k, |inner|) pairs — fewer only
+// when shards are lost in partial-results mode — so a sequential run
+// allocates it once, at that size.
 func Join(outer, inner Operand, k, workers int, c *stats.Counters) []Pair {
 	if k <= 0 {
 		return nil
 	}
-	sizeHint := min(outer.Len()*min(k, inner.Len()), maxJoinPrealloc)
-	out := joinUnits(outer.Units(), inner, k, workers, sizeHint, c, nil, nil, nil)
+	out := joinUnits(outer.Units(), inner, k, workers, outer.Len()*min(k, inner.Len()), c, nil, nil, nil)
 	if out == nil {
 		out = []Pair{}
 	}

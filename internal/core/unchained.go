@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/stats"
@@ -61,7 +63,8 @@ func (o JoinOrder) String() string {
 // join; OrderAuto applies the Section 4.1.2 heuristic (start with the
 // relation of smaller cluster coverage). Marking Candidates takes B's blocks
 // in-process (Operand.Indexes); over a remote B the second join runs
-// unpruned.
+// unpruned. Either way the second join keeps only pairs whose b the first
+// join produced, and the first join's b ids serve the intersection.
 func Unchained(a, b, cRel Operand, kAB, kCB int, prune bool, order JoinOrder, workers int, c *stats.Counters) []Triple {
 	if !prune {
 		abPairs := Join(a, b, kAB, workers, c)
@@ -77,12 +80,12 @@ func Unchained(a, b, cRel Operand, kAB, kCB int, prune bool, order JoinOrder, wo
 	}
 	if order == OrderABFirst {
 		abPairs := Join(a, b, kAB, workers, c)
-		cbPairs := prunedSecondJoin(cRel, b, kCB, abPairs, workers, c)
-		return IntersectOnB(abPairs, cbPairs)
+		ids := indexB(abPairs, onRight)
+		return joinOnB(nil, abPairs, groupOn(ids, prunedSecondJoin(cRel, b, kCB, abPairs, ids, workers, c), onRight, 0))
 	}
 	cbPairs := Join(cRel, b, kCB, workers, c)
-	abPairs := prunedSecondJoin(a, b, kAB, cbPairs, workers, c)
-	return IntersectOnB(abPairs, cbPairs)
+	ids := indexB(cbPairs, onRight)
+	return joinOnB(nil, prunedSecondJoin(a, b, kAB, cbPairs, ids, workers, c), groupOn(ids, cbPairs, onRight, 0))
 }
 
 // UnchainedConceptual is the sequential conceptual plan of Figure 10.
@@ -96,20 +99,89 @@ func UnchainedBlockMarking(a, b, cRel *Relation, kAB, kCB int, order JoinOrder, 
 }
 
 // IntersectOnB matches (a, b) pairs with (c, b) pairs sharing the same b —
-// the gather step of every unchained-joins plan. Pair order within the
-// inputs does not affect the result multiset.
+// the gather step of every unchained-joins plan — as a bag: rows come in
+// abPairs order, then cbPairs order, counted first and written once.
 func IntersectOnB(abPairs, cbPairs []Pair) []Triple {
-	cByB := make(map[geom.Point][]geom.Point)
-	for _, pr := range cbPairs {
-		cByB[pr.Right] = append(cByB[pr.Right], pr.Left)
-	}
-	var out []Triple
-	for _, pr := range abPairs {
-		for _, cpt := range cByB[pr.Right] {
-			out = append(out, Triple{A: pr.Left, B: pr.Right, C: cpt})
+	return joinOnB(nil, abPairs, groupOn(indexB(abPairs, onRight), cbPairs, onRight, 0))
+}
+
+// onRight and onLeft return a pair's b — its Right or its Left — and the
+// pair's other component.
+func onRight(pr Pair) (b, x geom.Point) { return pr.Right, pr.Left }
+func onLeft(pr Pair) (b, x geom.Point)  { return pr.Left, pr.Right }
+
+// indexB gives the distinct b's of pairs dense ids, in first-occurrence order.
+func indexB(pairs []Pair, on func(Pair) (b, x geom.Point)) map[geom.Point]int32 {
+	ids := make(map[geom.Point]int32)
+	for _, pr := range pairs {
+		if b, _ := on(pr); !hasB(ids, b) {
+			ids[b] = int32(len(ids))
 		}
 	}
-	return out
+	return ids
+}
+
+func hasB(ids map[geom.Point]int32, b geom.Point) bool { _, ok := ids[b]; return ok }
+
+// bGroups holds points grouped under the ids of indexB in one flat array:
+// group id is pts[off[id]:off[id+1]].
+type bGroups struct {
+	ids map[geom.Point]int32
+	off []int32
+	pts []geom.Point
+}
+
+func (g *bGroups) of(b geom.Point) []geom.Point {
+	if id, ok := g.ids[b]; ok {
+		return g.pts[g.off[id]:g.off[id+1]]
+	}
+	return nil
+}
+
+// groupOn counting-sorts the x's of pairs under their b's id, in pair order
+// and at most maxLen per group (≤ 0: no cap); a pair whose b has no id drops.
+func groupOn(ids map[geom.Point]int32, pairs []Pair, on func(Pair) (b, x geom.Point), maxLen int) bGroups {
+	// off[id+2] counts group id; after the prefix sum off[id+1] is its start
+	// and then its cursor, which leaves off[id] and off[id+1] its bounds.
+	off := make([]int32, len(ids)+2)
+	at := make([]int32, len(pairs)) // each pair's group, -1 for none
+	for i, pr := range pairs {
+		b, _ := on(pr)
+		id, ok := ids[b]
+		if !ok || (maxLen > 0 && int(off[id+2]) == maxLen) {
+			id = -1
+		} else {
+			off[id+2]++
+		}
+		at[i] = id
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	pts := make([]geom.Point, off[len(off)-1])
+	for i, pr := range pairs {
+		if id := at[i]; id >= 0 {
+			_, pts[off[id+1]] = on(pr)
+			off[id+1]++
+		}
+	}
+	return bGroups{ids, off, pts}
+}
+
+// joinOnB appends (a, b, x) for each (a, b) pair and each x of b's group to
+// dst, in pair order, growing dst once by the rows it counts first.
+func joinOnB(dst []Triple, abPairs []Pair, g bGroups) []Triple {
+	n := 0
+	for _, pr := range abPairs {
+		n += len(g.of(pr.Right))
+	}
+	dst = slices.Grow(dst, n)
+	for _, pr := range abPairs {
+		for _, x := range g.of(pr.Right) {
+			dst = append(dst, Triple{A: pr.Left, B: pr.Right, C: x})
+		}
+	}
+	return dst
 }
 
 // SequentialUnchained evaluates the WRONG plans of Figures 8 and 9: one join
@@ -160,13 +232,15 @@ func projectB(pairs []Pair) []geom.Point {
 }
 
 // prunedSecondJoin evaluates (second ⋈kNN b) restricted to points in
-// Contributing blocks, given the pairs produced by the first join: the
-// Contributing gate runs once per block on the claiming worker's own probe,
-// and points of Contributing blocks join as usual.
-func prunedSecondJoin(second, b Operand, k int, firstPairs []Pair, workers int, c *stats.Counters) []Pair {
+// Contributing blocks, given the pairs produced by the first join and the
+// ids of their b's: the Contributing gate runs once per block on the
+// claiming worker's own probe, points of Contributing blocks join as usual,
+// and only pairs whose b has an id are kept.
+func prunedSecondJoin(second, b Operand, k int, firstPairs []Pair, ids map[geom.Point]int32, workers int, c *stats.Counters) []Pair {
+	keep := func(bp geom.Point) bool { return hasB(ids, bp) }
 	ixs := b.Indexes()
 	if ixs == nil {
-		return Join(second, b, k, workers, c)
+		return joinUnits(second.Units(), b, k, workers, 0, c, nil, nil, keep)
 	}
 	candidates := candidateRegions(ixs, firstPairs)
 	gate := func(p Probe, u Unit, ctr *stats.Counters) bool {
@@ -179,7 +253,7 @@ func prunedSecondJoin(second, b Operand, k int, firstPairs []Pair, workers int, 
 		}
 		return true
 	}
-	return joinUnits(second.Units(), b, k, workers, 0, c, gate, nil, nil)
+	return joinUnits(second.Units(), b, k, workers, 0, c, gate, nil, keep)
 }
 
 // candidateRegions returns the regions of B's blocks holding at least one

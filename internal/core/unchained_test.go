@@ -156,3 +156,35 @@ func TestUnchainedRandomSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestUnchainedPlansRowExact runs every Unchained plan — either join first,
+// pruning on and off, sequential and fanned out — against the sequential
+// conceptual plan, row for row and in order: pruned blocks and the pairs the
+// second join drops (their b is no b of the first join) can only remove
+// rows that no intersection emits. Every relation holds co-located
+// duplicates.
+func TestUnchainedPlansRowExact(t *testing.T) {
+	withDups := func(pts []geom.Point) []geom.Point {
+		return append(pts, pts[:len(pts)/3]...)
+	}
+	a := testutil.BuildRelation(t, testutil.Grid, withDups(testutil.ClusteredPoints(150, 2, 15, unBounds, 961)))
+	b := testutil.BuildRelation(t, testutil.Grid, withDups(testutil.UniformPoints(300, unBounds, 962)))
+	c := testutil.BuildRelation(t, testutil.Grid, withDups(testutil.UniformPoints(200, unBounds, 963)))
+	for _, ks := range []struct{ kAB, kCB int }{{1, 1}, {2, 5}, {4, 3}} {
+		want := core.UnchainedConceptual(a, b, c, ks.kAB, ks.kCB, nil)
+		if len(want) == 0 {
+			t.Fatalf("kAB=%d kCB=%d: the conceptual plan returned no rows", ks.kAB, ks.kCB)
+		}
+		for _, order := range []core.JoinOrder{core.OrderABFirst, core.OrderCBFirst} {
+			for _, prune := range []bool{true, false} {
+				for _, workers := range []int{1, 4} {
+					got := core.Unchained(a, b, c, ks.kAB, ks.kCB, prune, order, workers, nil)
+					if !triplesEqual(got, want) {
+						t.Fatalf("kAB=%d kCB=%d %v prune=%v workers=%d: rows differ from the conceptual plan (%d vs %d)",
+							ks.kAB, ks.kCB, order, prune, workers, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}

@@ -37,6 +37,8 @@ func TestPublicQueryAllocs(t *testing.T) {
 		{"SelectInnerJoin", 28, func() error { _, err := twoknn.SelectInnerJoin(a, b, f1, 10, 10); return err }},
 		{"KNNSelectBatch", 5, func() error { _, err := twoknn.KNNSelectBatch(b, focals, 10); return err }},
 		{"TwoSelectsBatch", 71, func() error { _, err := twoknn.TwoSelectsBatch(b, focals, 10, focals2, 640); return err }},
+		{"UnchainedJoins", 60, func() error { _, err := twoknn.UnchainedJoins(a, b, c, 2, 10); return err }},
+		{"ChainedJoins", 80, func() error { _, err := twoknn.ChainedJoins(a, b, c, 4, 4); return err }},
 	} {
 		if err := q.run(); err != nil {
 			t.Fatalf("%s: %v", q.name, err)
