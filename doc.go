@@ -66,8 +66,9 @@
 // mutable state; in steady state the borrowing allocates nothing.
 //
 // The pool is unbounded by default: a burst of N concurrent queries grows
-// it to N handles, which are then recycled (and eventually collected when
-// idle). WithMaxSearchers(n) bounds it instead — at most n handles ever
+// it to N handles, of which up to GOMAXPROCS stay idle for reuse — a garbage
+// collection does not take them away — and the rest are dropped when
+// released. WithMaxSearchers(n) bounds it instead — at most n handles ever
 // exist, fixing the relation's scratch memory at n·O(handle); queries
 // beyond the bound block until a handle frees up. This is the explicit
 // space–time tradeoff of concurrent serving: more handles, more in-flight
@@ -311,8 +312,9 @@
 // query on that searcher, so callers that retain results must copy them out
 // (Neighborhood.Clone). The public API of this package is unaffected —
 // query functions return freshly allocated result slices the caller owns.
-// Allocation regressions are guarded by testing.AllocsPerRun tests in
-// internal/locality and internal/core, and the hot-path benchmarks
+// Allocation regressions are guarded by AllocsPerRun tests (measured with
+// the collector paused, testutil.AllocsPerRun) in internal/locality,
+// internal/core and this package, and the hot-path benchmarks
 // (go test -bench 'KNNJoin|Neighborhood') are recorded per PR in the
 // BENCH_PR*.json files at the repository root.
 //

@@ -75,8 +75,8 @@ type Relation struct {
 	// unified store (an overlay snapshot).
 	store *geom.PointStore
 
-	// pool recycles per-goroutine query handles over Ix; nil on hand-built
-	// views (handles themselves point back at their pool for Release).
+	// pool recycles per-goroutine query handles over Ix (handles themselves
+	// point back at their pool for Release).
 	pool *SearcherPool
 
 	// leased marks a handle as currently out of its pool (set by Acquire,
@@ -87,7 +87,8 @@ type Relation struct {
 }
 
 // NewRelation wraps an index into a Relation with an unbounded searcher
-// pool: handles are minted on demand and recycled through a sync.Pool.
+// pool: handles are minted on demand and recycled through a free list that
+// keeps up to GOMAXPROCS idle handles across garbage collections.
 func NewRelation(ix index.Index) *Relation { return NewRelationBounded(ix, 0) }
 
 // NewRelationBounded is NewRelation with a hard cap on concurrent searcher

@@ -4,11 +4,13 @@ package core_test
 // semantics (TryAcquire errors, Acquire blocks, handles released after a
 // failed attempt stay reusable), handle correctness, deadlock-free ordered
 // multi-acquisition, graceful fan-out degradation under an exhausted
-// bounded pool, and the zero-allocation steady state of pooled queries.
+// bounded pool, idle handles that outlive a garbage collection, and the
+// zero-allocation steady state of pooled queries.
 
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -139,9 +141,6 @@ func TestParallelJoinDegradesOnExhaustedBoundedPool(t *testing.T) {
 // allocation-free: once the pool is warm, an acquire → neighborhood →
 // release cycle performs zero allocations.
 func TestPooledQuerySteadyStateAllocs(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("race-detector sync.Pool instrumentation allocates on Get/Put")
-	}
 	pts := testutil.UniformPoints(5000, geom.NewRect(0, 0, 1000, 1000), 2010)
 	rel := core.NewRelation(testutil.BuildIndex(t, testutil.Grid, pts))
 	f := geom.Point{X: 500, Y: 500}
@@ -151,12 +150,30 @@ func TestPooledQuerySteadyStateAllocs(t *testing.T) {
 	h.S.Neighborhood(f, 10, nil)
 	h.Release()
 
-	avg := testing.AllocsPerRun(200, func() {
+	avg := testutil.AllocsPerRun(t, 200, func() {
 		h := rel.Acquire()
 		h.S.Neighborhood(f, 10, nil)
 		h.Release()
 	})
 	if avg != 0 {
 		t.Errorf("pooled query allocates %v per run in steady state, want 0", avg)
+	}
+}
+
+// TestIdleHandleSurvivesGC: a garbage collection must not take an idle
+// handle out of an unbounded pool — the next Acquire gets the same handle
+// back, warm, instead of minting a new one.
+func TestIdleHandleSurvivesGC(t *testing.T) {
+	pts := testutil.UniformPoints(500, geom.NewRect(0, 0, 1000, 1000), 2012)
+	rel := core.NewRelation(testutil.BuildIndex(t, testutil.Grid, pts))
+
+	h := rel.Acquire()
+	h.Release()
+	runtime.GC()
+	runtime.GC()
+	h2 := rel.Acquire()
+	defer h2.Release()
+	if h2 != h {
+		t.Fatal("Acquire after two GCs minted a new handle; the idle one was dropped")
 	}
 }

@@ -283,40 +283,6 @@ func TestDispatchExpectation(t *testing.T) {
 	}
 }
 
-// TestKernelAllocs: every kernel must be allocation-free — they sit inside
-// the 0 allocs/op query hot path.
-func TestKernelAllocs(t *testing.T) {
-	xs := make([]float64, 64)
-	ys := make([]float64, 64)
-	out := make([]float64, 64)
-	idx := make([]int32, 64)
-	for i := range xs {
-		xs[i] = float64(i)
-		ys[i] = float64(64 - i)
-	}
-	for _, name := range Available() {
-		t.Run(name, func(t *testing.T) {
-			restore, err := Use(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer restore()
-			sink := 0.0
-			avg := testing.AllocsPerRun(200, func() {
-				DistSq(xs, ys, 32, 32, out)
-				sink += float64(CountWithin(xs, ys, 32, 32, 1000))
-				sink += MinDistSq(xs, ys, 32, 32)
-				sink += float64(ArgMinDistSq(xs, ys, 32, 32))
-				sink += float64(SelectWithin(xs, ys, 32, 32, 1000, idx))
-			})
-			if avg != 0 {
-				t.Errorf("%s kernels allocate %v per run, want 0", name, avg)
-			}
-			_ = sink
-		})
-	}
-}
-
 // FuzzKernelEquivalence cross-checks the active fast path (and the raw
 // assembly, where built) against the scalar reference on fuzzer-chosen
 // spans, coordinates and bounds. Coordinates are quantized byte pairs — the

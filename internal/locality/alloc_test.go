@@ -39,7 +39,7 @@ func TestNeighborhoodZeroAllocsSteadyState(t *testing.T) {
 						s.Neighborhood(q, k, nil)
 					}
 					i := 0
-					avg := testing.AllocsPerRun(200, func() {
+					avg := testutil.AllocsPerRun(t, 200, func() {
 						s.Neighborhood(queries[i%len(queries)], k, nil)
 						i++
 					})
@@ -63,7 +63,7 @@ func TestNeighborhoodWithinZeroAllocsSteadyState(t *testing.T) {
 						s.NeighborhoodClipped(q, k, 150, nil)
 					}
 					i := 0
-					avg := testing.AllocsPerRun(200, func() {
+					avg := testutil.AllocsPerRun(t, 200, func() {
 						q := queries[i%len(queries)]
 						s.NeighborhoodWithin(q, k, 150, nil)
 						s.NeighborhoodClipped(q, k, 150, nil)
@@ -92,7 +92,7 @@ func TestSpanScanZeroAllocs(t *testing.T) {
 			blocks := ix.Blocks()
 			q := geom.Point{X: 500, Y: 500}
 			sink := 0
-			avg := testing.AllocsPerRun(100, func() {
+			avg := testutil.AllocsPerRun(t, 100, func() {
 				for _, b := range blocks {
 					xs, ys := b.XYs()
 					for i := range xs {
@@ -134,7 +134,7 @@ func TestNeighborhoodBatchedScanZeroAllocs(t *testing.T) {
 				s.NeighborhoodWithin(q, k, 150, nil)
 			}
 			i := 0
-			avg := testing.AllocsPerRun(200, func() {
+			avg := testutil.AllocsPerRun(t, 200, func() {
 				q := queries[i%len(queries)]
 				s.Neighborhood(q, k, nil)
 				s.NeighborhoodWithin(q, k, 150, nil)
@@ -155,7 +155,7 @@ func TestCountStrictlyCloserZeroAllocs(t *testing.T) {
 				s.CountStrictlyCloser(q, 10, 100*100, nil)
 			}
 			i := 0
-			avg := testing.AllocsPerRun(200, func() {
+			avg := testutil.AllocsPerRun(t, 200, func() {
 				s.CountStrictlyCloser(queries[i%len(queries)], 10, 100*100, nil)
 				i++
 			})

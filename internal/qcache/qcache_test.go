@@ -3,6 +3,8 @@ package qcache
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 func key(epoch uint64, fx, fy float64, k int) Key {
@@ -86,7 +88,7 @@ func TestGetAllocs(t *testing.T) {
 	c := New(64)
 	k1 := key(1, 5000, 5000, 10)
 	c.Put(k1, []int32{1, 2, 3})
-	allocs := testing.AllocsPerRun(1000, func() {
+	allocs := testutil.AllocsPerRun(t, 1000, func() {
 		if _, ok := c.Get(k1); !ok {
 			t.Fatal("probe missed")
 		}

@@ -19,7 +19,7 @@ func TestQueryOptsAllocs(t *testing.T) {
 	var st twoknn.Stats
 	for _, alg := range []string{"", "counting"} {
 		c := &Common{Algorithm: alg}
-		if got := testing.AllocsPerRun(100, func() { queryOpts(ctx, c, &st) }); got > 4 {
+		if got := testutil.AllocsPerRun(t, 100, func() { queryOpts(ctx, c, &st) }); got > 4 {
 			t.Errorf("algorithm %q: %v allocs/op, want ≤ 4", alg, got)
 		}
 	}

@@ -44,7 +44,7 @@ func TestProbeNeighborhoodZeroAllocsSteadyState(t *testing.T) {
 					pr.neighborhood(q, 16)
 				}
 				i := 0
-				avg := testing.AllocsPerRun(200, func() {
+				avg := testutil.AllocsPerRun(t, 200, func() {
 					pr.neighborhood(queries[i%len(queries)], 16)
 					i++
 				})

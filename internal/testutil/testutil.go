@@ -4,6 +4,7 @@ package testutil
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -132,4 +133,14 @@ func RelationBuilder(kind IndexKind) func(pts []geom.Point) (*core.Relation, err
 		}
 		return core.NewRelation(ix), nil
 	}
+}
+
+// AllocsPerRun is testing.AllocsPerRun with the garbage collector paused
+// for the measurement (and the old GC percent restored afterwards), so the
+// average counts the allocations f itself makes — not the ones a
+// collection in the middle of the runs makes the program repeat.
+func AllocsPerRun(t testing.TB, runs int, f func()) float64 {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/locality"
+	"repro/internal/testutil"
 )
 
 // TestPostMergeReadPathAllocs pins the RCU merge payoff: after Compact the
@@ -46,7 +47,7 @@ func TestPostMergeReadPathAllocs(t *testing.T) {
 					s.Neighborhood(q, 16, nil)
 				}
 				i := 0
-				avg := testing.AllocsPerRun(200, func() {
+				avg := testutil.AllocsPerRun(t, 200, func() {
 					s.Neighborhood(queries[i%len(queries)], 16, nil)
 					i++
 				})

@@ -265,9 +265,9 @@ func WithBounds(r Rect) RelationOption {
 // handles — each owning iterator pools, a selection heap and a result
 // buffer — ever exist at once, so the scratch memory added by concurrency
 // is n·O(handle) no matter how many queries are in flight. n ≤ 0 (the
-// default) leaves the pool unbounded: handles are minted on demand and
-// recycled through a sync.Pool, which adapts to load but lets a burst of
-// concurrent queries grow the resident scratch set.
+// default) leaves the pool unbounded: handles are minted on demand, and up
+// to GOMAXPROCS idle ones are kept for reuse — across garbage collections —
+// while the rest of a burst's handles are dropped when released.
 //
 // The shed-load contract beyond the bound: plain queries block until a
 // handle frees up; queries carrying a WithContext context wait only until
