@@ -17,10 +17,11 @@ import (
 // remote one sends the whole batch as one focal group per wave.
 //
 // The returned slices share one backing array. It errors on a nil source
-// (ErrNilRelation) and non-positive k (ErrNonPositiveK); an empty focal
-// slice returns an empty, nil-error result.
+// (ErrNilRelation), non-positive k (ErrNonPositiveK) and a NaN or infinite
+// focal coordinate (ErrNonFiniteCoordinate); an empty focal slice returns an
+// empty, nil-error result.
 func KNNSelectBatch(rel Source, focals []Point, k int, opts ...QueryOption) ([][]Point, error) {
-	if err := validate([]Source{rel}, kArg{"k", k}); err != nil {
+	if err := validate([]Source{rel}, focals, kArg{"k", k}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
@@ -39,7 +40,10 @@ func KNNSelectBatch(rel Source, focals []Point, k int, opts ...QueryOption) ([][
 // WithAlgorithm(AlgorithmConceptual)). The focal slices must have equal
 // length.
 func TwoSelectsBatch(rel Source, f1s []Point, k1 int, f2s []Point, k2 int, opts ...QueryOption) ([][]Point, error) {
-	if err := validate([]Source{rel}, kArg{"k1", k1}, kArg{"k2", k2}); err != nil {
+	if err := validate([]Source{rel}, f1s, kArg{"k1", k1}, kArg{"k2", k2}); err != nil {
+		return nil, err
+	}
+	if err := checkFinite(f2s); err != nil {
 		return nil, err
 	}
 	if len(f1s) != len(f2s) {

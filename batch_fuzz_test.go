@@ -10,7 +10,7 @@ import (
 
 // FuzzKNNSelectBatch checks the batched entry point against the NaiveKNN
 // brute-force oracle and the sequential KNNSelect loop, over every backing
-// of fuzzRelations (grid, kd-tree, hash- and spatially-sharded). Focals are
+// of fuzzRelations (grid, quadtree, hash- and spatially-sharded). Focals are
 // decoded on the same coarse grid as the data points, so the fuzzer hits
 // duplicate focals, focals co-located with data points, and exact distance
 // ties — the regimes where a batch could diverge from the per-query order

@@ -77,5 +77,5 @@ func BenchmarkFig26(b *testing.B) { runFigure(b, "fig26") }
 func BenchmarkAblationPreprocess(b *testing.B) { runFigure(b, "abl-preprocess") }
 
 // BenchmarkAblationIndexKinds measures the Block-Marking select-inner-join
-// over all four index families.
+// over both index families.
 func BenchmarkAblationIndexKinds(b *testing.B) { runFigure(b, "abl-index") }

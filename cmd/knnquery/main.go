@@ -53,7 +53,7 @@ func main() {
 		kJoin = flag.Int("kjoin", 2, "k of the join (or k1 for two-selects)")
 		kSel  = flag.Int("ksel", 2, "k of the select (kCB/kBC for two joins, k2 for two-selects)")
 		alg   = flag.String("algorithm", "auto", "strategy for *-inner-join: auto, conceptual, counting, block-marking")
-		index = flag.String("index", "grid", "index kind: grid, quadtree, rtree, kdtree")
+		index = flag.String("index", "grid", "index kind: grid or quadtree")
 		limit = flag.Int("limit", 20, "maximum result rows to print (0 = all)")
 		genN  = flag.Int("gen-n", 20000, "points per generated relation when a file flag is empty")
 		batch = flag.String("batch", "", "CSV file of focal points: run a batched kNN-select (k from -kjoin) over -outer instead of -query")
@@ -90,7 +90,7 @@ type params struct {
 }
 
 func run(p params) error {
-	kind, err := server.ParseIndexKind(p.index)
+	kind, err := twoknn.ParseIndexKind(p.index)
 	if err != nil {
 		return err
 	}
@@ -201,7 +201,7 @@ func runBatch(p params) error {
 		return runBatchServed(p, focals)
 	}
 
-	kind, err := server.ParseIndexKind(p.index)
+	kind, err := twoknn.ParseIndexKind(p.index)
 	if err != nil {
 		return err
 	}

@@ -11,17 +11,17 @@ func TestParseIndexKind(t *testing.T) {
 	cases := map[string]twoknn.IndexKind{
 		"grid":     twoknn.GridIndex,
 		"quadtree": twoknn.QuadtreeIndex,
-		"rtree":    twoknn.RTreeIndex,
-		"kdtree":   twoknn.KDTreeIndex,
 	}
 	for in, want := range cases {
-		got, err := server.ParseIndexKind(in)
+		got, err := twoknn.ParseIndexKind(in)
 		if err != nil || got != want {
-			t.Errorf("server.ParseIndexKind(%q) = %v, %v", in, got, err)
+			t.Errorf("twoknn.ParseIndexKind(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := server.ParseIndexKind("btree"); err == nil {
-		t.Errorf("unknown index kind must error")
+	for _, in := range []string{"btree", "rtree", "kdtree"} {
+		if _, err := twoknn.ParseIndexKind(in); err == nil {
+			t.Errorf("twoknn.ParseIndexKind(%q) must error", in)
+		}
 	}
 }
 

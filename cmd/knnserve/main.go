@@ -78,7 +78,7 @@ func main() {
 		o.datasets = append(o.datasets, s)
 		return nil
 	})
-	flag.StringVar(&o.index, "index", "grid", "index kind for every dataset: grid, quadtree, rtree, kdtree")
+	flag.StringVar(&o.index, "index", "grid", "index kind for every dataset: grid or quadtree")
 	flag.IntVar(&o.blockCap, "block-capacity", 0, "points per index block (0 = engine default)")
 	flag.IntVar(&o.shards, "shards", 0, "shard count per dataset (0 or 1 = single relation)")
 	flag.StringVar(&o.policy, "shard-policy", "hash", "partitioning policy for sharded datasets: hash or spatial")
@@ -105,7 +105,7 @@ func newServer(ctx context.Context, o options) (*server.Server, error) {
 	if len(o.datasets) == 0 {
 		return nil, fmt.Errorf("at least one -dataset name=spec is required")
 	}
-	kind, err := server.ParseIndexKind(o.index)
+	kind, err := twoknn.ParseIndexKind(o.index)
 	if err != nil {
 		return nil, err
 	}

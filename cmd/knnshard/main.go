@@ -56,7 +56,7 @@ func main() {
 	flag.StringVar(&o.data, "data", "", "full dataset spec (file:points.csv, berlinmod:n=...,seed=..., uniform:..., clustered:...); every shard process loads the whole spec and serves only its partition")
 	flag.IntVar(&o.shard, "shard", 0, "which shard of the partition this process serves (0-based)")
 	flag.IntVar(&o.shards, "shards", 1, "total shard count of the layout")
-	flag.StringVar(&o.index, "index", "grid", "index kind: grid, quadtree, rtree, kdtree")
+	flag.StringVar(&o.index, "index", "grid", "index kind: grid or quadtree")
 	flag.IntVar(&o.blockCap, "block-capacity", 0, "points per index block (0 = engine default)")
 	flag.StringVar(&o.policy, "shard-policy", "hash", "partitioning policy: hash or spatial (must match every other shard and the coordinator)")
 	flag.IntVar(&o.maxSearchers, "max-searchers", 0, "bound this shard's searcher pool (0 = unbounded)")
@@ -79,7 +79,7 @@ func newHandler(o options) (http.Handler, error) {
 	if name == "" {
 		name = o.data
 	}
-	kind, err := server.ParseIndexKind(o.index)
+	kind, err := twoknn.ParseIndexKind(o.index)
 	if err != nil {
 		return nil, err
 	}

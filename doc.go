@@ -33,8 +33,8 @@
 //	pairs, err := twoknn.SelectInnerJoin(shops, hotels, shoppingCenter, 2, 2)
 //
 // Relations are built once over a point snapshot and indexed with a uniform
-// grid by default; quadtree and R-tree indexes are available through
-// WithIndexKind — the algorithms are index-agnostic, as in the paper.
+// grid by default; a quadtree index is available through WithIndexKind —
+// the algorithms are index-agnostic, as in the paper.
 //
 // All query functions accept options: WithAlgorithm forces a strategy,
 // WithStats collects operation counters, WithExplain captures an EXPLAIN
@@ -227,7 +227,7 @@
 // evaluation (join shapes are returned in canonical SortPairs/SortTriples
 // order; KNNSelect and TwoSelects keep the single-relation order). A
 // differential oracle suite enforces this across shard counts, both
-// partitioning policies, all four index kinds and uniform/clustered data.
+// partitioning policies, both index kinds and uniform/clustered data.
 //
 // Two partitioning policies are available through WithShardPolicy:
 // HashSharding (default) scatters points by a hash of their stable ID for

@@ -3,6 +3,7 @@ package twoknn_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	twoknn "repro"
@@ -194,5 +195,94 @@ func TestShardCountValidation(t *testing.T) {
 	_, err := twoknn.NewShardedRelation("empty", nil, 2)
 	if !errors.Is(err, twoknn.ErrEmptyRelation) {
 		t.Errorf("empty without bounds: got %v, want ErrEmptyRelation", err)
+	}
+}
+
+// TestNonFiniteCoordinates locks the coordinate contract of every entry
+// point that takes focal points or a range rectangle: a NaN or infinite
+// coordinate orders no distance, so the call returns an error wrapping
+// ErrNonFiniteCoordinate instead of an answer.
+func TestNonFiniteCoordinates(t *testing.T) {
+	bounds := twoknn.NewRect(0, 0, 100, 100)
+	pts := datagen.Uniform(40, bounds, 1)
+	rel, err := twoknn.NewRelation("r", pts, twoknn.WithBounds(bounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srel, err := twoknn.NewShardedRelation("s", pts, 3, twoknn.WithBounds(bounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := twoknn.Point{X: 50, Y: 50}
+	type selector interface {
+		KNNSelect(f twoknn.Point, k int, opts ...twoknn.QueryOption) ([]twoknn.Point, error)
+	}
+	// Each entry calls one entry point with p in one coordinate slot.
+	entries := []struct {
+		name   string
+		invoke func(s twoknn.Source, p twoknn.Point) error
+	}{
+		{"KNNSelect-method", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := s.(selector).KNNSelect(p, 5)
+			return err
+		}},
+		{"KNNSelect", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.KNNSelect(s, p, 5)
+			return err
+		}},
+		{"TwoSelects/f1", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.TwoSelects(s, p, 3, ok, 5)
+			return err
+		}},
+		{"TwoSelects/f2", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.TwoSelects(s, ok, 3, p, 5)
+			return err
+		}},
+		{"SelectInnerJoin", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.SelectInnerJoin(s, s, p, 2, 5)
+			return err
+		}},
+		{"SelectOuterJoin", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.SelectOuterJoin(s, s, p, 5, 2)
+			return err
+		}},
+		{"RangeInnerJoin/min", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.RangeInnerJoin(s, s, twoknn.Rect{MinX: p.X, MinY: p.Y, MaxX: 60, MaxY: 60}, 2)
+			return err
+		}},
+		{"RangeInnerJoin/max", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.RangeInnerJoin(s, s, twoknn.Rect{MinX: 10, MinY: 10, MaxX: p.X, MaxY: p.Y}, 2)
+			return err
+		}},
+		{"KNNSelectBatch", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.KNNSelectBatch(s, []twoknn.Point{ok, p}, 5)
+			return err
+		}},
+		{"TwoSelectsBatch/f1s", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.TwoSelectsBatch(s, []twoknn.Point{ok, p}, 3, []twoknn.Point{ok, ok}, 5)
+			return err
+		}},
+		{"TwoSelectsBatch/f2s", func(s twoknn.Source, p twoknn.Point) error {
+			_, err := twoknn.TwoSelectsBatch(s, []twoknn.Point{ok, ok}, 3, []twoknn.Point{ok, p}, 5)
+			return err
+		}},
+	}
+	bads := []twoknn.Point{
+		{X: math.NaN(), Y: 3},
+		{X: 3, Y: math.NaN()},
+		{X: math.Inf(1), Y: 3},
+		{X: 3, Y: math.Inf(-1)},
+	}
+	for _, e := range entries {
+		for _, src := range []twoknn.Source{rel, srel} {
+			if err := e.invoke(src, twoknn.Point{X: 30, Y: 30}); err != nil {
+				t.Errorf("%s on %s: finite call errored: %v", e.name, src.Name(), err)
+			}
+			for _, p := range bads {
+				if err := e.invoke(src, p); !errors.Is(err, twoknn.ErrNonFiniteCoordinate) {
+					t.Errorf("%s on %s with %v: got %v, want ErrNonFiniteCoordinate", e.name, src.Name(), p, err)
+				}
+			}
+		}
 	}
 }

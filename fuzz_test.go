@@ -63,11 +63,11 @@ func fuzzRelations(t *testing.T, name string, pts []twoknn.Point) (*twoknn.Relat
 	if err != nil {
 		t.Fatalf("NewRelation: %v", err)
 	}
-	kd, err := twoknn.NewRelation(name, pts,
+	quad, err := twoknn.NewRelation(name, pts,
 		twoknn.WithBounds(fuzzBounds), twoknn.WithBlockCapacity(8),
-		twoknn.WithIndexKind(twoknn.KDTreeIndex))
+		twoknn.WithIndexKind(twoknn.QuadtreeIndex))
 	if err != nil {
-		t.Fatalf("NewRelation(kdtree): %v", err)
+		t.Fatalf("NewRelation(quadtree): %v", err)
 	}
 	hash3, err := twoknn.NewShardedRelation(name, pts, 3,
 		twoknn.WithBounds(fuzzBounds), twoknn.WithBlockCapacity(8))
@@ -80,7 +80,7 @@ func fuzzRelations(t *testing.T, name string, pts []twoknn.Point) (*twoknn.Relat
 	if err != nil {
 		t.Fatalf("NewShardedRelation(spatial): %v", err)
 	}
-	return single, []twoknn.Source{single, kd, hash3, spatial2}
+	return single, []twoknn.Source{single, quad, hash3, spatial2}
 }
 
 func sortedCopy(pts []twoknn.Point) []twoknn.Point {

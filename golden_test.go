@@ -203,14 +203,14 @@ func goldenBattery(t *testing.T, out map[string]goldenDigest, prefix string, nea
 	})
 }
 
-// TestGoldenDigests replays the battery on single relations of all four
+// TestGoldenDigests replays the battery on single relations of both
 // index kinds (emitted order) and on a hash-3 and a spatial-2 sharded
 // layout (canonical order), and compares against the committed digests.
 func TestGoldenDigests(t *testing.T) {
 	a, b, c, ua, uc := goldenPoints(t)
 	got := make(map[string]goldenDigest)
 
-	for _, kind := range []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex, twoknn.KDTreeIndex} {
+	for _, kind := range []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex} {
 		build := func(name string, pts []twoknn.Point) twoknn.Source {
 			rel, err := twoknn.NewRelation(name, pts,
 				twoknn.WithIndexKind(kind), twoknn.WithBlockCapacity(16), twoknn.WithBounds(goldenBounds))

@@ -48,8 +48,6 @@ func benchNeighborhood(b *testing.B, kind testutil.IndexKind, k int) {
 
 func BenchmarkNeighborhoodGrid(b *testing.B)     { benchNeighborhood(b, testutil.Grid, hotK) }
 func BenchmarkNeighborhoodQuadtree(b *testing.B) { benchNeighborhood(b, testutil.Quadtree, hotK) }
-func BenchmarkNeighborhoodKDTree(b *testing.B)   { benchNeighborhood(b, testutil.KDTree, hotK) }
-func BenchmarkNeighborhoodRTree(b *testing.B)    { benchNeighborhood(b, testutil.RTree, hotK) }
 func BenchmarkNeighborhoodGridK640(b *testing.B) { benchNeighborhood(b, testutil.Grid, largeK) }
 
 // BenchmarkTwoSelects measures the public 2-kNN-select, σ_{10,f} ∩

@@ -4,17 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/index"
-	"repro/internal/index/kdtree"
 	"repro/internal/index/quadtree"
-	"repro/internal/index/rtree"
 	"repro/internal/stats"
 )
 
 // Ablations are the experiments beyond the paper's figures that are still
 // about the paper's algorithms: the contour early-stop of Block-Marking
-// preprocessing (Procedure 3) and the index-agnosticism claim across four
-// index families (Section 2). They run through the same harness as the
+// preprocessing (Procedure 3) and the index-agnosticism claim across the
+// two index families (Section 2). They run through the same harness as the
 // figures. The systems layers around the algorithms (kernels, layout, pools,
 // shards, cancellation, batching, cache, overlay, transport) are timed by the
 // standing benchmark in benchmark/ only, so this package stays core-only.
@@ -73,9 +70,9 @@ var ablPreprocess = Experiment{
 
 var ablIndexKinds = Experiment{
 	ID:     "abl-index",
-	Title:  "index-agnosticism: Block-Marking select-inner-join over grid, quadtree, k-d tree and R-tree",
+	Title:  "index-agnosticism: Block-Marking select-inner-join over a uniform grid and a quadtree",
 	XLabel: "|outer|",
-	Expect: "all index families return identical results; space-tiling indexes benefit from the contour stop",
+	Expect: "both index families return identical results; both tile space, so the contour stop runs on each",
 	Cases: func(scale Scale) []Case {
 		innerN := 20000
 		if scale == ScalePaper {
@@ -87,53 +84,36 @@ var ablIndexKinds = Experiment{
 			// construction stay out of the measurements.
 			gridOuter := BerlinMODRelation("fig19-outer", outerN)
 			gridInner := BerlinMODRelation("fig19-inner", innerN)
-			var plans []Plan
-			plans = append(plans, Plan{Name: "grid", Run: func(c *stats.Counters) int {
-				return len(core.SelectInnerJoinBlockMarking(gridOuter, gridInner,
-					focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
-			}})
-			for _, kind := range []string{"quadtree", "kdtree", "rtree"} {
-				outer := variantRelation(kind, "fig19-outer", outerN)
-				inner := variantRelation(kind, "fig19-inner", innerN)
-				plans = append(plans, Plan{Name: kind, Run: func(c *stats.Counters) int {
-					return len(core.SelectInnerJoinBlockMarking(outer, inner,
+			quadOuter := quadtreeRelation("fig19-outer", outerN)
+			quadInner := quadtreeRelation("fig19-inner", innerN)
+			cases = append(cases, Case{X: fmt.Sprintf("%d", outerN), Plans: []Plan{
+				{Name: "grid", Run: func(c *stats.Counters) int {
+					return len(core.SelectInnerJoinBlockMarking(gridOuter, gridInner,
 						focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
-				}})
-			}
-			cases = append(cases, Case{X: fmt.Sprintf("%d", outerN), Plans: plans})
+				}},
+				{Name: "quadtree", Run: func(c *stats.Counters) int {
+					return len(core.SelectInnerJoinBlockMarking(quadOuter, quadInner,
+						focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
+				}},
+			}})
 		}
 		return cases
 	},
 }
 
-// variantRelation builds (and memoizes) a non-grid relation over a
+// quadtreeRelation builds (and memoizes) a quadtree relation over a
 // BerlinMOD workload.
-func variantRelation(kind, role string, n int) *core.Relation {
-	key := fmt.Sprintf("%s/%s/%d", kind, role, n)
+func quadtreeRelation(role string, n int) *core.Relation {
+	key := fmt.Sprintf("quadtree/%s/%d", role, n)
 	datasetCache.Lock()
 	if rel, ok := datasetCache.relations[key]; ok {
 		datasetCache.Unlock()
 		return rel
 	}
 	datasetCache.Unlock()
-	pts := BerlinMODPoints(role, n)
-
-	var (
-		ix  index.Index
-		err error
-	)
-	switch kind {
-	case "quadtree":
-		ix, err = quadtree.New(pts, quadtree.Options{LeafCapacity: DefaultPerCell, Bounds: Bounds})
-	case "kdtree":
-		ix, err = kdtree.New(pts, kdtree.Options{LeafCapacity: DefaultPerCell, Bounds: Bounds})
-	case "rtree":
-		ix, err = rtree.New(pts, rtree.Options{LeafCapacity: DefaultPerCell})
-	default:
-		panic(fmt.Sprintf("bench: unknown index variant %q", kind))
-	}
+	ix, err := quadtree.New(BerlinMODPoints(role, n), quadtree.Options{LeafCapacity: DefaultPerCell, Bounds: Bounds})
 	if err != nil {
-		panic(fmt.Sprintf("bench: building %s relation: %v", kind, err)) // fixed config; cannot fail
+		panic(fmt.Sprintf("bench: building quadtree relation: %v", err)) // fixed config; cannot fail
 	}
 	rel := core.NewRelation(ix)
 	datasetCache.Lock()

@@ -229,9 +229,10 @@ func SelectOuterJoin(outer, inner Operand, f geom.Point, kSel, kJoin, workers in
 // ContourApplies reports whether Procedure 3's contour early-stop holds for
 // outer: closing a cycle of Non-Contributing blocks around the focal point
 // prunes everything beyond it only when the scanned blocks are one index's
-// and tile space. Elsewhere — an R-tree, a sharded or remote outer side —
-// Block-Marking preprocesses exhaustively: the same test, block by block,
-// still correct and still pruning the join itself.
+// and tile space. Elsewhere — a written relation's overlay snapshot, a
+// sharded or remote outer side — Block-Marking preprocesses exhaustively:
+// the same test, block by block, still correct and still pruning the join
+// itself.
 func ContourApplies(outer Operand) bool {
 	ixs := outer.Indexes()
 	return len(ixs) == 1 && index.TilesSpace(ixs[0])

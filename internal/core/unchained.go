@@ -319,7 +319,7 @@ func EstimateClusterCoverage(rel Operand) float64 {
 	}
 	frac := occupied / total
 	if frac > 1 {
-		frac = 1 // R-tree leaf areas can overlap bounds slightly
+		frac = 1 // overlapping units (delta chunks, shards) can sum past the total
 	}
 	return frac
 }

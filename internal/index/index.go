@@ -6,8 +6,8 @@
 // require that the data be partitioned into blocks, that each block know how
 // many points it holds, and that blocks can be enumerated in increasing
 // MINDIST or MAXDIST order from an arbitrary point. Package index captures
-// exactly that contract; the grid, quadtree and rtree subpackages provide
-// concrete partitions.
+// exactly that contract; the grid and quadtree subpackages provide concrete
+// partitions.
 //
 // Storage is columnar: an index permutes its input into block-contiguous
 // order inside one relation-wide geom.PointStore at build time, and each
@@ -168,9 +168,9 @@ type Index interface {
 }
 
 // Storer is implemented by indexes whose blocks are spans over one
-// relation-wide PointStore in block-contiguous order. All four index
-// families implement it; an overlay snapshot, whose blocks span the base
-// store, the delta store and patched copies, does not.
+// relation-wide PointStore in block-contiguous order. Both index families
+// implement it; an overlay snapshot, whose blocks span the base store, the
+// delta store and patched copies, does not.
 type Storer interface {
 	// Store returns the relation-wide point store. Position i of the store
 	// is the i-th point in block-ID-then-storage scan order, and IDs[i] is

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/index"
+	"repro/internal/index/overlay"
 	"repro/internal/testutil"
 )
 
@@ -164,18 +165,20 @@ func TestScanEmpty(t *testing.T) {
 	}
 }
 
+// TestTilesSpaceDeclarations pins which indexes take the contour stop: both
+// static families tile space, while an overlay snapshot with a pending write
+// appends delta blocks that overlap the base blocks, so it must not.
 func TestTilesSpaceDeclarations(t *testing.T) {
 	pts := testutil.UniformPoints(200, geom.NewRect(0, 0, 10, 10), 5)
-	wants := map[testutil.IndexKind]bool{
-		testutil.Grid:     true,
-		testutil.Quadtree: true,
-		testutil.RTree:    false,
-		testutil.KDTree:   true,
-	}
-	for kind, want := range wants {
+	for _, kind := range testutil.AllIndexKinds {
 		ix := testutil.BuildIndex(t, kind, pts)
-		if got := index.TilesSpace(ix); got != want {
-			t.Errorf("TilesSpace(%s) = %v, want %v", kind, got, want)
+		if !index.TilesSpace(ix) {
+			t.Errorf("TilesSpace(%s) = false, want true", kind)
+		}
+		st := overlay.NewStore(ix, 16)
+		st.Insert(geom.Point{X: 5, Y: 5}, int32(len(pts)))
+		if index.TilesSpace(st.Snapshot()) {
+			t.Errorf("TilesSpace(%s overlay snapshot after one insert) = true, want false", kind)
 		}
 	}
 }

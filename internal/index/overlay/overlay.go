@@ -54,7 +54,7 @@ type Store struct {
 }
 
 // NewStore returns a Store over base, whose blocks must be spans of a
-// relation-wide PointStore (index.Storer — true for all four static index
+// relation-wide PointStore (index.Storer — true for both static index
 // kinds). chunk is the delta block capacity; values < 1 become 1.
 func NewStore(base index.Index, chunk int) *Store {
 	st := index.StoreOf(base)

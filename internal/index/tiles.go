@@ -2,8 +2,9 @@ package index
 
 // SpaceTiler is an optional interface an Index may implement to declare
 // whether its blocks tile the indexed region (every point of Bounds() lies
-// in exactly one block region). Grids and quadtrees tile space; R-tree
-// leaves generally do not.
+// in exactly one block region). Grids and quadtrees tile space; an overlay
+// snapshot with pending writes does not, because its delta blocks overlap
+// the base blocks.
 //
 // The distinction matters for one optimization only: the contour early-stop
 // in the Block-Marking preprocessing assumes that any segment from a far

@@ -4,8 +4,8 @@ import (
 	"repro/internal/geom"
 )
 
-// TreeNode is the traversal interface hierarchical indexes (quadtree, k-d
-// tree, R-tree) implement to obtain incremental MINDIST/MAXDIST orderings
+// TreeNode is the traversal interface a hierarchical index (the quadtree)
+// implements to obtain incremental MINDIST/MAXDIST orderings
 // through best-first search: only the subtrees near the query point are
 // expanded, so a query that stops early touches O(popped · log) nodes
 // instead of every block.

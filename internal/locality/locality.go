@@ -106,7 +106,7 @@ func (n *Neighborhood) FarthestDistTo(q geom.Point) float64 {
 // FarthestDistSqTo is FarthestDistTo in squared form. The 2-kNN-select
 // algorithm derives its search threshold from this quantity — squared, for
 // the same exactness reason as NearestDistSqTo: sqrt(d²)² can round below
-// d², and a tight-MBR index (k-d tree, R-tree) whose block boundary sits
+// d², and a tight-MBR block (an overlay delta chunk) whose boundary sits
 // exactly at the threshold distance would then be clipped out of the
 // locality, dropping an answer point. The native fuzz harness found exactly
 // that divergence.

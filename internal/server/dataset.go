@@ -175,17 +175,6 @@ func SplitDatasetArgRemote(s string) (name string, shards [][]string, opts Datas
 	return name, shards, opts, true, nil
 }
 
-// ParseIndexKind parses an index-kind flag value: the String form of one of
-// the four index kinds.
-func ParseIndexKind(s string) (twoknn.IndexKind, error) {
-	for _, k := range [...]twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex, twoknn.KDTreeIndex} {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown index kind %q (want grid, quadtree, rtree or kdtree)", s)
-}
-
 // ParseShardPolicy parses a shard-policy flag value.
 func ParseShardPolicy(s string) (twoknn.ShardPolicy, error) {
 	switch s {

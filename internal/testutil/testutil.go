@@ -11,9 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/index/grid"
-	"repro/internal/index/kdtree"
 	"repro/internal/index/quadtree"
-	"repro/internal/index/rtree"
 )
 
 // UniformPoints returns n points uniformly distributed over bounds, from a
@@ -62,20 +60,18 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// IndexKind names one of the three index implementations.
+// IndexKind names one of the two index implementations.
 type IndexKind string
 
 // The available index kinds.
 const (
 	Grid     IndexKind = "grid"
 	Quadtree IndexKind = "quadtree"
-	RTree    IndexKind = "rtree"
-	KDTree   IndexKind = "kdtree"
 )
 
 // AllIndexKinds lists every index implementation; tests range over it to
 // check index-agnosticism.
-var AllIndexKinds = []IndexKind{Grid, Quadtree, RTree, KDTree}
+var AllIndexKinds = []IndexKind{Grid, Quadtree}
 
 // BuildIndex constructs an index of the given kind over pts with a small
 // block capacity (so even small test inputs span many blocks).
@@ -105,16 +101,10 @@ func NewIndexCapacity(kind IndexKind, pts []geom.Point, capacity int) (index.Ind
 		// well-defined region.
 		return grid.New(nil, grid.Options{Bounds: geom.NewRect(0, 0, 1, 1), Cols: 1, Rows: 1})
 	}
-	switch kind {
-	case Quadtree:
+	if kind == Quadtree {
 		return quadtree.New(pts, quadtree.Options{LeafCapacity: capacity})
-	case KDTree:
-		return kdtree.New(pts, kdtree.Options{LeafCapacity: capacity})
-	case RTree:
-		return rtree.New(pts, rtree.Options{LeafCapacity: capacity})
-	default:
-		return grid.New(pts, grid.Options{TargetPerCell: capacity})
 	}
+	return grid.New(pts, grid.Options{TargetPerCell: capacity})
 }
 
 // BuildRelation wraps BuildIndex into a core.Relation.

@@ -13,7 +13,7 @@ import (
 // must return byte-identical results no matter which distance-kernel
 // implementation dispatches — the scalar reference or the AVX2 fast path.
 // The matrix runs all five paper query shapes plus the footnote-1 range
-// extension over all four index kinds and both single and sharded sources,
+// extension over both index kinds and both single and sharded sources,
 // with block capacities above the batched-kernel grain so the fast paths
 // genuinely fire inside the locality searcher's selection-heap feed, the
 // Counting algorithm's threshold scans and the radius filters.
@@ -26,7 +26,7 @@ func kernelEquivSources(t *testing.T, name string, pts []twoknn.Point) map[strin
 	bounds := twoknn.NewRect(0, 0, 1024, 1024)
 	srcs := make(map[string]twoknn.Source)
 	for _, kind := range []twoknn.IndexKind{
-		twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex, twoknn.KDTreeIndex,
+		twoknn.GridIndex, twoknn.QuadtreeIndex,
 	} {
 		rel, err := twoknn.NewRelation(name, pts,
 			twoknn.WithBounds(bounds), twoknn.WithBlockCapacity(64), twoknn.WithIndexKind(kind))

@@ -24,7 +24,7 @@ func TestPostMergeReadPathAllocs(t *testing.T) {
 		queries[i] = Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 	}
 
-	for _, kind := range []IndexKind{GridIndex, QuadtreeIndex, RTreeIndex, KDTreeIndex} {
+	for _, kind := range []IndexKind{GridIndex, QuadtreeIndex} {
 		t.Run(kind.String(), func(t *testing.T) {
 			rel, err := NewRelation("alloc", pts, WithIndexKind(kind),
 				WithBlockCapacity(64), WithCompactThreshold(-1))

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzMutateRelation drives fuzzer-chosen insert/remove/update/compact/query
-// interleavings through mutable relations on all four index kinds, checking
+// interleavings through mutable relations on both index kinds, checking
 // every checkpoint against a from-scratch rebuild of the live point set
 // (the map-of-stable-IDs oracle). The coarse coordinate grid of fuzzPoints
 // makes co-located duplicates and exact distance ties common; the update op
@@ -39,7 +39,7 @@ func FuzzMutateRelation(f *testing.F) {
 		}
 		k := int(kb%24) + 1
 
-		kinds := []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex, twoknn.KDTreeIndex}
+		kinds := []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex}
 		rels := make([]*twoknn.Relation, len(kinds))
 		for i, kind := range kinds {
 			rel, err := twoknn.NewRelation("fuzzmut", pts,

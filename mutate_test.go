@@ -3,6 +3,7 @@ package twoknn_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,11 +158,11 @@ func checkMutatedAgainstRebuild(t *testing.T, mut, oracle, other *twoknn.Relatio
 
 // TestMutateDifferentialMatrix drives a scripted mutation sequence — dense
 // inserts (with co-located duplicates), base and delta removals, moves, and
-// remove-then-reinsert of the same ID — through all four index kinds,
+// remove-then-reinsert of the same ID — through both index kinds,
 // comparing every query shape against a from-scratch rebuild after every
 // stage and after explicit compaction.
 func TestMutateDifferentialMatrix(t *testing.T) {
-	kinds := []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex, twoknn.KDTreeIndex}
+	kinds := []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex}
 	for _, kind := range kinds {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
@@ -340,7 +341,7 @@ func TestAutoCompaction(t *testing.T) {
 // TestMutateEmptyAndEdgeCases covers mutation starting from an empty
 // relation, removing everything, and compacting an empty live set.
 func TestMutateEmptyAndEdgeCases(t *testing.T) {
-	for _, kind := range []twoknn.IndexKind{twoknn.GridIndex, twoknn.RTreeIndex} {
+	for _, kind := range []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex} {
 		rel, err := twoknn.NewRelation("empty", nil,
 			twoknn.WithBounds(testBounds), twoknn.WithIndexKind(kind), twoknn.WithCompactThreshold(-1))
 		if err != nil {
@@ -398,5 +399,51 @@ func TestCloneSharesMutations(t *testing.T) {
 	cl.Remove(ids[0])
 	if rel.Len() != 50 {
 		t.Fatalf("original Len = %d after clone removal, want 50", rel.Len())
+	}
+}
+
+// TestWrittenOuterTakesNoContourStop pins Procedure 3's fallback on a
+// written relation: an overlay snapshot with pending writes appends delta
+// blocks over the base tiling, so its blocks no longer tile space and
+// Block-Marking must test every outer block instead of stopping at the
+// contour — and still return the conceptual plan's rows. The same outer
+// before its writes takes the contour stop.
+func TestWrittenOuterTakesNoContourStop(t *testing.T) {
+	f := twoknn.Point{X: 500, Y: 500}
+	inner, err := twoknn.NewRelation("inner", datagen.Uniform(1500, testBounds, 21), twoknn.WithBounds(testBounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex} {
+		outer, err := twoknn.NewRelation("outer", datagen.Uniform(500, testBounds, 22),
+			twoknn.WithBounds(testBounds), twoknn.WithIndexKind(kind), twoknn.WithCompactThreshold(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blockMarking := func() ([]twoknn.Pair, string) {
+			var explain string
+			got, err := twoknn.SelectInnerJoin(outer, inner, f, 4, 16,
+				twoknn.WithAlgorithm(twoknn.AlgorithmBlockMarking), twoknn.WithExplain(&explain))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got, explain
+		}
+		if _, explain := blockMarking(); strings.Contains(explain, "preprocessing: exhaustive") {
+			t.Errorf("%v: unwritten outer fell back to exhaustive preprocessing:\n%s", kind, explain)
+		}
+
+		outer.Insert(datagen.Uniform(50, testBounds, 23)...)
+		got, explain := blockMarking()
+		if !strings.Contains(explain, "preprocessing: exhaustive") {
+			t.Errorf("%v: written outer took the contour stop:\n%s", kind, explain)
+		}
+		want, err := twoknn.SelectInnerJoin(outer, inner, f, 4, 16, twoknn.WithAlgorithm(twoknn.AlgorithmConceptual))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: block-marking rows differ from conceptual\n got  %v\n want %v", kind, got, want)
+		}
 	}
 }

@@ -178,8 +178,8 @@ func WithChainedQEP(q ChainedQEP) QueryOption {
 // WithExhaustivePreprocessing disables the contour early-stop of
 // Block-Marking preprocessing, checking every non-empty outer block
 // individually. Automatic where the contour argument does not hold: an outer
-// index whose blocks do not tile space (R-trees), a sharded or remote outer
-// relation (EXPLAIN says so).
+// relation with pending writes, whose delta blocks overlap its base blocks,
+// or a sharded or remote outer relation (EXPLAIN says so).
 func WithExhaustivePreprocessing() QueryOption {
 	return func(c *queryConfig) { c.exhaustive = true }
 }
@@ -229,10 +229,11 @@ func WithExplain(target *string) QueryOption {
 // the focal point f, in ascending (distance, X, Y) order. It is the
 // package-level form of the Relation/ShardedRelation methods, accepting any
 // Source so callers that hold a mixed dataset registry (e.g. a query server)
-// dispatch uniformly. It errors on a nil source (ErrNilRelation) and
-// non-positive k (ErrNonPositiveK).
+// dispatch uniformly. It errors on a nil source (ErrNilRelation),
+// non-positive k (ErrNonPositiveK) and a NaN or infinite focal coordinate
+// (ErrNonFiniteCoordinate).
 func KNNSelect(rel Source, f Point, k int, opts ...QueryOption) ([]Point, error) {
-	if err := validate([]Source{rel}, kArg{"k", k}); err != nil {
+	if err := validate([]Source{rel}, []Point{f}, kArg{"k", k}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
@@ -251,7 +252,7 @@ func KNNSelect(rel Source, f Point, k int, opts ...QueryOption) ([]Point, error)
 // only the selected points (paper, Figures 1–2) — so no plan does it; the
 // Counting and Block-Marking strategies deliver the pruning instead.
 func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...QueryOption) ([]Pair, error) {
-	if err := validate([]Source{outer, inner}, kArg{"kJoin", kJoin}, kArg{"kSel", kSel}); err != nil {
+	if err := validate([]Source{outer, inner}, []Point{f}, kArg{"kJoin", kJoin}, kArg{"kSel", kSel}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
@@ -267,7 +268,7 @@ func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...Quer
 // kNN-join: (σ_{kSel,f}(outer)) ⋈kNN inner. The pushdown is valid (paper,
 // Figure 3), so the select runs first and only selected points join.
 func SelectOuterJoin(outer, inner Source, f Point, kSel, kJoin int, opts ...QueryOption) ([]Pair, error) {
-	if err := validate([]Source{outer, inner}, kArg{"kSel", kSel}, kArg{"kJoin", kJoin}); err != nil {
+	if err := validate([]Source{outer, inner}, []Point{f}, kArg{"kSel", kSel}, kArg{"kJoin", kJoin}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
@@ -291,7 +292,7 @@ func SelectOuterJoin(outer, inner Source, f Point, kSel, kJoin int, opts ...Quer
 // processes — gets the same plan without them: both joins in full, as
 // EXPLAIN reports.
 func UnchainedJoins(a, b, c Source, kAB, kCB int, opts ...QueryOption) ([]Triple, error) {
-	if err := validate([]Source{a, b, c}, kArg{"kAB", kAB}, kArg{"kCB", kCB}); err != nil {
+	if err := validate([]Source{a, b, c}, nil, kArg{"kAB", kAB}, kArg{"kCB", kCB}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
@@ -309,7 +310,7 @@ func UnchainedJoins(a, b, c Source, kAB, kCB int, opts ...QueryOption) ([]Triple
 // Figure 13 are available and produce identical results; ChainedAuto uses
 // the nested join with a neighborhood cache, the paper's winner.
 func ChainedJoins(a, b, c Source, kAB, kBC int, opts ...QueryOption) ([]Triple, error) {
-	if err := validate([]Source{a, b, c}, kArg{"kAB", kAB}, kArg{"kBC", kBC}); err != nil {
+	if err := validate([]Source{a, b, c}, nil, kArg{"kAB", kAB}, kArg{"kBC", kBC}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
@@ -328,7 +329,7 @@ func ChainedJoins(a, b, c Source, kAB, kBC int, opts ...QueryOption) ([]Triple, 
 // predicate first and clips the larger predicate's locality to the answer's
 // possible extent, making cost nearly independent of the larger k.
 func TwoSelects(rel Source, f1 Point, k1 int, f2 Point, k2 int, opts ...QueryOption) ([]Point, error) {
-	if err := validate([]Source{rel}, kArg{"k1", k1}, kArg{"k2", k2}); err != nil {
+	if err := validate([]Source{rel}, []Point{f1, f2}, kArg{"k1", k1}, kArg{"k2", k2}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
@@ -346,7 +347,8 @@ func TwoSelects(rel Source, f1 Point, k1 int, f2 Point, k2 int, opts ...QueryOpt
 // below the inner relation would be invalid; the same Counting and
 // Block-Marking algorithms deliver the pruning.
 func RangeInnerJoin(outer, inner Source, rng Rect, kJoin int, opts ...QueryOption) ([]Pair, error) {
-	if err := validate([]Source{outer, inner}, kArg{"kJoin", kJoin}); err != nil {
+	corners := []Point{{X: rng.MinX, Y: rng.MinY}, {X: rng.MaxX, Y: rng.MaxY}}
+	if err := validate([]Source{outer, inner}, corners, kArg{"kJoin", kJoin}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)

@@ -5,16 +5,16 @@ import (
 
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/index/grid"
-	"repro/internal/index/kdtree"
 	"repro/internal/index/overlay"
 	"repro/internal/index/quadtree"
-	"repro/internal/index/rtree"
 	"repro/internal/plan"
 	"repro/internal/shard"
 	"repro/internal/stats"
@@ -54,26 +54,29 @@ const (
 
 	// QuadtreeIndex is a PR quadtree.
 	QuadtreeIndex
-
-	// RTreeIndex is an STR bulk-loaded R-tree.
-	RTreeIndex
-
-	// KDTreeIndex is a median-split k-d tree.
-	KDTreeIndex
 )
+
+// indexKindNames spells every index kind once, in IndexKind order: String
+// and ParseIndexKind both read it.
+var indexKindNames = [...]string{GridIndex: "grid", QuadtreeIndex: "quadtree"}
 
 // String implements fmt.Stringer.
 func (k IndexKind) String() string {
-	switch k {
-	case QuadtreeIndex:
-		return "quadtree"
-	case RTreeIndex:
-		return "rtree"
-	case KDTreeIndex:
-		return "kdtree"
-	default:
-		return "grid"
+	if k < 0 || int(k) >= len(indexKindNames) {
+		return indexKindNames[GridIndex]
 	}
+	return indexKindNames[k]
+}
+
+// ParseIndexKind parses an index-kind flag value: the String form of one of
+// the index kinds.
+func ParseIndexKind(s string) (IndexKind, error) {
+	for k, name := range indexKindNames {
+		if name == s {
+			return IndexKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown index kind %q (want %s)", s, strings.Join(indexKindNames[:], " or "))
 }
 
 // ErrEmptyRelation is returned when a Relation is built over no points
@@ -84,6 +87,12 @@ var ErrEmptyRelation = errors.New("twoknn: relation has no points and no explici
 // k parameter (k, kJoin, kSel, kAB, kCB, kBC, k1, k2) is zero or negative.
 // Returned errors wrap it: test with errors.Is.
 var ErrNonPositiveK = errors.New("twoknn: k must be positive")
+
+// ErrNonFiniteCoordinate is the typed error every query entry point that
+// takes focal points or a range rectangle returns when one of their
+// coordinates is NaN or ±Inf: such a coordinate orders no distance, so any
+// answer would be wrong. Returned errors wrap it: test with errors.Is.
+var ErrNonFiniteCoordinate = errors.New("twoknn: coordinate is NaN or infinite")
 
 // ErrNilRelation is the typed error every query entry point returns when a
 // relation argument is nil (either a nil interface or a typed nil *Relation
@@ -282,23 +291,12 @@ func WithMaxSearchers(n int) RelationOption {
 }
 
 // buildIndex constructs the spatial index for st, shared by NewRelation and
-// the compaction path. A zero bounds derives the region from the points;
-// the R-tree derives it always, and an empty R-tree falls back to a
-// single-cell grid so empty relations behave uniformly.
+// the compaction path. A zero bounds derives the region from the points.
 func buildIndex(st *geom.PointStore, kind IndexKind, capacity int, bounds Rect) (index.Index, error) {
-	switch kind {
-	case QuadtreeIndex:
+	if kind == QuadtreeIndex {
 		return quadtree.NewFromStore(st, quadtree.Options{LeafCapacity: capacity, Bounds: bounds})
-	case KDTreeIndex:
-		return kdtree.NewFromStore(st, kdtree.Options{LeafCapacity: capacity, Bounds: bounds})
-	case RTreeIndex:
-		if st.Len() == 0 {
-			return grid.New(nil, grid.Options{Bounds: bounds, Cols: 1, Rows: 1})
-		}
-		return rtree.NewFromStore(st, rtree.Options{LeafCapacity: capacity})
-	default:
-		return grid.NewFromStore(st, grid.Options{TargetPerCell: capacity, Bounds: bounds})
 	}
+	return grid.NewFromStore(st, grid.Options{TargetPerCell: capacity, Bounds: bounds})
 }
 
 // newCore wraps an index in a core relation with this relation's pool
@@ -435,7 +433,8 @@ func (r *Relation) Invalidate() { r.d.epoch.Add(1) }
 
 // KNNSelect returns the k points of the relation closest to the focal point
 // f (σ_{k,f}), in ascending (distance, X, Y) order. It errors on a nil
-// receiver (ErrNilRelation) and non-positive k (ErrNonPositiveK).
+// receiver (ErrNilRelation), non-positive k (ErrNonPositiveK) and a NaN or
+// infinite focal coordinate (ErrNonFiniteCoordinate).
 func (r *Relation) KNNSelect(f Point, k int, opts ...QueryOption) ([]Point, error) {
 	return KNNSelect(r, f, k, opts...)
 }
@@ -465,7 +464,7 @@ func (r *Relation) srcNil() bool { return r == nil }
 // It errors on nil relations (ErrNilRelation) and non-positive k
 // (ErrNonPositiveK).
 func KNNJoin(outer, inner Source, k int, opts ...QueryOption) ([]Pair, error) {
-	if err := validate([]Source{outer, inner}, kArg{"k", k}); err != nil {
+	if err := validate([]Source{outer, inner}, nil, kArg{"k", k}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
@@ -483,8 +482,10 @@ type kArg struct {
 // validate checks a query's arguments before anything else touches them:
 // the relations first — nil interfaces and, via srcNil (safe on nil
 // receivers), typed nil pointers; the error wraps ErrNilRelation — then the
-// k parameters in the order given; the error wraps ErrNonPositiveK.
-func validate(srcs []Source, ks ...kArg) error {
+// k parameters in the order given; the error wraps ErrNonPositiveK — then
+// the focal points or range corners pts; the error wraps
+// ErrNonFiniteCoordinate.
+func validate(srcs []Source, pts []Point, ks ...kArg) error {
 	for i, s := range srcs {
 		if s == nil || s.srcNil() {
 			return fmt.Errorf("%w (argument %d)", ErrNilRelation, i+1)
@@ -493,6 +494,17 @@ func validate(srcs []Source, ks ...kArg) error {
 	for _, a := range ks {
 		if a.k <= 0 {
 			return fmt.Errorf("%w: %s = %d", ErrNonPositiveK, a.name, a.k)
+		}
+	}
+	return checkFinite(pts)
+}
+
+// checkFinite reports the first point of pts with a NaN or infinite coordinate,
+// wrapping ErrNonFiniteCoordinate.
+func checkFinite(pts []Point) error {
+	for i, p := range pts {
+		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("%w: %v (point %d)", ErrNonFiniteCoordinate, p, i)
 		}
 	}
 	return nil

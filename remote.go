@@ -213,16 +213,11 @@ func dialRemoteTransports(ctx context.Context, name string, tps [][]remote.Shard
 // indexKindNamed maps a shard's reported index family onto IndexKind
 // (diagnostic only; unknown names read as grid).
 func indexKindNamed(s string) IndexKind {
-	switch s {
-	case "quadtree":
-		return QuadtreeIndex
-	case "rtree":
-		return RTreeIndex
-	case "kdtree":
-		return KDTreeIndex
-	default:
+	k, err := ParseIndexKind(s)
+	if err != nil {
 		return GridIndex
 	}
+	return k
 }
 
 // Name returns the relation's name (given at dial time).

@@ -296,13 +296,13 @@ func truncPts(ps []twoknn.Point) []twoknn.Point {
 }
 
 // TestShardedDifferentialOracle is the satellite-1 matrix: every query shape
-// x {1, 2, 3, 7} shards x {hash, spatial} policy x all four index kinds x
+// x {1, 2, 3, 7} shards x {hash, spatial} policy x both index kinds x
 // {uniform, clustered} datasets, sharded results byte-identical (after
 // canonical sort) to the single-relation path. The expected answers are
 // computed once per (kind, dataset) and reused across the policy/shard-count
 // grid; canonical sorting of the comparator side happens there too.
 func TestShardedDifferentialOracle(t *testing.T) {
-	kinds := []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex, twoknn.KDTreeIndex}
+	kinds := []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex}
 	policies := []twoknn.ShardPolicy{twoknn.HashSharding, twoknn.SpatialSharding}
 	shardCounts := []int{1, 2, 3, 7}
 
@@ -463,8 +463,8 @@ func TestShardedPermutationInvariance(t *testing.T) {
 // policies, preserved cardinality, empty relations and invalid shard counts.
 func TestShardedRelationBasics(t *testing.T) {
 	pts := datagen.Uniform(100, oracleBounds, 5)
-	sr := buildSharded(t, "basics", pts, twoknn.RTreeIndex, 4, twoknn.SpatialSharding)
-	if sr.NumShards() != 4 || sr.Policy() != twoknn.SpatialSharding || sr.IndexKind() != twoknn.RTreeIndex {
+	sr := buildSharded(t, "basics", pts, twoknn.QuadtreeIndex, 4, twoknn.SpatialSharding)
+	if sr.NumShards() != 4 || sr.Policy() != twoknn.SpatialSharding || sr.IndexKind() != twoknn.QuadtreeIndex {
 		t.Fatalf("metadata mismatch: %d shards, %v, %v", sr.NumShards(), sr.Policy(), sr.IndexKind())
 	}
 

@@ -34,7 +34,7 @@ func TestNewRelationValidation(t *testing.T) {
 }
 
 func TestRelationAccessors(t *testing.T) {
-	for _, kind := range []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex} {
+	for _, kind := range []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex} {
 		rel := uniformRelation(t, "acc", 200, 5, twoknn.WithIndexKind(kind), twoknn.WithBlockCapacity(16))
 		if rel.Name() != "acc" {
 			t.Errorf("Name = %q", rel.Name())
@@ -97,7 +97,7 @@ func TestKNNSelectAndJoinPublic(t *testing.T) {
 // query through all its strategies and index kinds, checking result-set
 // equality — the public-API version of the core equivalence suite.
 func TestPublicQueriesAgreeAcrossStrategies(t *testing.T) {
-	kinds := []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex}
+	kinds := []twoknn.IndexKind{twoknn.GridIndex, twoknn.QuadtreeIndex}
 	for _, kind := range kinds {
 		outer := uniformRelation(t, "outer", 250, 11, twoknn.WithIndexKind(kind), twoknn.WithBlockCapacity(16))
 		inner := uniformRelation(t, "inner", 350, 12, twoknn.WithIndexKind(kind), twoknn.WithBlockCapacity(16))
@@ -456,7 +456,7 @@ func TestStablePointIDs(t *testing.T) {
 		}
 	}
 	kinds := []twoknn.IndexKind{
-		twoknn.GridIndex, twoknn.QuadtreeIndex, twoknn.RTreeIndex, twoknn.KDTreeIndex,
+		twoknn.GridIndex, twoknn.QuadtreeIndex,
 	}
 	for _, kind := range kinds {
 		rel, err := twoknn.NewRelation("ids", pts,
