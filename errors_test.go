@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	twoknn "repro"
@@ -285,4 +286,85 @@ func TestNonFiniteCoordinates(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNonFiniteIngest locks the coordinate contract of every ingest path: a
+// NaN or infinite point would sort as a nearest neighbour and make every
+// later compaction fail, so the constructors refuse it with an error
+// wrapping ErrNonFiniteCoordinate that names its index, and Insert and
+// Update panic with such an error before they touch the relation.
+func TestNonFiniteIngest(t *testing.T) {
+	bounds := twoknn.NewRect(0, 0, 100, 100)
+	pts := datagen.Uniform(40, bounds, 1)
+	withBad := func(p twoknn.Point) []twoknn.Point {
+		out := append([]twoknn.Point(nil), pts...)
+		out[7] = p
+		return out
+	}
+	bads := []twoknn.Point{
+		{X: math.NaN(), Y: 3},
+		{X: 3, Y: math.NaN()},
+		{X: math.Inf(1), Y: 3},
+		{X: 3, Y: math.Inf(-1)},
+	}
+	tests := []struct {
+		name string
+		// build runs a constructor over pts with p at index 7; mutate
+		// applies p to rel. Each test sets one of them.
+		build  func(p twoknn.Point) error
+		mutate func(rel *twoknn.Relation, p twoknn.Point)
+	}{
+		{name: "NewRelation", build: func(p twoknn.Point) error {
+			_, err := twoknn.NewRelation("r", withBad(p))
+			return err
+		}},
+		{name: "NewRelation/bounds", build: func(p twoknn.Point) error {
+			_, err := twoknn.NewRelation("r", withBad(p), twoknn.WithBounds(bounds))
+			return err
+		}},
+		{name: "NewShardedRelation", build: func(p twoknn.Point) error {
+			_, err := twoknn.NewShardedRelation("s", withBad(p), 3)
+			return err
+		}},
+		{name: "Insert", mutate: func(rel *twoknn.Relation, p twoknn.Point) {
+			rel.Insert(twoknn.Point{X: 1, Y: 1}, p)
+		}},
+		{name: "Update", mutate: func(rel *twoknn.Relation, p twoknn.Point) {
+			rel.Update(3, p)
+		}},
+	}
+	for _, tc := range tests {
+		for _, p := range bads {
+			if tc.build != nil {
+				err := tc.build(p)
+				if !errors.Is(err, twoknn.ErrNonFiniteCoordinate) || !strings.Contains(err.Error(), "(point 7)") {
+					t.Errorf("%s with %v at index 7: got %v, want ErrNonFiniteCoordinate naming point 7", tc.name, p, err)
+				}
+				continue
+			}
+			rel, err := twoknn.NewRelation("m", pts, twoknn.WithCompactThreshold(-1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel.Insert(twoknn.Point{X: 50, Y: 50}) // an overlay is resident, so Compact has work to do
+			n, epoch := rel.Len(), rel.Epoch()
+			if err := panicError(func() { tc.mutate(rel, p) }); !errors.Is(err, twoknn.ErrNonFiniteCoordinate) {
+				t.Errorf("%s(%v): panicked with %v, want an error wrapping ErrNonFiniteCoordinate", tc.name, p, err)
+			}
+			if rel.Len() != n || rel.Epoch() != epoch {
+				t.Errorf("%s(%v): Len %d → %d, Epoch %d → %d; want both unchanged", tc.name, p, n, rel.Len(), epoch, rel.Epoch())
+			}
+			if err := rel.Compact(); err != nil || rel.Len() != n {
+				t.Errorf("%s(%v): Compact afterwards: %v, Len %d (want nil, %d)", tc.name, p, err, rel.Len(), n)
+			}
+		}
+	}
+}
+
+// panicError runs f and returns the error it panicked with, or nil if it
+// returned normally or panicked with a non-error value.
+func panicError(f func()) (err error) {
+	defer func() { err, _ = recover().(error) }()
+	f()
+	return nil
 }

@@ -217,7 +217,7 @@ func TestGroupRequestRejected(t *testing.T) {
 
 // TestOneFocalWireUnchanged pins the one-focal encoding: the request a
 // coordinator sends for a single focal and the body a shard answers it with
-// carry exactly the fields they had before the protocol knew groups.
+// carry no group fields, and the response carries no stable IDs.
 func TestOneFocalWireUnchanged(t *testing.T) {
 	rel := testRelation(t, testPoints(200, 26))
 	srv := NewShardServer(rel, ShardServerConfig{Name: "one"})
@@ -273,10 +273,10 @@ func TestOneFocalWireUnchanged(t *testing.T) {
 		}
 		return strings.Join(ks, ",")
 	}
-	if got := keys(post("neighborhood", `{"x":500,"y":500,"k":3}`)); got != "ids,xs,ys,d_sqs,stats" {
+	if got := keys(post("neighborhood", `{"x":500,"y":500,"k":3}`)); got != "xs,ys,d_sqs,stats" {
 		t.Fatalf("one-focal neighborhood response fields: %s", got)
 	}
-	if got := keys(post("neighborhood-within", `{"x":500,"y":500,"k":3,"threshold_sq":2500}`)); got != "ids,xs,ys,d_sqs,stats" {
+	if got := keys(post("neighborhood-within", `{"x":500,"y":500,"k":3,"threshold_sq":2500}`)); got != "xs,ys,d_sqs,stats" {
 		t.Fatalf("one-focal within response fields: %s", got)
 	}
 	if got := keys(post("count-closer", `{"x":500,"y":500,"k":3,"threshold_sq":250000}`)); got != "count,stats" {
@@ -289,7 +289,7 @@ func TestOneFocalWireUnchanged(t *testing.T) {
 func TestProbeResponseValidate(t *testing.T) {
 	ok := func() *ProbeResponse {
 		return &ProbeResponse{
-			IDs: []int32{1, 2, 3}, Xs: []float64{1, 2, 3}, Ys: []float64{1, 2, 3}, DSqs: []float64{1, 2, 3},
+			Xs: []float64{1, 2, 3}, Ys: []float64{1, 2, 3}, DSqs: []float64{1, 2, 3},
 			Offs: []int{0, 2, 2, 3},
 		}
 	}
@@ -318,7 +318,7 @@ func TestProbeResponseValidate(t *testing.T) {
 			t.Errorf("%s: accepted %+v", name, r)
 		}
 	}
-	one := &ProbeResponse{IDs: []int32{1, 2}, Xs: []float64{1, 2}, Ys: []float64{1, 2}, DSqs: []float64{1, 2}}
+	one := &ProbeResponse{Xs: []float64{1, 2}, Ys: []float64{1, 2}, DSqs: []float64{1, 2}}
 	if err := one.validate(OpNeighborhood, 1, 2); err != nil {
 		t.Fatalf("well-formed one-focal response refused: %v", err)
 	}
@@ -393,7 +393,7 @@ func TestCorruptGroupIsRetried(t *testing.T) {
 // rebuild into the gather's answer without an out-of-range index — every
 // focal's span (or count) addressable.
 func FuzzProbeResponseValidate(f *testing.F) {
-	f.Add([]byte(`{"ids":[1,2,3],"xs":[1,2,3],"ys":[1,2,3],"d_sqs":[1,4,9],"offs":[0,2,2,3]}`), 3, 2, false)
+	f.Add([]byte(`{"xs":[1,2,3],"ys":[1,2,3],"d_sqs":[1,4,9],"offs":[0,2,2,3]}`), 3, 2, false)
 	f.Fuzz(func(t *testing.T, body []byte, n, k int, count bool) {
 		if n < 1 || n > 64 || k < 1 {
 			return

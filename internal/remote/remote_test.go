@@ -189,8 +189,8 @@ func TestRetryOnTransient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe should have succeeded after retries: %v", err)
 	}
-	if len(resp.IDs) != 5 {
-		t.Fatalf("got %d candidates, want 5", len(resp.IDs))
+	if len(resp.Xs) != 5 {
+		t.Fatalf("got %d candidates, want 5", len(resp.Xs))
 	}
 	ns := rs.NetStats()
 	if ns.Endpoints[0].Retries != 2 {
@@ -215,8 +215,8 @@ func TestFailoverToReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("failover probe: %v", err)
 	}
-	if len(resp.IDs) != 3 {
-		t.Fatalf("got %d candidates, want 3", len(resp.IDs))
+	if len(resp.Xs) != 3 {
+		t.Fatalf("got %d candidates, want 3", len(resp.Xs))
 	}
 	ns := rs.NetStats()
 	if ns.Failovers == 0 {
@@ -358,8 +358,8 @@ func TestDropProbeFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("probe with dropped primary: %v", err)
 	}
-	if len(resp.IDs) != 2 {
-		t.Fatalf("got %d candidates, want 2", len(resp.IDs))
+	if len(resp.Xs) != 2 {
+		t.Fatalf("got %d candidates, want 2", len(resp.Xs))
 	}
 	ns := rs.NetStats()
 	if ns.Failovers == 0 {

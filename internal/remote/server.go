@@ -46,11 +46,6 @@ type ShardServer struct {
 	cfg ShardServerConfig
 	mux *http.ServeMux
 
-	// idOf resolves a result coordinate to its smallest stable ID over this
-	// shard's points (co-located duplicates collapse deterministically,
-	// matching the coordinator's render table).
-	idOf map[geom.Point]int32
-
 	// counters is the shard's lifetime operation tally across all probes
 	// (served by /metrics next to the per-op counts).
 	counters stats.Counters
@@ -66,14 +61,6 @@ func NewShardServer(rel *core.Relation, cfg ShardServerConfig) *ShardServer {
 		cfg.Epoch = 1
 	}
 	s := &ShardServer{rel: rel, cfg: cfg}
-	st := rel.Store()
-	s.idOf = make(map[geom.Point]int32, st.Len())
-	for i := 0; i < st.Len(); i++ {
-		p, id := st.At(i), st.ID(i)
-		if old, ok := s.idOf[p]; !ok || id < old {
-			s.idOf[p] = id
-		}
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc(pathPrefix+"/neighborhood", s.handleProbe(OpNeighborhood))
 	s.mux.HandleFunc(pathPrefix+"/neighborhood-within", s.handleProbe(OpWithin))
@@ -172,12 +159,12 @@ func (s *ShardServer) probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 			}
 			continue
 		case OpWithin:
-			s.appendCandidates(resp, p, h.S.NeighborhoodWithinSq(p, req.K, thresholdSq, &delta).Points)
+			appendCandidates(resp, p, h.S.NeighborhoodWithinSq(p, req.K, thresholdSq, &delta).Points)
 		default:
-			s.appendCandidates(resp, p, h.S.Neighborhood(p, req.K, &delta).Points)
+			appendCandidates(resp, p, h.S.Neighborhood(p, req.K, &delta).Points)
 		}
 		if n > 1 {
-			resp.Offs = append(resp.Offs, len(resp.IDs))
+			resp.Offs = append(resp.Offs, len(resp.Xs))
 		}
 	}
 	d := delta.Snapshot()
@@ -194,17 +181,15 @@ func (s *ShardServer) probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 }
 
 // appendCandidates encodes one focal's neighborhood as the response's next
-// wire candidates: stable ID, coordinates, and the squared distance to the
-// focal recomputed from coordinates (exactly the comparison key of the
+// wire candidates: coordinates and the squared distance to the focal
+// recomputed from them (exactly the comparison key of the
 // coordinator's merge — the neighborhood's Dists are sqrt values, and
 // appendSpans on the far side restores Dists = Sqrt(dSq)).
-func (s *ShardServer) appendCandidates(resp *ProbeResponse, center geom.Point, pts []geom.Point) {
-	resp.IDs = slices.Grow(resp.IDs, len(pts))
+func appendCandidates(resp *ProbeResponse, center geom.Point, pts []geom.Point) {
 	resp.Xs = slices.Grow(resp.Xs, len(pts))
 	resp.Ys = slices.Grow(resp.Ys, len(pts))
 	resp.DSqs = slices.Grow(resp.DSqs, len(pts))
 	for _, p := range pts {
-		resp.IDs = append(resp.IDs, s.idOf[p])
 		resp.Xs = append(resp.Xs, p.X)
 		resp.Ys = append(resp.Ys, p.Y)
 		resp.DSqs = append(resp.DSqs, center.DistSq(p))

@@ -8,10 +8,9 @@
 // # Exactness over the wire
 //
 // The protocol ships candidate sets, not answers: each probe returns the
-// shard-local top-k as stable point IDs, coordinates, and squared distances.
-// Go's encoding/json formats float64 with strconv's shortest round-trip
-// representation, so coordinates and squared distances cross the wire
-// bit-exactly; the client rebuilds Dists as math.Sqrt(dSq) — precisely the
+// shard-local top-k as coordinates and squared distances. Go's
+// encoding/json formats float64 with strconv's shortest round-trip
+// representation, so both cross the wire bit-exactly; the client rebuilds Dists as math.Sqrt(dSq) — precisely the
 // computation the in-process searcher performs (locality's extractInto) —
 // and the coordinator's k-way merge recomputes squared distances from
 // coordinates exactly as it does for in-process shards. Remote results are
@@ -39,12 +38,12 @@
 //
 //	request   {x, y, k, threshold_sq}                 focal 0
 //	          + xs, ys, thresholds_sq                 focals 1..n-1 (parallel arrays, omitted for n = 1)
-//	response  {ids, xs, ys, d_sqs, stats}             flat candidates, focal after focal
+//	response  {xs, ys, d_sqs, stats}                  flat candidates, focal after focal
 //	          + offs                                  n+1 offsets: focal i owns [offs[i], offs[i+1]) (omitted for n = 1)
 //	          {count} / {counts}                      count-closer: n = 1 / n > 1
 //
-// A one-focal request and its response are therefore exactly the bodies
-// the protocol had before it knew groups. A group holds at most
+// A one-focal request and its response therefore carry no group fields.
+// A group holds at most
 // MaxGroupFocals focals: the shard answers a larger one, ragged parallel
 // arrays or a non-positive k with 400 (fatal, never retried), and the
 // coordinator cuts a larger unit into consecutive requests at the same
@@ -163,14 +162,14 @@ type WireStats struct {
 	OuterSkipped   int64 `json:"outer_skipped,omitempty"`
 }
 
-// ProbeResponse carries a group's candidate sets: parallel arrays of stable
-// point IDs, coordinates, and squared distances, focal after focal, each
-// focal's candidates in the shard-local result order (ascending (distance,
-// X, Y)). For a group of n > 1 focals Offs holds the n+1 span boundaries;
-// a one-focal response omits it (its span is everything). OpCount answers
-// Count for one focal, Counts for more.
+// ProbeResponse carries a group's candidate sets: parallel arrays of
+// coordinates and squared distances, focal after focal, each focal's
+// candidates in the shard-local result order (ascending (distance, X, Y)).
+// Stable IDs are not shipped: the coordinator resolves served rows through
+// its render table, built from /shard/v1/block. For a group of n > 1 focals
+// Offs holds the n+1 span boundaries; a one-focal response omits it (its
+// span is everything). OpCount answers Count for one focal, Counts for more.
 type ProbeResponse struct {
-	IDs    []int32   `json:"ids,omitempty"`
 	Xs     []float64 `json:"xs,omitempty"`
 	Ys     []float64 `json:"ys,omitempty"`
 	DSqs   []float64 `json:"d_sqs,omitempty"`
@@ -206,10 +205,9 @@ func (r *ProbeResponse) validate(op Op, n, k int) error {
 		}
 		return nil
 	}
-	m := len(r.IDs)
-	if len(r.Xs) != m || len(r.Ys) != m || len(r.DSqs) != m {
-		return fmt.Errorf("ragged candidate arrays: ids=%d xs=%d ys=%d dsqs=%d",
-			m, len(r.Xs), len(r.Ys), len(r.DSqs))
+	m := len(r.Xs)
+	if len(r.Ys) != m || len(r.DSqs) != m {
+		return fmt.Errorf("ragged candidate arrays: xs=%d ys=%d dsqs=%d", m, len(r.Ys), len(r.DSqs))
 	}
 	if n == 1 {
 		if len(r.Offs) != 0 {
@@ -237,7 +235,7 @@ func (r *ProbeResponse) validate(op Op, n, k int) error {
 // local probe's.
 func (r *ProbeResponse) appendSpans(n int, ans *shard.GroupAnswer) {
 	base := len(ans.Points)
-	for i := range r.IDs {
+	for i := range r.Xs {
 		ans.Points = append(ans.Points, geom.Point{X: r.Xs[i], Y: r.Ys[i]})
 		ans.Dists = append(ans.Dists, math.Sqrt(r.DSqs[i]))
 	}

@@ -177,6 +177,27 @@ func TestMutationRoutes(t *testing.T) {
 	}
 }
 
+// TestMutationInsertRejectsNonFinite sends an insert whose coordinate
+// overflows float64: the body is answered with 400 and the point never
+// reaches the relation.
+func TestMutationInsertRejectsNonFinite(t *testing.T) {
+	ts, rel := mutableServer(t)
+	n, epoch := rel.Len(), rel.Epoch()
+	resp, err := http.Post(ts.URL+"/v1/data/insert", "application/json",
+		strings.NewReader(`{"dataset":"trips","points":[{"x":1e999,"y":0}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("insert of 1e999: status %d, body %s; want 400", resp.StatusCode, body)
+	}
+	if rel.Len() != n || rel.Epoch() != epoch {
+		t.Fatalf("insert of 1e999 reached the relation: Len %d → %d, Epoch %d → %d", n, rel.Len(), epoch, rel.Epoch())
+	}
+}
+
 // badFieldRequest encodes a body with a field no mutation request has.
 type badFieldRequest struct{}
 

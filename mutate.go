@@ -72,9 +72,15 @@ func (r *Relation) DeltaStats() DeltaStats {
 //
 // Insert, Remove, Update and Compact are safe for concurrent use with each
 // other and with queries; writers serialize internally.
+//
+// Insert panics with an error wrapping ErrNonFiniteCoordinate if any point
+// has a NaN or infinite coordinate; the relation is then left unchanged.
 func (r *Relation) Insert(pts ...Point) []int32 {
 	if len(pts) == 0 {
 		return nil
+	}
+	if err := checkFinite(pts); err != nil {
+		panic(err)
 	}
 	d := r.d
 	d.mu.Lock()
@@ -125,9 +131,15 @@ func (r *Relation) Remove(ids ...int32) int {
 // so Update doubles as an upsert and supports remove-then-reinsert of the
 // same identity. Negative IDs are rejected (returning false) without
 // mutating. Update is one mutation batch: the epoch is bumped once.
+//
+// Update panics with an error wrapping ErrNonFiniteCoordinate if p has a
+// NaN or infinite coordinate; the relation is then left unchanged.
 func (r *Relation) Update(id int32, p Point) bool {
 	if id < 0 {
 		return false
+	}
+	if !finite(p) {
+		panic(fmt.Errorf("%w: %v (update of ID %d)", ErrNonFiniteCoordinate, p, id))
 	}
 	d := r.d
 	d.mu.Lock()

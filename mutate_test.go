@@ -338,6 +338,95 @@ func TestAutoCompaction(t *testing.T) {
 	}
 }
 
+// TestMutationStreamAcrossCompaction drives a long interleaved stream of
+// inserts, removes and moves through a relation that compacts in the
+// background at the default threshold, and holds every query shape to a
+// from-scratch rebuild of the live set every ten steps, right after a
+// background merge has landed, and after a final explicit compaction.
+func TestMutationStreamAcrossCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	fresh := func() twoknn.Point {
+		return twoknn.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+	}
+	base := make([]twoknn.Point, 400)
+	for i := range base {
+		base[i] = fresh()
+	}
+	rel, err := twoknn.NewRelation("stream", base, twoknn.WithBlockCapacity(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := uniformRelation(t, "other", 150, 8, twoknn.WithBlockCapacity(16))
+	oracle := newMutOracle(base)
+	live := make([]int32, len(base)) // live IDs, in the order the stream picks from
+	for i := range live {
+		live[i] = int32(i)
+	}
+
+	compare := func(step int) {
+		t.Helper()
+		if rel.Len() != len(oracle.pts) {
+			t.Fatalf("step %d: Len = %d, oracle has %d", step, rel.Len(), len(oracle.pts))
+		}
+		checkMutatedAgainstRebuild(t, rel, oracle.rebuild(t, twoknn.GridIndex, 16), other)
+	}
+
+	compare(-1)
+	for step := 0; step < 300; step++ {
+		switch step % 4 {
+		case 0, 1: // insert
+			p := fresh()
+			ids := rel.Insert(p)
+			oracle.insert(p)
+			live = append(live, ids[0])
+		case 2: // remove a random live point
+			i := rng.Intn(len(live))
+			id := live[i]
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			if n := rel.Remove(id); n != 1 {
+				t.Fatalf("step %d: Remove(%d) = %d", step, id, n)
+			}
+			oracle.remove(id)
+		default: // move a random live point
+			id := live[rng.Intn(len(live))]
+			p := fresh()
+			if !rel.Update(id, p) {
+				t.Fatalf("step %d: Update(%d) missed a live point", step, id)
+			}
+			oracle.update(id, p)
+		}
+		if step%10 == 9 {
+			compare(step)
+		}
+		if step == 149 {
+			// The stream crossed the default compaction threshold long ago,
+			// so a background merge has started; let one land and check the
+			// answers right after the swap.
+			awaitCompaction(t, rel)
+			compare(step)
+		}
+	}
+	if err := rel.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	compare(300)
+}
+
+// awaitCompaction blocks until rel has completed at least one compaction.
+// Merges run on a background goroutine with no completion signal, so the
+// lifetime counter is polled.
+func awaitCompaction(t *testing.T, rel *twoknn.Relation) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for rel.DeltaStats().Compactions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no compaction completed at the default threshold")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestMutateEmptyAndEdgeCases covers mutation starting from an empty
 // relation, removing everything, and compacting an empty live set.
 func TestMutateEmptyAndEdgeCases(t *testing.T) {

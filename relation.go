@@ -307,7 +307,9 @@ func (d *relData) newCore(ix index.Index) *core.Relation {
 
 // NewRelation indexes pts under the given name. The name appears in EXPLAIN
 // output. The point slice is copied where the index implementation needs to
-// reorder it; callers may reuse pts afterwards.
+// reorder it; callers may reuse pts afterwards. A point with a NaN or
+// infinite coordinate is refused with an error wrapping
+// ErrNonFiniteCoordinate that names its index in pts.
 func NewRelation(name string, pts []Point, opts ...RelationOption) (*Relation, error) {
 	cfg := relationConfig{kind: GridIndex, capacity: 64}
 	for _, o := range opts {
@@ -315,6 +317,9 @@ func NewRelation(name string, pts []Point, opts ...RelationOption) (*Relation, e
 	}
 	if len(pts) == 0 && cfg.bounds.Area() <= 0 {
 		return nil, fmt.Errorf("%w (name %q)", ErrEmptyRelation, name)
+	}
+	if err := checkFinite(pts); err != nil {
+		return nil, fmt.Errorf("%w (name %q)", err, name)
 	}
 
 	// One pass into columnar form; the index constructor permutes this
@@ -503,9 +508,14 @@ func validate(srcs []Source, pts []Point, ks ...kArg) error {
 // wrapping ErrNonFiniteCoordinate.
 func checkFinite(pts []Point) error {
 	for i, p := range pts {
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
+		if !finite(p) {
 			return fmt.Errorf("%w: %v (point %d)", ErrNonFiniteCoordinate, p, i)
 		}
 	}
 	return nil
+}
+
+// finite reports whether neither of p's coordinates is NaN or infinite.
+func finite(p Point) bool {
+	return !math.IsNaN(p.X) && !math.IsNaN(p.Y) && !math.IsInf(p.X, 0) && !math.IsInf(p.Y, 0)
 }

@@ -94,6 +94,8 @@ type ShardedRelation struct {
 // not the whole region, which is what keeps distant shards cheap to probe.
 // Query results never depend on block geometry, only cost does; the
 // differential oracle suite holds across both layouts.
+//
+// Points with NaN or infinite coordinates are refused as by NewRelation.
 func NewShardedRelation(name string, pts []Point, shards int, opts ...RelationOption) (*ShardedRelation, error) {
 	cfg := relationConfig{kind: GridIndex, capacity: 64}
 	for _, o := range opts {
@@ -104,6 +106,9 @@ func NewShardedRelation(name string, pts []Point, shards int, opts ...RelationOp
 	}
 	if len(pts) == 0 && cfg.bounds.Area() <= 0 {
 		return nil, fmt.Errorf("%w (name %q)", ErrEmptyRelation, name)
+	}
+	if err := checkFinite(pts); err != nil {
+		return nil, fmt.Errorf("%w (name %q)", err, name)
 	}
 	bounds := cfg.bounds
 	if bounds.Area() <= 0 {
