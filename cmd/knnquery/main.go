@@ -52,7 +52,7 @@ func main() {
 		f2y   = flag.Float64("f2y", 4900, "second focal point y (two-selects)")
 		kJoin = flag.Int("kjoin", 2, "k of the join (or k1 for two-selects)")
 		kSel  = flag.Int("ksel", 2, "k of the select (kCB/kBC for two joins, k2 for two-selects)")
-		alg   = flag.String("algorithm", "auto", "strategy for *-inner-join: auto, conceptual, counting, block-marking")
+		alg   = flag.String("algorithm", "auto", "strategy for *-inner-join: auto (block-marking, then counting in the contributing blocks), conceptual, counting, block-marking")
 		index = flag.String("index", "grid", "index kind: grid or quadtree")
 		limit = flag.Int("limit", 20, "maximum result rows to print (0 = all)")
 		genN  = flag.Int("gen-n", 20000, "points per generated relation when a file flag is empty")

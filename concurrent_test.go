@@ -220,9 +220,9 @@ func TestBoundedCloneMixDoesNotDeadlock(t *testing.T) {
 // TestConcurrentSelfJoin exercises the duplicate-relation path on a
 // relation bounded to a single searcher: the same *Relation on both sides
 // of a query, from many goroutines, with and without fan-out. KNNJoin
-// probes only the inner searcher; SelectOuterJoin probes both sides, so
-// its handle dedup must neither deadlock (bounded pool of one) nor corrupt
-// results.
+// probes only the inner searcher; SelectOuterJoin probes both sides, and
+// SelectInnerJoin's block marking scans the outer while it probes the
+// inner, so neither may deadlock (bounded pool of one) nor corrupt results.
 func TestConcurrentSelfJoin(t *testing.T) {
 	rel, err := twoknn.NewRelation("self", randomPoints(400, 75), twoknn.WithMaxSearchers(1))
 	if err != nil {
@@ -234,6 +234,10 @@ func TestConcurrentSelfJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSel, err := twoknn.SelectOuterJoin(rel, rel, f, 10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantInner, err := twoknn.SelectInnerJoin(rel, rel, f, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +262,12 @@ func TestConcurrentSelfJoin(t *testing.T) {
 				t.Errorf("self select-outer-join: %v", err)
 				return
 			}
-			if !reflect.DeepEqual(gotJoin, wantJoin) || !reflect.DeepEqual(gotSel, wantSel) {
+			gotInner, err := twoknn.SelectInnerJoin(rel, rel, f, 3, 10, opts...)
+			if err != nil {
+				t.Errorf("self select-inner-join: %v", err)
+				return
+			}
+			if !reflect.DeepEqual(gotJoin, wantJoin) || !reflect.DeepEqual(gotSel, wantSel) || !reflect.DeepEqual(gotInner, wantInner) {
 				t.Error("concurrent self-join diverged from serial result")
 			}
 		}(g)

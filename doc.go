@@ -8,8 +8,10 @@
 //
 //   - a kNN-select on the inner relation of a kNN-join (SelectInnerJoin):
 //     pushing the select below the join is invalid; the package evaluates it
-//     correctly with the paper's Counting or Block-Marking algorithms, which
-//     are orders of magnitude faster than the conceptual plan;
+//     correctly with the paper's Counting and Block-Marking algorithms, which
+//     are orders of magnitude faster than the conceptual plan — by default
+//     both, since each prune is exact: Block-Marking's block prune, then
+//     Counting's tuple prune inside the blocks that survive it;
 //   - a kNN-select on the outer relation of a kNN-join (SelectOuterJoin):
 //     the pushdown is valid and is what the implementation does;
 //   - two unchained kNN-joins sharing their inner relation (UnchainedJoins):

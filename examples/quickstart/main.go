@@ -46,8 +46,8 @@ func main() {
 
 	// Two kNN predicates: restaurants joined with their 2 nearest hotels,
 	// keeping only hotels that are also among the 5 nearest to the center.
-	// Pushing that select below the join would be wrong; the library runs
-	// the Counting or Block-Marking algorithm instead — ask it to explain.
+	// Pushing that select below the join would be wrong; the library prunes
+	// with Block-Marking and then Counting instead — ask it to explain.
 	var explain string
 	pairs, err := twoknn.SelectInnerJoin(restaurants, hotels, center, 2, 5,
 		twoknn.WithExplain(&explain))

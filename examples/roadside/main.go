@@ -12,8 +12,9 @@
 //  1. the classical optimizer rewrite (push the select below the join)
 //     returns a different answer than the correct plans run beside it;
 //
-//  2. the conceptual plan, the Counting algorithm and the Block-Marking
-//     algorithm all return identical pairs;
+//  2. the conceptual plan, the Counting algorithm, the Block-Marking
+//     algorithm and the default that runs both prunes all return identical
+//     pairs;
 //
 //  3. the optimized algorithms do far less work (operation counters).
 //
@@ -76,7 +77,7 @@ func main() {
 	}
 	fmt.Printf("%-32s %6d pairs (wrong)\n\n", "select pushed below the join", len(pushed))
 
-	// 2 & 3. Evaluate with all three strategies and compare.
+	// 2 & 3. Evaluate with every strategy and compare.
 	type strategy struct {
 		name string
 		alg  twoknn.Algorithm
@@ -85,6 +86,7 @@ func main() {
 		{"conceptual (correct but slow)", twoknn.AlgorithmConceptual},
 		{"counting", twoknn.AlgorithmCounting},
 		{"block-marking", twoknn.AlgorithmBlockMarking},
+		{"auto (block-marking + counting)", twoknn.AlgorithmAuto},
 	}
 	var first []twoknn.Pair
 	for _, s := range strategies {

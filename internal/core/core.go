@@ -67,6 +67,9 @@ type Relation struct {
 	// Ix is the block partition of the relation's points.
 	Ix index.Index
 
+	// ixs is Indexes' answer, {Ix}, made once and shared by the handles.
+	ixs []index.Index
+
 	// S computes neighborhoods over Ix.
 	S *locality.Searcher
 
@@ -78,6 +81,10 @@ type Relation struct {
 	// pool recycles per-goroutine query handles over Ix (handles themselves
 	// point back at their pool for Release).
 	pool *SearcherPool
+
+	// scan holds the iterator of Block-Marking's outer-block scan
+	// (markContributingBlocks), apart from S's own; made on first use.
+	scan *index.IterPool
 
 	// leased marks a handle as currently out of its pool (set by Acquire,
 	// cleared by Release's compare-and-swap); long-lived views like Clones
@@ -99,7 +106,7 @@ func NewRelation(ix index.Index) *Relation { return NewRelationBounded(ix, 0) }
 // pools, a selection heap and a result buffer, so total scratch memory is
 // proportional to maxSearchers, not to the number of in-flight queries.
 func NewRelationBounded(ix index.Index, maxSearchers int) *Relation {
-	r := &Relation{Ix: ix, S: locality.NewSearcher(ix), store: index.StoreOf(ix)}
+	r := &Relation{Ix: ix, ixs: []index.Index{ix}, S: locality.NewSearcher(ix), store: index.StoreOf(ix)}
 	r.pool = newSearcherPool(r, maxSearchers)
 	return r
 }

@@ -171,7 +171,7 @@ func pointUnits(pts []geom.Point, workers int) []Unit {
 // per-point loop on its own searcher, with no probe object in between.
 
 // Indexes implements Operand.
-func (r *Relation) Indexes() []index.Index { return []index.Index{r.Ix} }
+func (r *Relation) Indexes() []index.Index { return r.ixs }
 
 // Extent implements Operand.
 func (r *Relation) Extent() float64 { return r.Ix.Bounds().Area() }

@@ -98,7 +98,7 @@ func (p *SearcherPool) take(done <-chan struct{}) (h *Relation, ok bool) {
 // lease checks h — minting it when nil — out of the pool.
 func (p *SearcherPool) lease(h *Relation) *Relation {
 	if h == nil {
-		h = &Relation{Ix: p.root.Ix, S: p.root.S.Clone(), store: p.root.store, pool: p}
+		h = &Relation{Ix: p.root.Ix, ixs: p.root.ixs, S: p.root.S.Clone(), store: p.root.store, pool: p}
 	}
 	h.leased.Store(true)
 	p.outstanding.Add(1)
@@ -210,5 +210,5 @@ func (h *Relation) Release() {
 // pattern); callers going through Acquire/Release borrow pooled handles
 // either way.
 func (r *Relation) Clone() *Relation {
-	return &Relation{Ix: r.Ix, S: r.S.Clone(), store: r.store, pool: r.pool}
+	return &Relation{Ix: r.Ix, ixs: r.ixs, S: r.S.Clone(), store: r.store, pool: r.pool}
 }

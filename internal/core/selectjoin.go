@@ -26,9 +26,9 @@ type Algorithm int
 
 // The inner-selection join strategies.
 const (
-	// AlgorithmAuto lets the optimizer choose by outer cardinality
-	// (plan.ChooseSelectJoinAlgorithm); handed to the drivers unresolved it
-	// runs as Block-Marking.
+	// AlgorithmAuto runs both exact prunes: Block-Marking's block prune
+	// (Procedures 2–3), then Counting's tuple prune (Procedure 1) in the
+	// contributing blocks. Neither drops a row, so together they drop none.
 	AlgorithmAuto Algorithm = iota
 
 	// AlgorithmConceptual evaluates the full join and filters it by the
@@ -145,7 +145,8 @@ type BlockMarkingOptions struct {
 // Contributing blocks; the marking itself stays sequential — its contour
 // early-stop is a data-dependent scan in MINDIST order that cannot be split
 // without giving up the early termination — and a block it discards is never
-// scanned, which over a remote outer side means never fetched.
+// scanned, which over a remote outer side means never fetched. Auto marks,
+// then runs Counting over the points of the Contributing blocks only.
 func SelectInnerJoin(outer, inner Operand, sel InnerSelection, kJoin int, alg Algorithm,
 	opt BlockMarkingOptions, workers int, c *stats.Counters) []Pair {
 
@@ -168,8 +169,11 @@ func SelectInnerJoin(outer, inner Operand, sel InnerSelection, kJoin int, alg Al
 	if alg == AlgorithmCounting {
 		return joinUnits(outer.Units(), inner, kJoin, workers, 0, c, nil, sel.ThresholdSq, sel.Contains)
 	}
-	units := markContributingBlocks(outer, inner, sel, kJoin, opt, c)
-	return joinUnits(units, inner, kJoin, workers, 0, c, nil, nil, sel.Contains)
+	units, closerThan := markContributingBlocks(outer, inner, sel, kJoin, opt, c), sel.ThresholdSq
+	if alg == AlgorithmBlockMarking {
+		closerThan = nil
+	}
+	return joinUnits(units, inner, kJoin, workers, 0, c, nil, closerThan, sel.Contains)
 }
 
 // SelectInnerJoinConceptual is the sequential conceptual plan for a
@@ -219,7 +223,7 @@ func SelectOuterJoin(outer, inner Operand, f geom.Point, kSel, kJoin, workers in
 	if kJoin <= 0 {
 		return nil
 	}
-	out := joinUnits(pointUnits(selected, workers), inner, kJoin, workers, len(selected)*kJoin, c, nil, nil, nil)
+	out := joinUnits(pointUnits(selected, workers), inner, kJoin, workers, len(selected)*min(kJoin, inner.Len()), c, nil, nil, nil)
 	if out == nil {
 		out = []Pair{}
 	}
@@ -253,42 +257,53 @@ func ContourApplies(outer Operand) bool {
 // each block on its own, so it leaves the empty ones alone: they contribute
 // nothing either way, and a test costs a neighborhood — over remote shards,
 // round trips.
+//
+// The MINDIST scan reuses the iterator of a spare handle of an in-process
+// outer relation, taken after the inner probe and without waiting, so two
+// sides sharing one bounded pool cannot block each other.
 func markContributingBlocks(outer, inner Operand, sel InnerSelection,
 	kJoin int, opt BlockMarkingOptions, c *stats.Counters) []Unit {
 
-	exhaustive := opt.Exhaustive || !ContourApplies(outer)
-	// next yields the scan — (block, MINDIST² from the focal point) — and
-	// total is the number of blocks it runs over.
-	var next func() (Unit, float64, bool)
-	var total int
-	if ixs := outer.Indexes(); len(ixs) == 1 {
-		scan := index.MinDistOrder(ixs[0], sel.Focal)
-		total = len(ixs[0].Blocks())
-		next = func() (Unit, float64, bool) {
-			b, minSq, ok := scan.Next()
-			return Unit{Block: b}, minSq, ok
-		}
-	} else {
-		units := outer.Units()
-		total = len(units)
-		next = func() (Unit, float64, bool) {
-			if len(units) == 0 {
-				return Unit{}, 0, false
-			}
-			u := units[0]
-			units = units[1:]
-			return u, 0, true
-		}
-	}
-
 	p, _ := inner.Borrow(0, c)
 	defer inner.Return(p)
-	var contributing []Unit
+
+	exhaustive := opt.Exhaustive || !ContourApplies(outer)
+	// The scan is a block iterator over the one index, or the units, which
+	// are then filtered in place.
+	var scan index.BlockIter
+	var units, contributing []Unit
+	var total int
+	if ixs := outer.Indexes(); len(ixs) == 1 {
+		// A spare handle of an in-process relation lends its iterator.
+		var h *Relation
+		if r, ok := outer.(interface{ TryAcquire() (*Relation, error) }); ok {
+			h, _ = r.TryAcquire()
+		}
+		if h != nil {
+			defer h.Release()
+			if h.scan == nil {
+				h.scan = index.NewIterPool(h.Ix)
+			}
+			scan = h.scan.MinDist(sel.Focal)
+		} else {
+			scan = index.MinDistOrder(ixs[0], sel.Focal)
+		}
+		total = len(ixs[0].Blocks())
+		contributing = make([]Unit, 0, total)
+	} else {
+		units = outer.Units()
+		total, contributing = len(units), units[:0]
+	}
+
 	mSq := -1.0 // squared MAXDIST of the first NC block of the open cycle; <0: no open cycle
 	scanned := 0
-	for {
-		u, minSq, ok := next()
-		if !ok {
+	for i := 0; scan != nil || i < len(units); i++ {
+		u, minSq := Unit{}, 0.0 // minSq: MINDIST² from the focal point, 0 in unit order
+		if scan == nil {
+			u = units[i]
+		} else if b, keySq, ok := scan.Next(); ok {
+			u, minSq = Unit{Block: b}, keySq
+		} else {
 			break
 		}
 		if exhaustive && u.Count() == 0 {

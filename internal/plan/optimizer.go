@@ -13,7 +13,8 @@ type Algorithm = core.Algorithm
 
 // The select-inner-join strategies.
 const (
-	// Auto lets the optimizer choose by outer cardinality.
+	// Auto runs both prunes: Block-Marking's block prune, then Counting's
+	// tuple prune over the contributing blocks.
 	Auto = core.AlgorithmAuto
 
 	// Conceptual evaluates the full join, the full select, and intersects.
@@ -26,14 +27,6 @@ const (
 	BlockMarking = core.AlgorithmBlockMarking
 )
 
-// DefaultCountingThreshold is the outer-relation cardinality up to which
-// Auto picks Counting for the inner-join shapes. Section 3.3 of the paper
-// has Counting win at low outer density (no preprocessing phase) and
-// Block-Marking at high density (per-block instead of per-tuple overhead),
-// but names no crossover; 30000 is this package's default, not a measured
-// one. Override it per query with the public API option.
-const DefaultCountingThreshold = 30000
-
 // UniformCoverageCutoff is the cluster-coverage fraction above which a
 // relation is treated as uniformly distributed for join ordering. Section
 // 4.1.2: when both outer relations are uniform, Block-Marking preprocessing
@@ -44,37 +37,20 @@ const UniformCoverageCutoff = 0.85
 // Explain formats it.
 type reason struct {
 	requested   bool    // the query's option named the choice: nothing to decide
-	outerCard   int     // §3.3: compared against CountingThreshold
 	covA, covC  float64 // §4.1.2: the unchained outer relations' cluster coverages
 	contourless bool    // Exhaustive was forced: no space-tiling outer index
 	remoteB     bool    // Prune was turned off: B's blocks are in other processes
 	remote      bool    // a batch's relation is in other processes: one focal group per wave
 }
 
-// ChooseSelectJoinAlgorithm resolves Auto for a select-inner-join over an
-// outer relation of the given cardinality (countingThreshold ≤ 0 selects
-// DefaultCountingThreshold) and says why. Explicit choices pass through.
-func ChooseSelectJoinAlgorithm(alg Algorithm, outerCard, countingThreshold int) (Algorithm, string) {
-	p := SelectInnerJoinPlan(alg, "", "", outerCard, 0, 0, 0)
-	p.CountingThreshold = countingThreshold
-	p.chooseAlgorithm(outerCard)
+// ChooseSelectJoinAlgorithm returns the strategy alg runs as, and why:
+// explicit choices pass through, and Auto runs both prunes at any outer size.
+// Its two int arguments (once the outer cardinality and a counting threshold)
+// are ignored; they stay until benchmark/ moves off this function (ROADMAP,
+// the yardstick's shims).
+func ChooseSelectJoinAlgorithm(alg Algorithm, _, _ int) (Algorithm, string) {
+	p := SelectInnerJoinPlan(alg, "", "", 0, 0, 0, 0)
 	return p.Algorithm, p.reason()
-}
-
-// chooseAlgorithm is Section 3.3: Counting for small outer relations,
-// Block-Marking for large ones.
-func (p *Plan) chooseAlgorithm(outerCard int) {
-	p.why.outerCard = outerCard
-	if p.CountingThreshold <= 0 {
-		p.CountingThreshold = DefaultCountingThreshold
-	}
-	switch {
-	case p.why.requested:
-	case outerCard <= p.CountingThreshold:
-		p.Algorithm = Counting
-	default:
-		p.Algorithm = BlockMarking
-	}
 }
 
 // chooseOrder is Section 4.1.2: start with the more clustered
@@ -108,11 +84,7 @@ func (p *Plan) reason() string {
 		return fmt.Sprintf("coverage A=%.2f ≤ C=%.2f: start with the more clustered relation (§4.1.2)", w.covA, w.covC)
 	case p.shape == unchained:
 		return fmt.Sprintf("coverage C=%.2f < A=%.2f: start with the more clustered relation (§4.1.2)", w.covC, w.covA)
-	case p.Algorithm == Counting:
-		return fmt.Sprintf("outer cardinality %d ≤ %d: per-tuple pruning beats per-block preprocessing (§3.3)",
-			w.outerCard, p.CountingThreshold)
 	default:
-		return fmt.Sprintf("outer cardinality %d > %d: per-block pruning amortizes preprocessing (§3.3)",
-			w.outerCard, p.CountingThreshold)
+		return "block-marking, then counting in the contributing blocks: each prune drops only tuples that cannot join (§3)"
 	}
 }

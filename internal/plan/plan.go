@@ -7,10 +7,10 @@
 // Paper mapping ("Spatial Queries with Two kNN Predicates", Aly, Aref,
 // Ouzzani; VLDB 2012):
 //
-//   - Section 3.3: Auto picks Counting for small outer relations and
-//     Block-Marking for large ones; Block-Marking preprocesses exhaustively
-//     where Procedure 3's contour argument does not hold for the outer
-//     operand;
+//   - Section 3: Auto runs Block-Marking's block prune and then Counting's
+//     tuple prune over the contributing blocks, both exact, so no size rule
+//     picks one; Auto and Block-Marking preprocess exhaustively where
+//     Procedure 3's contour argument does not hold for the outer operand;
 //   - Section 4.1.2: OrderAuto starts the unchained pair with the more
 //     clustered outer relation and skips preprocessing entirely when both
 //     look uniform; Procedure 4's Candidate marks need B's blocks in this
@@ -84,14 +84,11 @@ type Plan struct {
 	Rect            geom.Rect
 	Focals, Focals2 []geom.Point
 
-	// Algorithm is the strategy of the inner-join shapes (§3.3), Auto until
-	// Optimize resolves it. The two-selects shapes hold Conceptual or Auto,
-	// the 2-kNN-select of Procedure 5.
+	// Algorithm is the strategy of the inner-join shapes (§3): Auto runs
+	// both prunes, the others are the paper's three algorithms. The
+	// two-selects shapes hold Conceptual or Auto, the 2-kNN-select of
+	// Procedure 5.
 	Algorithm Algorithm
-
-	// CountingThreshold is the outer cardinality up to which Auto picks
-	// Counting; ≤ 0 selects DefaultCountingThreshold.
-	CountingThreshold int
 
 	// Exhaustive makes Block-Marking's preprocessing test every non-empty
 	// outer block instead of stopping at the contour: requested, or forced
@@ -179,8 +176,8 @@ func (p *Plan) Optimize(ops [3]core.Operand, gathered bool) {
 	p.Gathered = gathered
 	switch p.shape {
 	case selectInnerJoin, rangeInnerJoin:
-		p.chooseAlgorithm(ops[0].Len())
-		if p.Algorithm == BlockMarking && !p.Exhaustive && !core.ContourApplies(ops[0]) {
+		marks := p.Algorithm == BlockMarking || p.Algorithm == Auto
+		if marks && !p.Exhaustive && !core.ContourApplies(ops[0]) {
 			p.Exhaustive, p.why.contourless = true, true
 		}
 	case unchained:
@@ -248,15 +245,18 @@ func (p *Plan) tree() (head string, root *node, note string) {
 				&node{"range-select", "rect=" + p.Rect.String() + " (inner of join; pushdown invalid)", []*node{b}}
 		}
 		detail := fmt.Sprintf("algorithm=%s, k⋈=%d", p.Algorithm, k0)
+		preprocessing := "contour"
+		if p.Exhaustive {
+			preprocessing = "exhaustive"
+		}
+		marked := &node{"mark-blocks", preprocessing + " preprocessing over outer blocks", []*node{a}}
 		switch p.Algorithm {
 		case Counting:
 			root = &node{op, detail, []*node{a, sel}}
 		case BlockMarking:
-			preprocessing := "contour"
-			if p.Exhaustive {
-				preprocessing = "exhaustive"
-			}
-			root = &node{op, detail, []*node{{"mark-blocks", preprocessing + " preprocessing over outer blocks", []*node{a}}, sel}}
+			root = &node{op, detail, []*node{marked, sel}}
+		case Auto:
+			root = &node{op, detail + ", counting prunes tuples", []*node{marked, sel}}
 		default:
 			root = &node{"∩", "pairs whose inner point " + survives, []*node{join(k0, "", a, b), sel}}
 		}

@@ -49,14 +49,12 @@ func TestChooseSelectJoinAlgorithm(t *testing.T) {
 	if alg, _ := ChooseSelectJoinAlgorithm(BlockMarking, 10, 0); alg != BlockMarking {
 		t.Errorf("explicit choice must pass through, got %v", alg)
 	}
-	if alg, reason := ChooseSelectJoinAlgorithm(Auto, 100, 0); alg != Counting || reason == "" {
-		t.Errorf("small outer must choose Counting, got %v (%s)", alg, reason)
-	}
-	if alg, _ := ChooseSelectJoinAlgorithm(Auto, DefaultCountingThreshold+1, 0); alg != BlockMarking {
-		t.Errorf("large outer must choose Block-Marking, got %v", alg)
-	}
-	if alg, _ := ChooseSelectJoinAlgorithm(Auto, 500, 100); alg != BlockMarking {
-		t.Errorf("custom threshold must be honored, got %v", alg)
+	// Auto is both prunes whatever the outer cardinality: the int arguments
+	// are ignored.
+	for _, card := range []int{100, 30001, 1 << 20} {
+		if alg, reason := ChooseSelectJoinAlgorithm(Auto, card, 100); alg != Auto || !strings.Contains(reason, "block-marking, then counting") {
+			t.Errorf("outer %d: Auto must stay Auto and name both prunes, got %v (%s)", card, alg, reason)
+		}
 	}
 }
 
@@ -119,8 +117,8 @@ func TestPlanBuilders(t *testing.T) {
 		{"select-inner-bm", SelectInnerJoinPlan(BlockMarking, "M", "H", 10, 20, 2, 3), []string{"block-marking", "mark-blocks [contour"}},
 		{"select-inner-bm-exhaustive", decided(SelectInnerJoinPlan(BlockMarking, "M", "H", 10, 20, 2, 3), func(p *Plan) { p.Exhaustive = true }),
 			[]string{"mark-blocks [exhaustive"}},
-		{"select-inner-auto", decided(SelectInnerJoinPlan(Auto, "M", "H", 10, 20, 2, 3), func(p *Plan) { p.chooseAlgorithm(10) }),
-			[]string{"strategy: counting (outer cardinality 10 ≤ 30000"}},
+		{"select-inner-auto", SelectInnerJoinPlan(Auto, "M", "H", 10, 20, 2, 3),
+			[]string{"strategy: auto (block-marking, then counting", "counting prunes tuples", "mark-blocks [contour"}},
 		{"select-outer", SelectOuterJoin(geom.Point{}, 3, 2), []string{"pushdown valid"}},
 		{"unchained-pruned", decided(Unchained(core.OrderABFirst, 2, 2), (*Plan).chooseOrder), []string{"∩B", "candidate/safe", "contributing blocks of C"}},
 		{"unchained-plain", decided(Unchained(core.OrderAuto, 2, 2), func(p *Plan) { p.why.covA, p.why.covC = 0.9, 0.9; p.chooseOrder() }),
@@ -177,10 +175,16 @@ func TestOptimizeFallbacks(t *testing.T) {
 	if p.Optimize([3]core.Operand{a, b}, false); p.Exhaustive {
 		t.Errorf("a grid outer tiles space: the contour applies")
 	}
-	p = SelectInnerJoinPlan(BlockMarking, "A", "B", a.Len(), b.Len(), 2, 3)
-	p.Optimize([3]core.Operand{farOperand{a}, b}, true)
-	if out := p.Explain(); !p.Exhaustive || !strings.Contains(out, "preprocessing: exhaustive") {
-		t.Errorf("an outer without an in-process index must preprocess exhaustively, and say so:\n%s", out)
+	for _, alg := range []Algorithm{BlockMarking, Auto} {
+		p = SelectInnerJoinPlan(alg, "A", "B", a.Len(), b.Len(), 2, 3)
+		p.Optimize([3]core.Operand{farOperand{a}, b}, true)
+		if out := p.Explain(); !p.Exhaustive || !strings.Contains(out, "preprocessing: exhaustive") {
+			t.Errorf("%v: an outer without an in-process index must preprocess exhaustively, and say so:\n%s", alg, out)
+		}
+	}
+	p = SelectInnerJoinPlan(Counting, "A", "B", a.Len(), b.Len(), 2, 3)
+	if p.Optimize([3]core.Operand{farOperand{a}, b}, true); p.Exhaustive {
+		t.Errorf("counting marks no blocks: nothing to preprocess")
 	}
 
 	p = Unchained(core.OrderAuto, 2, 2)

@@ -51,9 +51,10 @@ type Common struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 
 	// Algorithm forces the evaluation strategy for the *-inner-join routes:
-	// "auto" (default when empty), "conceptual", "counting" or
-	// "block-marking". Other routes accept and ignore it, mirroring
-	// twoknn.WithAlgorithm.
+	// "auto" (default when empty: Block-Marking's block prune, then
+	// Counting's tuple prune), "conceptual", "counting" or "block-marking"
+	// (one of the paper's algorithms alone). Other routes accept and ignore
+	// it, mirroring twoknn.WithAlgorithm.
 	Algorithm string `json:"algorithm,omitempty"`
 
 	// Explain asks for an EXPLAIN rendering of the executed plan in the

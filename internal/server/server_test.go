@@ -25,21 +25,24 @@ import (
 // shares: a clustered outer, a uniform inner and a traffic-shaped third.
 func testPoints(t testing.TB) (outer, inner, third []twoknn.Point) {
 	t.Helper()
-	load := func(spec string) []twoknn.Point {
-		sp, err := dataload.Parse(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts, err := sp.Points()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
-	}
-	outer = load("clustered:clusters=3,per=150,seed=11")
-	inner = load("uniform:n=400,seed=12")
-	third = load("uniform:n=350,seed=13")
+	outer = datagenPoints(t, "clustered:clusters=3,per=150,seed=11")
+	inner = datagenPoints(t, "uniform:n=400,seed=12")
+	third = datagenPoints(t, "uniform:n=350,seed=13")
 	return outer, inner, third
+}
+
+// datagenPoints generates the points of a dataset spec.
+func datagenPoints(t testing.TB, spec string) []twoknn.Point {
+	t.Helper()
+	sp, err := dataload.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := sp.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pts
 }
 
 // backing is one way to host the three datasets: single relations or a
@@ -294,6 +297,28 @@ func TestDifferentialBattery(t *testing.T) {
 			}
 			diffRows(t, resp.Pairs, pairOracle(reg, outerN, innerN, pairs), resp.Count)
 		})
+	}
+}
+
+// TestSelectOuterJoinRouteHugeKJoin: a k_join far beyond the inner dataset
+// is answered like k_join = |inner|, not with a failed allocation.
+func TestSelectOuterJoinRouteHugeKJoin(t *testing.T) {
+	outer, inner := datagenPoints(t, "uniform:n=200,seed=21"), datagenPoints(t, "uniform:n=20,seed=22")
+	srv := server.New(server.Config{})
+	for name, pts := range map[string][]twoknn.Point{"o": outer, "i": inner} {
+		rel, err := twoknn.NewRelation(name, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Register(name, rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := &registry{srv: srv, ts: httptest.NewServer(srv.Handler())}
+	defer reg.ts.Close()
+	resp := reg.query(t, "select-outer-join", &server.SelectOuterJoinRequest{Outer: "o", Inner: "i", F: focal, KSel: 10, KJoin: 1 << 40})
+	if resp.Count != 200 || len(resp.Pairs) != 200 {
+		t.Errorf("count %d, %d pairs: want 200 (10 selected tuples × all 20 inner points)", resp.Count, len(resp.Pairs))
 	}
 }
 

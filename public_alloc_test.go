@@ -43,6 +43,10 @@ func TestPublicQueryAllocs(t *testing.T) {
 		{"SelectOuterJoin", 13, func() error { _, err := twoknn.SelectOuterJoin(a, b, f1, 10, 10); return err }},
 		{"KNNJoin", 12, func() error { _, err := twoknn.KNNJoin(c, b, 5); return err }},
 		{"SelectInnerJoin", 28, func() error { _, err := twoknn.SelectInnerJoin(a, b, f1, 10, 10); return err }},
+		{"SelectInnerJoin/block-marking", 28, func() error {
+			_, err := twoknn.SelectInnerJoin(a, b, f1, 10, 10, twoknn.WithAlgorithm(twoknn.AlgorithmBlockMarking))
+			return err
+		}},
 		{"KNNSelectBatch", 5, func() error { _, err := twoknn.KNNSelectBatch(b, focals, 10); return err }},
 		{"TwoSelectsBatch", 71, func() error { _, err := twoknn.TwoSelectsBatch(b, focals, 10, focals2, 640); return err }},
 		{"UnchainedJoins", 57, func() error { _, err := twoknn.UnchainedJoins(a, b, c, 2, 10); return err }},

@@ -72,8 +72,9 @@ type Algorithm = core.Algorithm
 
 // The evaluation strategies.
 const (
-	// AlgorithmAuto lets the optimizer choose: Counting for small outer
-	// relations, Block-Marking for large ones (paper, Section 3.3).
+	// AlgorithmAuto, the default, runs both of the paper's exact prunes:
+	// Block-Marking's per-block one, then Counting's per-tuple one inside the
+	// blocks that survive it.
 	AlgorithmAuto = core.AlgorithmAuto
 
 	// AlgorithmConceptual evaluates the conceptually correct plan without
@@ -131,16 +132,15 @@ const (
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	algorithm         Algorithm
-	countingThreshold int
-	order             JoinOrder
-	chained           ChainedQEP
-	exhaustive        bool
-	concurrency       int
-	ctx               context.Context
-	stats             *Stats
-	explain           *string
-	partial           bool
+	algorithm   Algorithm
+	order       JoinOrder
+	chained     ChainedQEP
+	exhaustive  bool
+	concurrency int
+	ctx         context.Context
+	stats       *Stats
+	explain     *string
+	partial     bool
 }
 
 func applyOptions(opts []QueryOption) queryConfig {
@@ -152,15 +152,10 @@ func applyOptions(opts []QueryOption) queryConfig {
 }
 
 // WithAlgorithm forces the evaluation strategy for SelectInnerJoin and
-// RangeInnerJoin (default AlgorithmAuto).
+// RangeInnerJoin (default AlgorithmAuto: both prunes); the paper's three
+// algorithms run alone, as its Figures 19–21 compare them.
 func WithAlgorithm(a Algorithm) QueryOption {
 	return func(c *queryConfig) { c.algorithm = a }
-}
-
-// WithCountingThreshold overrides the outer-relation cardinality at which
-// AlgorithmAuto switches from Counting to Block-Marking.
-func WithCountingThreshold(n int) QueryOption {
-	return func(c *queryConfig) { c.countingThreshold = n }
 }
 
 // WithJoinOrder forces the first join of UnchainedJoins (default OrderAuto),
@@ -250,14 +245,15 @@ func KNNSelect(rel Source, f Point, k int, opts ...QueryOption) ([]Point, error)
 // e1 AND among the kSel nearest neighbors of the focal point f. Pushing the
 // select below the inner relation would be invalid — the join would see
 // only the selected points (paper, Figures 1–2) — so no plan does it; the
-// Counting and Block-Marking strategies deliver the pruning instead.
+// Counting and Block-Marking strategies deliver the pruning instead; by
+// default both run, Counting in the blocks Block-Marking keeps.
 func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...QueryOption) ([]Pair, error) {
 	if err := validate([]Source{outer, inner}, []Point{f}, kArg{"kJoin", kJoin}, kArg{"kSel", kSel}); err != nil {
 		return nil, err
 	}
 	cfg := applyOptions(opts)
 	p := plan.SelectInnerJoinPlan(cfg.algorithm, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, kSel)
-	p.Focal, p.CountingThreshold, p.Exhaustive = f, cfg.countingThreshold, cfg.exhaustive
+	p.Focal, p.Exhaustive = f, cfg.exhaustive
 	return run(&cfg, p, func(p plan.Plan, ops [3]core.Operand) []Pair {
 		return core.SelectInnerJoin(ops[0], ops[1], core.KNNSelection(ops[1], p.Focal, p.K[1], cfg.stats), p.K[0],
 			p.Algorithm, core.BlockMarkingOptions{Exhaustive: p.Exhaustive}, cfg.concurrency, cfg.stats)
@@ -345,7 +341,7 @@ func TwoSelects(rel Source, f1 Point, k1 int, f2 Point, k2 int, opts ...QueryOpt
 // (e1, e2) where e2 is among the kJoin nearest neighbors of e1 AND lies in
 // the query rectangle. Like the kNN-select case, pushing the range filter
 // below the inner relation would be invalid; the same Counting and
-// Block-Marking algorithms deliver the pruning.
+// Block-Marking algorithms deliver the pruning, by default both.
 func RangeInnerJoin(outer, inner Source, rng Rect, kJoin int, opts ...QueryOption) ([]Pair, error) {
 	corners := []Point{{X: rng.MinX, Y: rng.MinY}, {X: rng.MaxX, Y: rng.MaxY}}
 	if err := validate([]Source{outer, inner}, corners, kArg{"kJoin", kJoin}); err != nil {
@@ -353,7 +349,7 @@ func RangeInnerJoin(outer, inner Source, rng Rect, kJoin int, opts ...QueryOptio
 	}
 	cfg := applyOptions(opts)
 	p := plan.RangeInnerJoin(cfg.algorithm, rng, kJoin)
-	p.CountingThreshold, p.Exhaustive = cfg.countingThreshold, cfg.exhaustive
+	p.Exhaustive = cfg.exhaustive
 	return run(&cfg, p, func(p plan.Plan, ops [3]core.Operand) []Pair {
 		return core.SelectInnerJoin(ops[0], ops[1], core.RangeSelection(p.Rect), p.K[0],
 			p.Algorithm, core.BlockMarkingOptions{Exhaustive: p.Exhaustive}, cfg.concurrency, cfg.stats)

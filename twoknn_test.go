@@ -2,6 +2,7 @@ package twoknn_test
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -406,18 +407,51 @@ func TestExhaustivePreprocessingOption(t *testing.T) {
 	}
 }
 
-func TestCountingThresholdOption(t *testing.T) {
-	outer := uniformRelation(t, "O", 500, 95)
-	inner := uniformRelation(t, "I", 300, 96)
+// TestAutoNamesBothPrunes: Auto has no cardinality rule. On either side of
+// the 30,000-point outer that once switched it from Counting to
+// Block-Marking, EXPLAIN names the same plan — the block marking, then the
+// tuple prune — and the counters show both prunes at work.
+func TestAutoNamesBothPrunes(t *testing.T) {
+	inner := uniformRelation(t, "I", 3000, 96, twoknn.WithBlockCapacity(16))
 	f := twoknn.Point{X: 500, Y: 500}
+	for _, n := range []int{500, 30001} {
+		outer := uniformRelation(t, "O", n, 95, twoknn.WithBlockCapacity(16))
+		var explain string
+		var st twoknn.Stats
+		if _, err := twoknn.SelectInnerJoin(outer, inner, f, 10, 5, twoknn.WithExplain(&explain), twoknn.WithStats(&st)); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"strategy: auto (block-marking, then counting", "counting prunes tuples", "mark-blocks [contour"} {
+			if !strings.Contains(explain, want) {
+				t.Errorf("|outer|=%d: EXPLAIN lacks %q:\n%s", n, want, explain)
+			}
+		}
+		if st.BlocksPruned == 0 || st.OuterSkipped == 0 {
+			t.Errorf("|outer|=%d: blocks pruned %d, tuples skipped %d: want both prunes to fire", n, st.BlocksPruned, st.OuterSkipped)
+		}
+	}
+}
 
-	var explain string
-	if _, err := twoknn.SelectInnerJoin(outer, inner, f, 3, 5,
-		twoknn.WithCountingThreshold(100), twoknn.WithExplain(&explain)); err != nil {
+// TestSelectOuterJoinHugeKJoin: the result is sized by min(kJoin, |inner|)
+// rows per selected tuple, not by kJoin. A kJoin far beyond the inner
+// relation returns every inner point per selected tuple and allocates only
+// what it returns — no up-front block of kSel·kJoin pairs, which for
+// kJoin = 2⁴⁰ cannot even be made.
+func TestSelectOuterJoinHugeKJoin(t *testing.T) {
+	outer := uniformRelation(t, "O", 200, 61)
+	inner := uniformRelation(t, "I", 20, 62)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pairs, err := twoknn.SelectOuterJoin(outer, inner, twoknn.Point{X: 500, Y: 500}, 10, 1<<40)
+	runtime.ReadMemStats(&after)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(explain, "block-marking") {
-		t.Errorf("threshold 100 with |outer|=500 must pick Block-Marking:\n%s", explain)
+	if len(pairs) != 10*20 {
+		t.Errorf("%d rows, want 200: each of the 10 selected tuples joins all 20 inner points", len(pairs))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("allocated %d bytes for 200 rows, want ≤ 1 MiB", got)
 	}
 }
 
