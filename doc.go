@@ -16,8 +16,8 @@
 //     the pushdown is valid and is what the implementation does;
 //   - two unchained kNN-joins sharing their inner relation (UnchainedJoins):
 //     both joins are evaluated independently and intersected on the shared
-//     relation, with Candidate/Safe block pruning and automatic join
-//     ordering by cluster coverage;
+//     relation; the second join's outer blocks are pruned against the first
+//     join's b's, and the join order follows cluster coverage;
 //   - two chained kNN-joins A→B→C (ChainedJoins): evaluated with the
 //     nested-join plan and a neighborhood cache;
 //   - two kNN-selects over one relation (TwoSelects): evaluated with the
@@ -217,12 +217,12 @@
 // each neighborhood by scatter/gather — per-shard candidate generation,
 // then an exact merge that re-selects the global k by the repository-wide
 // (distance, X, Y) tie order. WithAlgorithm, WithJoinOrder, WithChainedQEP
-// and WithExhaustivePreprocessing so mean the same on every backing. Two
-// steps need more than a sharded operand has, and fall back — as EXPLAIN
-// reports — to their exhaustive or unpruned form: Block-Marking's contour
-// early-stop needs one space-tiling outer index, and the Candidate/Safe
-// marks of the unchained joins need B's blocks in this process, which a
-// remote B's are not. The guarantee is exactness, not
+// and WithExhaustivePreprocessing so mean the same on every backing. One
+// step needs more than a sharded operand has, and falls back — as EXPLAIN
+// reports — to its exhaustive form: Block-Marking's contour early-stop
+// needs one space-tiling outer index. The unchained joins' Procedure 4
+// prunes on every backing, since it asks B only for neighborhoods. The
+// guarantee is exactness, not
 // approximation: the global k nearest neighbors of any point are a subset
 // of the union of the per-shard k nearest, so the merged answer — and
 // every query shape built on it — is byte-identical to the single-relation

@@ -13,9 +13,9 @@
 //     (store, depot, workshop) triples where the depot is among the 3
 //     nearest depots of the store AND among the 3 nearest depots of the
 //     workshop — depots that can serve both. Neither join may be evaluated
-//     over the other's output; the library evaluates them independently
-//     with Candidate/Safe block pruning and picks the join order from
-//     cluster coverage.
+//     over the other's output; the library evaluates them independently,
+//     prunes the second join's outer blocks against the first join's
+//     depots, and picks the join order from cluster coverage.
 //
 //     go run ./examples/logistics
 package main

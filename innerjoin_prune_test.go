@@ -2,6 +2,7 @@ package twoknn_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	twoknn "repro"
@@ -103,6 +104,67 @@ func TestInnerJoinPrunesCompose(t *testing.T) {
 						t.Errorf("%s: auto computed %d neighborhoods, block-marking %d: the tuple prune must only remove some", what, auto, bm)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestUnchainedPruneBackingIndependent: Procedure 4 tests each block of the
+// second join's outer relation against the b's the first join produced,
+// through B's neighborhoods alone. Those are exact on every backing, so
+// with A and C single relations the prune cannot depend on how B is held —
+// one relation, a hash or spatial group, or remote shards: the rows and the
+// pruned block count match, in both join orders.
+func TestUnchainedPruneBackingIndependent(t *testing.T) {
+	const kAB, kCB = 4, 4
+	clustered, err := datagen.Clustered(datagen.ClusterConfig{NumClusters: 1, PointsPerCluster: 200, Radius: 40, Bounds: testBounds, Seed: 81})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := func(name string, pts []twoknn.Point) *twoknn.Relation {
+		rel, err := twoknn.NewRelation(name, pts, twoknn.WithBlockCapacity(16), twoknn.WithBounds(testBounds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	a, c := single("A", clustered), single("C", datagen.Uniform(500, testBounds, 82))
+	ptsB := datagen.Uniform(3000, testBounds, 83)
+	backings := []struct {
+		name string
+		b    twoknn.Source
+	}{
+		{"single", single("B", ptsB)},
+		{"hash-3", buildSharded(t, "B", ptsB, twoknn.GridIndex, 3, twoknn.HashSharding)},
+		{"spatial-2", buildSharded(t, "B", ptsB, twoknn.GridIndex, 2, twoknn.SpatialSharding)},
+		{"remote-3", dialLoopback(t, "B", ptsB, 3, twoknn.HashSharding)},
+	}
+	for _, order := range []twoknn.JoinOrder{twoknn.OrderABFirst, twoknn.OrderCBFirst} {
+		var want []twoknn.Triple
+		var wantPruned int64
+		for i, bk := range backings {
+			var st twoknn.Stats
+			got, err := twoknn.UnchainedJoins(a, bk.b, c, kAB, kCB, twoknn.WithJoinOrder(order), twoknn.WithStats(&st))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", order, bk.name, err)
+			}
+			twoknn.SortTriples(got)
+			pruned := st.Snapshot().BlocksPruned
+			if i == 0 {
+				if len(got) == 0 {
+					t.Fatalf("%s: no rows: the case compares nothing", order)
+				}
+				if order == twoknn.OrderABFirst && pruned == 0 {
+					t.Fatalf("%s: nothing pruned over a single B: the case compares nothing", order)
+				}
+				want, wantPruned = got, pruned
+				continue
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s/%s: %d rows differ from the single B's %d", order, bk.name, len(got), len(want))
+			}
+			if pruned != wantPruned {
+				t.Errorf("%s/%s: %d blocks pruned, %d over a single B", order, bk.name, pruned, wantPruned)
 			}
 		}
 	}

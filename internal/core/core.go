@@ -6,8 +6,9 @@
 //     the Block-Marking algorithm (Procedures 2–3), plus the valid
 //     select-on-outer pushdown;
 //   - Section 4.1: two unchained kNN-joins — the conceptually correct
-//     intersection plan and the candidate/safe Block-Marking plan
-//     (Procedure 4), with the join-order heuristic of Section 4.1.2;
+//     intersection plan and the Block-Marking plan of Procedure 4 (the
+//     second join as a select-inner-join on the first join's b's), with
+//     the join-order heuristic of Section 4.1.2;
 //   - Section 4.2: two chained kNN-joins — the three equivalent QEPs
 //     (right-deep, join-intersection, nested join) and the neighborhood
 //     cache;
@@ -118,8 +119,7 @@ func (r *Relation) Len() int { return r.Ix.Len() }
 // locality.Searcher.Checkpoint): a no-op on unbound handles, a
 // fault.Cancel panic once the bound context is done. The join driver calls
 // it once per claimed unit, so even units whose emission never probes the
-// searcher (pruned or gated blocks) observe cancellation at block
-// granularity.
+// searcher (empty blocks) observe cancellation at block granularity.
 func (r *Relation) Checkpoint() { r.S.Checkpoint() }
 
 // ForEachPoint calls fn for every point of the relation, in block-ID then

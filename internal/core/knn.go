@@ -64,7 +64,7 @@ func Join(outer, inner Operand, k, workers int, c *stats.Counters) []Pair {
 	if k <= 0 {
 		return nil
 	}
-	out := joinUnits(outer.Units(), inner, k, workers, outer.Len()*min(k, inner.Len()), c, nil, nil, nil)
+	out := joinUnits(outer.Units(), inner, k, workers, outer.Len()*min(k, inner.Len()), c, nil, nil)
 	if out == nil {
 		out = []Pair{}
 	}

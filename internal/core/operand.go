@@ -68,11 +68,10 @@ type Operand interface {
 
 	// Indexes returns the in-process indexes holding the operand's blocks —
 	// one for a relation, one per shard for an in-process group — and nil
-	// when the blocks live in other processes. The steps that need more than
-	// block headers look here and fall back when they do not find it:
-	// Procedure 3's contour scan needs one index that tiles space
-	// (ContourApplies), Procedure 4's Candidate marks need every index's
-	// Locate.
+	// when the blocks live in other processes. Only Procedure 3's contour
+	// scan needs more than block headers: one index that tiles space
+	// (ContourApplies); without it Block-Marking falls back to exhaustive
+	// marking. Procedure 4 needs nothing here.
 	Indexes() []index.Index
 
 	// Extent returns the total area the operand's indexes cover, each shard

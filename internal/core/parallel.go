@@ -226,7 +226,7 @@ func Chunks(n, workers int, yield func(start, end int)) {
 // the probe and its counter shard, so per-worker state (a scratch slice, the
 // chained-join cache) lives in the closure. Every claimed unit starts with a
 // cancellation checkpoint, so even units whose emission never reaches the
-// probe (gated or empty blocks) observe cancellation.
+// probe (empty blocks) observe cancellation.
 func scatter[T any](ap *ArenaPool[T], n int, inner Operand, workers, sizeHint int, c *stats.Counters,
 	newEmit func(p Probe, ctr *stats.Counters) func(i int, dst []T) []T) []T {
 
@@ -248,12 +248,10 @@ func scatter[T any](ap *ArenaPool[T], n int, inner Operand, workers, sizeHint in
 }
 
 // joinUnits is the kNN-join of units against inner, as pairs: the crew body
-// Join, SelectInnerJoin, SelectOuterJoin and the pruned second join of
-// Unchained share. The optional hooks are what tells them apart: gate admits
-// or skips a whole unit on the claiming worker's probe, closerThan is the
-// Counting prefilter (Probe.JoinUnit) and keep filters each neighborhood.
+// Join, SelectInnerJoin and SelectOuterJoin share. The optional hooks are
+// what tells them apart: closerThan is the Counting prefilter
+// (Probe.JoinUnit) and keep filters each neighborhood.
 func joinUnits(units []Unit, inner Operand, k, workers, sizeHint int, c *stats.Counters,
-	gate func(p Probe, u Unit, ctr *stats.Counters) bool,
 	closerThan func(geom.Point) float64, keep func(geom.Point) bool) []Pair {
 
 	return scatter(&PairArenas, len(units), inner, workers, sizeHint, c,
@@ -269,9 +267,6 @@ func joinUnits(units []Unit, inner Operand, k, workers, sizeHint int, c *stats.C
 				}
 			}
 			return func(i int, dst []Pair) []Pair {
-				if gate != nil && !gate(p, units[i], ctr) {
-					return dst
-				}
 				out = dst
 				p.JoinUnit(units[i], k, closerThan, ctr, emit)
 				dst, out = out, nil

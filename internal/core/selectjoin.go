@@ -167,13 +167,13 @@ func SelectInnerJoin(outer, inner Operand, sel InnerSelection, kJoin int, alg Al
 		return nil
 	}
 	if alg == AlgorithmCounting {
-		return joinUnits(outer.Units(), inner, kJoin, workers, 0, c, nil, sel.ThresholdSq, sel.Contains)
+		return joinUnits(outer.Units(), inner, kJoin, workers, 0, c, sel.ThresholdSq, sel.Contains)
 	}
 	units, closerThan := markContributingBlocks(outer, inner, sel, kJoin, opt, c), sel.ThresholdSq
 	if alg == AlgorithmBlockMarking {
 		closerThan = nil
 	}
-	return joinUnits(units, inner, kJoin, workers, 0, c, nil, closerThan, sel.Contains)
+	return joinUnits(units, inner, kJoin, workers, 0, c, closerThan, sel.Contains)
 }
 
 // SelectInnerJoinConceptual is the sequential conceptual plan for a
@@ -223,7 +223,7 @@ func SelectOuterJoin(outer, inner Operand, f geom.Point, kSel, kJoin, workers in
 	if kJoin <= 0 {
 		return nil
 	}
-	out := joinUnits(pointUnits(selected, workers), inner, kJoin, workers, len(selected)*min(kJoin, inner.Len()), c, nil, nil, nil)
+	out := joinUnits(pointUnits(selected, workers), inner, kJoin, workers, len(selected)*min(kJoin, inner.Len()), c, nil, nil)
 	if out == nil {
 		out = []Pair{}
 	}
@@ -244,9 +244,9 @@ func ContourApplies(outer Operand) bool {
 
 // markContributingBlocks is the preprocessing phase (Procedure 3), on a
 // probe of its own over inner. It scans the outer blocks in MINDIST order
-// from the selection's focal point (one in-process index) or in unit order
-// (several, or remote ones: their blocks have no common order, and none is
-// needed without the contour). A block is Non-Contributing when the
+// from the selection's focal point for the contour, and in unit order when
+// exhaustive (the contributing units then keep the order an unpruned join
+// would emit them in). A block is Non-Contributing when the
 // selection says so of its center and reach r + diagonal, where r is the
 // distance from the block center to the k⋈-th neighbor of the center in the
 // inner relation. With the contour optimization, scanning stops once a
@@ -258,7 +258,7 @@ func ContourApplies(outer Operand) bool {
 // nothing either way, and a test costs a neighborhood — over remote shards,
 // round trips.
 //
-// The MINDIST scan reuses the iterator of a spare handle of an in-process
+// The contour's MINDIST scan reuses the iterator of a spare handle of the
 // outer relation, taken after the inner probe and without waiting, so two
 // sides sharing one bounded pool cannot block each other.
 func markContributingBlocks(outer, inner Operand, sel InnerSelection,
@@ -268,13 +268,17 @@ func markContributingBlocks(outer, inner Operand, sel InnerSelection,
 	defer inner.Return(p)
 
 	exhaustive := opt.Exhaustive || !ContourApplies(outer)
-	// The scan is a block iterator over the one index, or the units, which
-	// are then filtered in place.
+	// The scan is the contour's block iterator over the one index, or the
+	// units, which are then filtered in place.
 	var scan index.BlockIter
 	var units, contributing []Unit
 	var total int
-	if ixs := outer.Indexes(); len(ixs) == 1 {
+	if exhaustive {
+		units = outer.Units()
+		contributing = units[:0]
+	} else {
 		// A spare handle of an in-process relation lends its iterator.
+		ix := outer.Indexes()[0]
 		var h *Relation
 		if r, ok := outer.(interface{ TryAcquire() (*Relation, error) }); ok {
 			h, _ = r.TryAcquire()
@@ -286,13 +290,10 @@ func markContributingBlocks(outer, inner Operand, sel InnerSelection,
 			}
 			scan = h.scan.MinDist(sel.Focal)
 		} else {
-			scan = index.MinDistOrder(ixs[0], sel.Focal)
+			scan = index.MinDistOrder(ix, sel.Focal)
 		}
-		total = len(ixs[0].Blocks())
+		total = len(ix.Blocks())
 		contributing = make([]Unit, 0, total)
-	} else {
-		units = outer.Units()
-		total, contributing = len(units), units[:0]
 	}
 
 	mSq := -1.0 // squared MAXDIST of the first NC block of the open cycle; <0: no open cycle

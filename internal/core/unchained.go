@@ -4,7 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/geom"
-	"repro/internal/index"
+	"repro/internal/kernel"
 	"repro/internal/stats"
 )
 
@@ -17,8 +17,9 @@ import (
 // feeding its output into the other is wrong (Figures 8–9); the correct
 // conceptual plan evaluates both joins independently and intersects their
 // pair sets on the shared B component (Figure 10). The Block-Marking plan
-// (Procedure 4) prunes blocks of the second join's outer relation using
-// Candidate/Safe marks on B's blocks.
+// (Procedure 4) runs the second join as a select-inner-join whose selection
+// is the first join's B-projection, so its blocks are marked by the one
+// Section 3 body.
 
 // JoinOrder selects which of the two unchained joins is evaluated first.
 type JoinOrder int
@@ -53,18 +54,16 @@ func (o JoinOrder) String() string {
 //
 // Without pruning it is the conceptually correct QEP of Figure 10: both
 // joins run in full and their outputs are intersected on B. With pruning it
-// is the optimized plan of Procedure 4: the first join runs in full; blocks
-// of B that received at least one join result are marked Candidate (all
-// others are Safe). The outer relation of the second join is then
-// preprocessed: a block is Non-Contributing when no Candidate block of B
-// lies within (r + diagonal) of its center, where r is the distance from
-// the center to its kSecond-th neighbor in B. Points of Non-Contributing
-// blocks never reach a Candidate b and are skipped. order chooses the first
-// join; OrderAuto applies the Section 4.1.2 heuristic (start with the
-// relation of smaller cluster coverage). Marking Candidates takes B's blocks
-// in-process (Operand.Indexes); over a remote B the second join runs
-// unpruned. Either way the second join keeps only pairs whose b the first
-// join produced, and the first join's b ids serve the intersection.
+// is the optimized plan of Procedure 4: the first join runs in full, and the
+// second is SelectInnerJoin's Block-Marking over the b's the first join
+// produced (pointSetSelection). A block of the second join's outer relation
+// is Non-Contributing when none of those b's lies within r + diagonal of its
+// center, where r is the distance from the center to its kSecond-th neighbor
+// in B (Theorem 1); its points never reach a selected b and are skipped. The
+// test needs only B's neighborhoods, so it prunes over every backing of B.
+// order chooses the first join; OrderAuto applies the Section 4.1.2
+// heuristic (start with the relation of smaller cluster coverage). The first
+// join's b ids serve the intersection.
 func Unchained(a, b, cRel Operand, kAB, kCB int, prune bool, order JoinOrder, workers int, c *stats.Counters) []Triple {
 	if !prune {
 		abPairs := Join(a, b, kAB, workers, c)
@@ -81,11 +80,35 @@ func Unchained(a, b, cRel Operand, kAB, kCB int, prune bool, order JoinOrder, wo
 	if order == OrderABFirst {
 		abPairs := Join(a, b, kAB, workers, c)
 		ids := indexB(abPairs, onRight)
-		return joinOnB(nil, abPairs, groupOn(ids, prunedSecondJoin(cRel, b, kCB, abPairs, ids, workers, c), onRight, 0))
+		cbPairs := SelectInnerJoin(cRel, b, pointSetSelection(ids), kCB, AlgorithmBlockMarking, BlockMarkingOptions{Exhaustive: true}, workers, c)
+		return joinOnB(nil, abPairs, groupOn(ids, cbPairs, onRight, 0))
 	}
 	cbPairs := Join(cRel, b, kCB, workers, c)
 	ids := indexB(cbPairs, onRight)
-	return joinOnB(nil, prunedSecondJoin(a, b, kAB, cbPairs, ids, workers, c), groupOn(ids, cbPairs, onRight, 0))
+	abPairs := SelectInnerJoin(a, b, pointSetSelection(ids), kAB, AlgorithmBlockMarking, BlockMarkingOptions{Exhaustive: true}, workers, c)
+	return joinOnB(nil, abPairs, groupOn(ids, cbPairs, onRight, 0))
+}
+
+// pointSetSelection selects the b's of ids (indexB's), the selection of
+// Procedure 4's second join. A block is Non-Contributing when every b lies
+// farther than its reach, compared squared against the nearest b. A point
+// set has no focal point, so the marking is exhaustive; Counting's
+// threshold is left nil.
+func pointSetSelection(ids map[geom.Point]int32) InnerSelection {
+	if len(ids) == 0 {
+		return InnerSelection{}
+	}
+	bs := make([]geom.Point, len(ids))
+	for b, id := range ids {
+		bs[id] = b
+	}
+	xs, ys := geom.FlatXYs(bs)
+	return InnerSelection{
+		NonContributing: func(center geom.Point, reach float64) bool {
+			return reach*reach < kernel.MinDistSq(xs, ys, center.X, center.Y)
+		},
+		Contains: func(p geom.Point) bool { return hasB(ids, p) },
+	}
 }
 
 // UnchainedConceptual is the sequential conceptual plan of Figure 10.
@@ -229,76 +252,6 @@ func projectB(pairs []Pair) []geom.Point {
 		}
 	}
 	return out[:w]
-}
-
-// prunedSecondJoin evaluates (second ⋈kNN b) restricted to points in
-// Contributing blocks, given the pairs produced by the first join and the
-// ids of their b's: the Contributing gate runs once per block on the
-// claiming worker's own probe, points of Contributing blocks join as usual,
-// and only pairs whose b has an id are kept.
-func prunedSecondJoin(second, b Operand, k int, firstPairs []Pair, ids map[geom.Point]int32, workers int, c *stats.Counters) []Pair {
-	keep := func(bp geom.Point) bool { return hasB(ids, bp) }
-	ixs := b.Indexes()
-	if ixs == nil {
-		return joinUnits(second.Units(), b, k, workers, 0, c, nil, nil, keep)
-	}
-	candidates := candidateRegions(ixs, firstPairs)
-	gate := func(p Probe, u Unit, ctr *stats.Counters) bool {
-		if u.Count() == 0 {
-			return false
-		}
-		if !blockContributes(u.Bounds(), p, k, candidates, ctr) {
-			ctr.AddBlocksPruned(1)
-			return false
-		}
-		return true
-	}
-	return joinUnits(second.Units(), b, k, workers, 0, c, gate, nil, keep)
-}
-
-// candidateRegions returns the regions of B's blocks holding at least one
-// Right component of the first join's results (the paper's Candidate
-// blocks; every other block of B is Safe). Over several indexes — the
-// shards of a group — a point marks the block each one locates it in: one
-// of them stores it, and the others' regions cover it just the same, which
-// is all the Contributing test asks of a Candidate.
-func candidateRegions(ixs []index.Index, firstPairs []Pair) []geom.Rect {
-	marked := make([][]bool, len(ixs))
-	for i, ix := range ixs {
-		marked[i] = make([]bool, len(ix.Blocks()))
-	}
-	var out []geom.Rect
-	for _, pr := range firstPairs {
-		for i, ix := range ixs {
-			blk := ix.Locate(pr.Right)
-			if blk != nil && !marked[i][blk.ID] {
-				marked[i][blk.ID] = true
-				out = append(out, blk.Bounds)
-			}
-		}
-	}
-	return out
-}
-
-// blockContributes applies the Procedure 4 test to one block of the second
-// join's outer relation: the block contributes if any Candidate block of B
-// is fully or partially within the search threshold r + diagonal of the
-// block's center.
-func blockContributes(blk geom.Rect, b Probe, k int, candidates []geom.Rect, c *stats.Counters) bool {
-	center := blk.Center()
-	nbr := b.Neighborhood(center, k, c)
-	if nbr.Len() < k {
-		// Fewer than k points in B: the pruning bound does not apply.
-		return true
-	}
-	thr := nbr.FarthestDist() + blk.Diagonal()
-	thrSq := thr * thr
-	for _, cand := range candidates {
-		if cand.MinDistSq(center) <= thrSq {
-			return true
-		}
-	}
-	return false
 }
 
 // EstimateClusterCoverage estimates what fraction of the indexed region a

@@ -87,7 +87,7 @@ func TestUnchainedOrderIndependence(t *testing.T) {
 // relation must be absent from the conceptual answer's C column.
 func TestUnchainedPruningSoundness(t *testing.T) {
 	// A tightly clustered in a corner; C spread widely, so many C blocks
-	// are far from every Candidate block.
+	// are far from every b the first join produces.
 	aPts := testutil.ClusteredPoints(200, 1, 10, geom.NewRect(0, 0, 80, 80), 921)
 	bPts := testutil.UniformPoints(400, unBounds, 922)
 	cPts := testutil.UniformPoints(300, unBounds, 923)

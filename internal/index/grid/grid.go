@@ -159,7 +159,7 @@ func NewFromStore(st *geom.PointStore, opt Options) (*Grid, error) {
 
 // cellIndex returns the cell holding coordinate (x, y), or -1 when it lies
 // outside the grid bounds. Points exactly on the max edge belong to the
-// last cell, matching Locate.
+// last cell.
 func (g *Grid) cellIndex(x, y float64) int {
 	// Negated-conjunction form so NaN coordinates fail the containment test
 	// (a NaN compares false both ways and must not reach cell arithmetic).
@@ -209,15 +209,6 @@ func (g *Grid) Store() *geom.PointStore { return g.store }
 
 // Dims returns the grid dimensions (columns, rows).
 func (g *Grid) Dims() (cols, rows int) { return g.cols, g.rows }
-
-// Locate implements index.Index with O(1) cell arithmetic.
-func (g *Grid) Locate(p geom.Point) *index.Block {
-	cell := g.cellIndex(p.X, p.Y)
-	if cell < 0 {
-		return nil
-	}
-	return g.blocks[cell]
-}
 
 // TilesSpace reports that grid cells tile the indexed region exactly. This
 // enables the contour early-stop in Block-Marking preprocessing.

@@ -49,8 +49,8 @@ func TestSinglePointGrid(t *testing.T) {
 	if g.Len() != 1 || index.TotalCount(g) != 1 {
 		t.Fatalf("single-point grid misplaced the point")
 	}
-	if b := g.Locate(geom.Point{X: 3, Y: 4}); b == nil || b.Count() != 1 {
-		t.Fatalf("Locate failed on the stored point")
+	if b := g.Blocks()[0]; len(g.Blocks()) != 1 || b.Count() != 1 || b.PointAt(0) != (geom.Point{X: 3, Y: 4}) || !b.Bounds.Contains(b.PointAt(0)) {
+		t.Fatalf("the one block does not store the point inside its bounds: %v", g.Blocks())
 	}
 }
 
@@ -171,7 +171,9 @@ func TestNaNPointsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := g.Locate(geom.Point{X: nan, Y: nan}); b != nil {
-		t.Errorf("Locate(NaN) = %v, want nil", b)
+	for _, b := range g.Blocks() {
+		if b.Bounds.Contains(geom.Point{X: nan, Y: nan}) {
+			t.Errorf("%v contains (NaN, NaN)", b)
+		}
 	}
 }

@@ -154,11 +154,6 @@ type Index interface {
 	// must not be modified. Block b satisfies Blocks()[b.ID] == b.
 	Blocks() []*Block
 
-	// Locate returns the block whose region contains p, or nil if p lies
-	// outside the indexed space. For points of the indexed set, Locate
-	// always returns the block that stores the point.
-	Locate(p geom.Point) *Block
-
 	// Len returns the total number of indexed points.
 	Len() int
 

@@ -43,29 +43,32 @@ func TestIndexConformance(t *testing.T) {
 					}
 				}
 
-				// Every indexed point must be locatable in the block that
-				// stores it.
-				for _, p := range pts {
-					b := ix.Locate(p)
-					if b == nil {
-						t.Fatalf("Locate(%v) = nil for an indexed point", p)
-					}
-					found := false
-					for q := range b.Points() {
-						if q == p {
-							found = true
-							break
+				// Every indexed point is stored in exactly one block, and
+				// that block's bounds contain it.
+				storedIn := make(map[geom.Point][]*index.Block)
+				for _, b := range blocks {
+					for p := range b.Points() {
+						if held := storedIn[p]; len(held) == 0 || held[len(held)-1] != b {
+							storedIn[p] = append(held, b)
 						}
 					}
-					if !found {
-						t.Fatalf("Locate(%v) returned block %v not storing the point", p, b)
+				}
+				for _, p := range pts {
+					held := storedIn[p]
+					if len(held) != 1 {
+						t.Fatalf("%v is stored in %d blocks, want 1", p, len(held))
+					}
+					if !held[0].Bounds.Contains(p) {
+						t.Fatalf("%v is stored in %v, whose bounds do not contain it", p, held[0])
 					}
 				}
 
-				// Points clearly outside the indexed region are not located.
+				// Points clearly outside the indexed region lie in no block.
 				outside := geom.Point{X: bounds.MaxX + 1e6, Y: bounds.MaxY + 1e6}
-				if b := ix.Locate(outside); b != nil {
-					t.Fatalf("Locate(far outside) = %v, want nil", b)
+				for _, b := range blocks {
+					if b.Bounds.Contains(outside) {
+						t.Fatalf("%v covers a point far outside the index bounds", b)
+					}
 				}
 			}
 		})

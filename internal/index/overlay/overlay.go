@@ -285,27 +285,6 @@ func (ix *Index) Len() int { return ix.n }
 // Bounds implements index.Index.
 func (ix *Index) Bounds() geom.Rect { return ix.bounds }
 
-// Locate implements index.Index. The block-marking prune (Procedure 4) only
-// requires that the returned block's bounds contain p — marking any
-// bounds-containing block keeps MINDIST(center, bounds) <= dist(center, p),
-// so the candidate test stays conservative. Base coverage resolves through
-// the base index (patched substitutes keep the original bounds); points
-// only the delta covers fall through to a chunk scan.
-func (ix *Index) Locate(p geom.Point) *index.Block {
-	if b := ix.base.Locate(p); b != nil {
-		if sub, ok := ix.patched[b.ID]; ok {
-			return sub
-		}
-		return b
-	}
-	for _, b := range ix.blocks[ix.nBase:] {
-		if b.Bounds.Contains(p) {
-			return b
-		}
-	}
-	return nil
-}
-
 // sideBlocks returns the blocks the base index's own iterators do not
 // yield: patched substitutes plus delta chunks.
 func (ix *Index) sideBlocks() []*index.Block {

@@ -219,8 +219,8 @@ func TestMergeIterOrder(t *testing.T) {
 	}
 }
 
-// TestLocateContainment checks the Locate contract the block-marking prune
-// relies on: for every live point, the located block's bounds contain it.
+// TestLocateContainment checks that every live point of a snapshot — base,
+// patched or delta — is stored in exactly one block whose bounds contain it.
 func TestLocateContainment(t *testing.T) {
 	base, _ := buildBase(t, 150, 4)
 	s := NewStore(base, 8)
@@ -239,17 +239,20 @@ func TestLocateContainment(t *testing.T) {
 		s.Remove(int32(rng.Intn(int(next))))
 	}
 	ix := s.Snapshot()
+	seen := make(map[int32]int)
 	for _, b := range ix.Blocks() {
 		ids := b.PointIDs()
-		for i := range ids {
-			p := b.PointAt(i)
-			blk := ix.Locate(p)
-			if blk == nil {
-				t.Fatalf("Locate(%v) = nil for live point", p)
+		for i, id := range ids {
+			if p := b.PointAt(i); !b.Bounds.Contains(p) {
+				t.Fatalf("point %d %v is stored in block %d, whose bounds %v do not contain it", id, p, b.ID, b.Bounds)
 			}
-			if !blk.Bounds.Contains(p) {
-				t.Fatalf("Locate(%v) block %d bounds %v do not contain it", p, blk.ID, blk.Bounds)
+			if _, dup := seen[id]; dup {
+				t.Fatalf("point %d is stored in blocks %d and %d", id, seen[id], b.ID)
 			}
+			seen[id] = b.ID
 		}
+	}
+	if len(seen) != ix.Len() {
+		t.Fatalf("blocks store %d live points, want %d", len(seen), ix.Len())
 	}
 }

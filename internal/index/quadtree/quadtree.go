@@ -136,7 +136,7 @@ func (t *Tree) appendLeaf(bounds geom.Rect, pts []buildPoint) *index.Block {
 }
 
 // quadrant assigns a point to one of the four child quadrants. Points on the
-// split lines go to the higher-coordinate quadrant, matching Locate.
+// split lines go to the higher-coordinate quadrant.
 func quadrant(p geom.Point, cx, cy float64) int {
 	q := 0
 	if p.X >= cx {
@@ -175,20 +175,6 @@ func depth(nd *node) int {
 		}
 	}
 	return d + 1
-}
-
-// Locate implements index.Index by descending the tree.
-func (t *Tree) Locate(p geom.Point) *index.Block {
-	if !t.bounds.Contains(p) {
-		return nil
-	}
-	nd := t.root
-	for !nd.isLeaf() {
-		cx := (nd.bounds.MinX + nd.bounds.MaxX) / 2
-		cy := (nd.bounds.MinY + nd.bounds.MaxY) / 2
-		nd = nd.children[quadrant(p, cx, cy)]
-	}
-	return nd.block
 }
 
 func inflate(r geom.Rect) geom.Rect {

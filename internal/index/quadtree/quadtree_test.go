@@ -73,8 +73,8 @@ func TestMaxDepthStopsDuplicates(t *testing.T) {
 }
 
 func TestQuadrantAssignmentConsistency(t *testing.T) {
-	// Points exactly on split lines must be stored in the same leaf that
-	// Locate resolves to.
+	// Points exactly on split lines go to the higher-coordinate quadrant:
+	// each is stored in exactly one leaf, and that leaf's bounds contain it.
 	pts := []geom.Point{
 		{X: 50, Y: 50}, {X: 50, Y: 10}, {X: 10, Y: 50},
 		{X: 0, Y: 0}, {X: 100, Y: 100}, {X: 50, Y: 100},
@@ -85,18 +85,24 @@ func TestQuadrantAssignmentConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range pts {
-		b := tr.Locate(p)
-		if b == nil {
-			t.Fatalf("Locate(%v) = nil", p)
-		}
-		found := false
-		for q := range b.Points() {
-			if q == p {
-				found = true
+		var held []*index.Block
+		for _, b := range tr.Blocks() {
+			for q := range b.Points() {
+				if q == p {
+					held = append(held, b)
+				}
 			}
 		}
-		if !found {
-			t.Fatalf("Locate(%v) found block %v that does not store the point", p, b)
+		if len(held) != 1 {
+			t.Fatalf("%v is stored in %d leaves, want 1", p, len(held))
+		}
+		r, all := held[0].Bounds, tr.Bounds()
+		if !r.Contains(p) {
+			t.Fatalf("%v is stored in %v, whose bounds do not contain it", p, held[0])
+		}
+		// On a split line, the leaf above or to the right holds the point.
+		if (p.X == r.MaxX && r.MaxX != all.MaxX) || (p.Y == r.MaxY && r.MaxY != all.MaxY) {
+			t.Fatalf("%v on a split line is stored in the lower-coordinate leaf %v", p, held[0])
 		}
 	}
 }

@@ -59,14 +59,14 @@ func TestNeighborhoodWithinZeroAllocsSteadyState(t *testing.T) {
 			for _, k := range selectionKs {
 				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 					for _, q := range queries {
-						s.NeighborhoodWithin(q, k, 150, nil)
-						s.NeighborhoodClipped(q, k, 150, nil)
+						s.NeighborhoodWithinSq(q, k, 150*150, nil)
+						s.NeighborhoodClippedSq(q, k, 150*150, nil)
 					}
 					i := 0
 					avg := testutil.AllocsPerRun(t, 200, func() {
 						q := queries[i%len(queries)]
-						s.NeighborhoodWithin(q, k, 150, nil)
-						s.NeighborhoodClipped(q, k, 150, nil)
+						s.NeighborhoodWithinSq(q, k, 150*150, nil)
+						s.NeighborhoodClippedSq(q, k, 150*150, nil)
 						i++
 					})
 					if avg != 0 {
@@ -131,13 +131,13 @@ func TestNeighborhoodBatchedScanZeroAllocs(t *testing.T) {
 			s := locality.NewSearcher(ix)
 			for _, q := range queries {
 				s.Neighborhood(q, k, nil)
-				s.NeighborhoodWithin(q, k, 150, nil)
+				s.NeighborhoodWithinSq(q, k, 150*150, nil)
 			}
 			i := 0
 			avg := testutil.AllocsPerRun(t, 200, func() {
 				q := queries[i%len(queries)]
 				s.Neighborhood(q, k, nil)
-				s.NeighborhoodWithin(q, k, 150, nil)
+				s.NeighborhoodWithinSq(q, k, 150*150, nil)
 				i++
 			})
 			if avg != 0 {

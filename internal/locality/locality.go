@@ -18,7 +18,7 @@
 //
 // The neighborhood is then selected from the points of the locality blocks
 // alone. Section 5 of the paper clips this construction with a search
-// threshold to evaluate two kNN-select predicates; see NeighborhoodClipped.
+// threshold to evaluate two kNN-select predicates; see NeighborhoodClippedSq.
 //
 // Ownership contract: a Searcher owns mutable scratch (iterator pools, the
 // selection heap, one reusable Neighborhood result) and is single-threaded
@@ -369,50 +369,34 @@ func (s *Searcher) Neighborhood(p geom.Point, k int, c *stats.Counters) *Neighbo
 	return s.neighborhood(p, k, math.Inf(1), c)
 }
 
-// NeighborhoodClipped is Neighborhood with the Section 5 refinement exactly
-// as in the paper's Procedure 5: the two-phase locality construction runs
-// unchanged (blocks are counted toward k in MAXDIST order, M is recorded),
-// but a block enters the locality only if its MINDIST from p is at most
-// threshold. The returned set is the k closest points among the clipped
-// locality — NOT in general the true k-nearest neighbors of p. Its
-// guarantee (enforced by tests): intersecting it with any point set whose
-// members all lie within threshold of p yields the same result as
-// intersecting with the true neighborhood. The clipping removes only blocks
-// with MINDIST > threshold, all of whose points are farther from p than any
-// such member q; so the locality points ranked ahead of q are the same with
-// and without clipping, q keeps its rank, and it makes the clipped top k
-// exactly when it makes the true one.
-func (s *Searcher) NeighborhoodClipped(p geom.Point, k int, threshold float64, c *stats.Counters) *Neighborhood {
-	return s.neighborhood(p, k, threshold*threshold, c)
-}
-
-// NeighborhoodClippedSq is NeighborhoodClipped taking the threshold in
-// squared form. Callers whose threshold originates from a squared distance
-// must use it: squaring a sqrt-derived threshold can round below the exact
-// value and clip out an exactly-at-threshold block.
+// NeighborhoodClippedSq is Neighborhood with the Section 5 refinement
+// exactly as in the paper's Procedure 5: the two-phase locality
+// construction runs unchanged (blocks are counted toward k in MAXDIST
+// order, M is recorded), but a block enters the locality only if its
+// squared MINDIST from p is at most thresholdSq. The returned set is the k
+// closest points among the clipped locality — NOT in general the true
+// k-nearest neighbors of p. Its guarantee (enforced by tests): intersecting
+// it with any point set whose members all lie within the threshold of p
+// yields the same result as intersecting with the true neighborhood. The
+// clipping removes only blocks with MINDIST beyond the threshold, all of
+// whose points are farther from p than any such member q; so the locality
+// points ranked ahead of q are the same with and without clipping, q keeps
+// its rank, and it makes the clipped top k exactly when it makes the true
+// one. The threshold travels squared: squaring a sqrt-derived threshold can
+// round below the exact value and clip out an exactly-at-threshold block.
 func (s *Searcher) NeighborhoodClippedSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *Neighborhood {
 	return s.neighborhood(p, k, thresholdSq, c)
 }
 
-// NeighborhoodWithinSq is NeighborhoodWithin taking the threshold in squared
-// form; see NeighborhoodClippedSq for why exact callers need it.
+// NeighborhoodWithinSq strengthens NeighborhoodClippedSq: it admits exactly
+// the blocks with MINDIST²(p) ≤ thresholdSq, skipping Procedure 5's
+// count-to-k phase entirely, so its cost depends only on the threshold
+// area — not on k. It provides the same guarantee as NeighborhoodClippedSq
+// (same proof: any point ranked closer to p than a within-threshold
+// candidate is itself within threshold, hence its block is admitted), which
+// is all the 2-kNN-select intersection needs. This is the repository's
+// implementation refinement over Procedure 5.
 func (s *Searcher) NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *Neighborhood {
-	return s.neighborhoodWithinSq(p, k, thresholdSq, c)
-}
-
-// NeighborhoodWithin strengthens NeighborhoodClipped: it admits exactly the
-// blocks with MINDIST(p) ≤ threshold, skipping Procedure 5's count-to-k
-// phase entirely, so its cost depends only on the threshold area — not on
-// k. It provides the same guarantee as NeighborhoodClipped (same proof: any
-// point ranked closer to p than a within-threshold candidate is itself
-// within threshold, hence its block is admitted), which is all the
-// 2-kNN-select intersection needs. This is the repository's implementation
-// refinement over Procedure 5.
-func (s *Searcher) NeighborhoodWithin(p geom.Point, k int, threshold float64, c *stats.Counters) *Neighborhood {
-	return s.neighborhoodWithinSq(p, k, threshold*threshold, c)
-}
-
-func (s *Searcher) neighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *Neighborhood {
 	if k <= 0 {
 		return s.emptyResult(p)
 	}

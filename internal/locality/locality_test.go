@@ -314,7 +314,7 @@ func sameNeighborhood(t *testing.T, label string, got, want *locality.Neighborho
 }
 
 // TestClippedNeighborhoodGuarantee encodes the 2-kNN-select soundness
-// property argued at Searcher.NeighborhoodClipped: for any point set P whose members all lie within
+// property argued at Searcher.NeighborhoodClippedSq: for any point set P whose members all lie within
 // `threshold` of the query point, P ∩ clipped = P ∩ trueKNN.
 func TestClippedNeighborhoodGuarantee(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 500, 500)
@@ -326,16 +326,17 @@ func TestClippedNeighborhoodGuarantee(t *testing.T) {
 			q := geom.Point{X: rng.Float64() * 500, Y: rng.Float64() * 500}
 			k := 1 + rng.Intn(200)
 			threshold := rng.Float64() * 300
+			thresholdSq := threshold * threshold
 
 			// Clone: both results come from the same searcher's reusable
 			// buffer, and clipped must survive the within query.
-			clipped := s.NeighborhoodClipped(q, k, threshold, nil).Clone()
-			within := s.NeighborhoodWithin(q, k, threshold, nil)
+			clipped := s.NeighborhoodClippedSq(q, k, thresholdSq, nil).Clone()
+			within := s.NeighborhoodWithinSq(q, k, thresholdSq, nil)
 			truth := locality.NaiveKNN(pts, q, k)
 
 			// P = every data point within threshold of q.
 			for _, p := range pts {
-				if p.Dist(q) > threshold {
+				if p.DistSq(q) > thresholdSq {
 					continue
 				}
 				if clipped.Contains(p) != truth.Contains(p) {

@@ -39,7 +39,6 @@ type reason struct {
 	requested   bool    // the query's option named the choice: nothing to decide
 	covA, covC  float64 // §4.1.2: the unchained outer relations' cluster coverages
 	contourless bool    // Exhaustive was forced: no space-tiling outer index
-	remoteB     bool    // Prune was turned off: B's blocks are in other processes
 	remote      bool    // a batch's relation is in other processes: one focal group per wave
 }
 

@@ -13,8 +13,8 @@
 //     Procedure 3's contour argument does not hold for the outer operand;
 //   - Section 4.1.2: OrderAuto starts the unchained pair with the more
 //     clustered outer relation and skips preprocessing entirely when both
-//     look uniform; Procedure 4's Candidate marks need B's blocks in this
-//     process, so over a remote B the second join runs unpruned;
+//     look uniform; Procedure 4 marks the second join's outer blocks
+//     against the first join's b's, exhaustively, on every backing of B;
 //   - Section 4.2 / Figure 13: ChainedAuto is the nested join with the
 //     neighborhood cache, the paper's winner;
 //   - Section 5: two kNN-selects run the 2-kNN-select unless the conceptual
@@ -96,7 +96,7 @@ type Plan struct {
 	Exhaustive bool
 
 	// Order is the unchained join that runs first, and Prune whether
-	// Procedure 4's Candidate/Safe marks prune the second (§4.1.2).
+	// Procedure 4 prunes the second against the first's b's (§4.1.2).
 	Order core.JoinOrder
 	Prune bool
 
@@ -185,9 +185,6 @@ func (p *Plan) Optimize(ops [3]core.Operand, gathered bool) {
 			p.why.covA, p.why.covC = core.EstimateClusterCoverage(ops[0]), core.EstimateClusterCoverage(ops[2])
 		}
 		p.chooseOrder()
-		if p.Prune && ops[1].Indexes() == nil {
-			p.Prune, p.why.remoteB = false, true
-		}
 	case chained:
 		// §4.2: the nested join with the neighborhood cache is the paper's
 		// uniform winner (Figures 24–25).
@@ -269,14 +266,11 @@ func (p *Plan) tree() (head string, root *node, note string) {
 		head = fmt.Sprintf("order: %s (%s)", p.Order, p.reason())
 		ab, cb := join(k0, "", a, b), join(k1, "", c, b)
 		if p.Prune && p.Order == core.OrderCBFirst {
-			ab = join(k0, ", pruned by candidate/safe marks from (C⋈B)", &node{"mark-blocks", "contributing blocks of A", []*node{a}}, b)
+			ab = join(k0, ", pruned against the b's of (C⋈B)", &node{"mark-blocks", "contributing blocks of A", []*node{a}}, b)
 		} else if p.Prune {
-			cb = join(k1, ", pruned by candidate/safe marks from (A⋈B)", &node{"mark-blocks", "contributing blocks of C", []*node{c}}, b)
+			cb = join(k1, ", pruned against the b's of (A⋈B)", &node{"mark-blocks", "contributing blocks of C", []*node{c}}, b)
 		}
 		root = &node{"∩B", "match pairs on the shared B component", []*node{ab, cb}}
-		if p.why.remoteB {
-			note = "pruning: off — Candidate/Safe marks need B's blocks in this process, so the second join runs unpruned (§4.1)"
-		}
 	case chained:
 		head = fmt.Sprintf("plan: %s (%s)", p.QEP, p.reason())
 		switch p.QEP {

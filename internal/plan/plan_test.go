@@ -120,7 +120,7 @@ func TestPlanBuilders(t *testing.T) {
 		{"select-inner-auto", SelectInnerJoinPlan(Auto, "M", "H", 10, 20, 2, 3),
 			[]string{"strategy: auto (block-marking, then counting", "counting prunes tuples", "mark-blocks [contour"}},
 		{"select-outer", SelectOuterJoin(geom.Point{}, 3, 2), []string{"pushdown valid"}},
-		{"unchained-pruned", decided(Unchained(core.OrderABFirst, 2, 2), (*Plan).chooseOrder), []string{"∩B", "candidate/safe", "contributing blocks of C"}},
+		{"unchained-pruned", decided(Unchained(core.OrderABFirst, 2, 2), (*Plan).chooseOrder), []string{"∩B", "pruned against the b's of (A⋈B)", "contributing blocks of C"}},
 		{"unchained-plain", decided(Unchained(core.OrderAuto, 2, 2), func(p *Plan) { p.why.covA, p.why.covC = 0.9, 0.9; p.chooseOrder() }),
 			[]string{"∩B", "both uniform"}},
 		{"unchained-cb", decided(Unchained(core.OrderCBFirst, 2, 2), (*Plan).chooseOrder), []string{"contributing blocks of A"}},
@@ -153,8 +153,9 @@ type farOperand struct{ *core.Relation }
 func (farOperand) Indexes() []index.Index { return nil }
 
 // TestOptimizeFallbacks: where an operand cannot give a step what it needs,
-// Optimize falls back to the exhaustive or unpruned form of the same plan,
-// and EXPLAIN says so.
+// Optimize falls back to the exhaustive form of the same plan, and EXPLAIN
+// says so; Procedure 4 needs nothing but B's neighborhoods and keeps its
+// prune over a B with no in-process index.
 func TestOptimizeFallbacks(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 1000, 1000)
 	clustered, err := datagen.Clustered(datagen.ClusterConfig{NumClusters: 2, PointsPerCluster: 100, Radius: 30, Bounds: bounds, Seed: 3})
@@ -193,7 +194,7 @@ func TestOptimizeFallbacks(t *testing.T) {
 	}
 	p = Unchained(core.OrderABFirst, 2, 2)
 	p.Optimize([3]core.Operand{a, far, a}, true)
-	if out := p.Explain(); p.Prune || !strings.Contains(out, "pruning: off") {
-		t.Errorf("Candidate marks need B's blocks in this process:\n%s", out)
+	if out := p.Explain(); !p.Prune || !strings.Contains(out, "pruned against the b's of (A⋈B)") || strings.Contains(out, "pruning: off") {
+		t.Errorf("Procedure 4 needs only B's neighborhoods: a remote B prunes too:\n%s", out)
 	}
 }

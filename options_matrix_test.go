@@ -23,9 +23,8 @@ type matrixBacking struct {
 	name  string
 	build func(t *testing.T, name string, pts []twoknn.Point, probed bool) twoknn.Source
 
-	// group: some operand is not a plain *Relation; remoteB: the probed
-	// operands' blocks live behind a transport.
-	group, remoteB bool
+	// group: some operand is not a plain *Relation.
+	group bool
 }
 
 func matrixBackings() []matrixBacking {
@@ -48,8 +47,8 @@ func matrixBackings() []matrixBacking {
 		{name: "single", build: single},
 		{name: "hash-3", build: sharded(3, twoknn.HashSharding), group: true},
 		{name: "spatial-2", build: sharded(2, twoknn.SpatialSharding), group: true},
-		{name: "remote-3", build: remote, group: true, remoteB: true},
-		{name: "single-outer/remote-inner", group: true, remoteB: true,
+		{name: "remote-3", build: remote, group: true},
+		{name: "single-outer/remote-inner", group: true,
 			build: func(t *testing.T, name string, pts []twoknn.Point, probed bool) twoknn.Source {
 				if probed {
 					return remote(t, name, pts, probed)
@@ -185,18 +184,14 @@ func TestOptionsBackingsMatrix(t *testing.T) {
 					})
 			}
 			ab, cb := unchained[twoknn.OrderABFirst], unchained[twoknn.OrderCBFirst]
-			if unpruned := strings.Contains(ab.explain, "pruning: off"); unpruned != bk.remoteB {
-				t.Errorf("unchained EXPLAIN reports the unpruned fallback = %v, want %v:\n%s", unpruned, bk.remoteB, ab.explain)
+			// Procedure 4 tests the second join's outer blocks against the
+			// first join's b's through B's neighborhoods alone, so every
+			// backing prunes, a remote B included. Which relation's blocks
+			// get tested and pruned is the order's whole effect.
+			if !strings.Contains(ab.explain, "pruned against the b's of (A⋈B)") || strings.Contains(ab.explain, "pruning: off") {
+				t.Errorf("unchained ab-first EXPLAIN does not show the pruned second join:\n%s", ab.explain)
 			}
-			if bk.remoteB {
-				// Procedure 4 marks B's blocks, which a remote B keeps to
-				// itself: both orders run both joins in full.
-				if ab.st.Neighborhoods != cb.st.Neighborhoods || ab.st.BlocksPruned+cb.st.BlocksPruned != 0 {
-					t.Errorf("unpruned orders differ: ab-first %+v, cb-first %+v", ab.st, cb.st)
-				}
-			} else if ab.st.Neighborhoods == cb.st.Neighborhoods {
-				// Which relation's blocks get tested and pruned is the order's
-				// whole effect (907 vs 809 neighborhoods on the single grid).
+			if ab.st.Neighborhoods == cb.st.Neighborhoods {
 				t.Errorf("WithJoinOrder not observed: both orders computed %d neighborhoods", ab.st.Neighborhoods)
 			}
 

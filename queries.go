@@ -160,7 +160,7 @@ func WithAlgorithm(a Algorithm) QueryOption {
 
 // WithJoinOrder forces the first join of UnchainedJoins (default OrderAuto),
 // and with it the pruned plan: the other join's outer blocks are tested
-// against Candidate/Safe marks (Procedure 4).
+// against the b's the first join produced (Procedure 4).
 func WithJoinOrder(o JoinOrder) QueryOption {
 	return func(c *queryConfig) { c.order = o }
 }
@@ -280,13 +280,11 @@ func SelectOuterJoin(outer, inner Source, f Point, kSel, kJoin int, opts ...Quer
 // returning triples (x, y, z) where y is among the kAB nearest neighbors of
 // x in b AND among the kCB nearest neighbors of z in b. Both joins are
 // evaluated independently (evaluating one over the other's output would be
-// invalid); Candidate/Safe block marking prunes the second join's outer
-// relation, and OrderAuto starts with the more clustered outer relation.
+// invalid); the second join's outer blocks are marked against the b's the
+// first join produced, and those that cannot reach one are pruned, on every
+// backing of b. OrderAuto starts with the more clustered outer relation.
 // When both outer relations look uniform the optimizer skips the
-// preprocessing entirely (it would cost without payoff, Section 4.1.2). The
-// marks live on b's blocks, so a remote b — whose blocks are in other
-// processes — gets the same plan without them: both joins in full, as
-// EXPLAIN reports.
+// preprocessing entirely (it would cost without payoff, Section 4.1.2).
 func UnchainedJoins(a, b, c Source, kAB, kCB int, opts ...QueryOption) ([]Triple, error) {
 	if err := validate([]Source{a, b, c}, nil, kArg{"kAB", kAB}, kArg{"kCB", kCB}); err != nil {
 		return nil, err

@@ -130,10 +130,10 @@ func (c *RemoteConfig) options() remote.Options {
 // and gather by the merge the in-process sharded probe uses — including the
 // MINDIST shard skip and Block-Marking's block-level pruning, which over
 // remote shards saves network transfer (a pruned block's points are never
-// fetched). What a plan step needs and a remote operand cannot give —
-// Procedure 3's contour over one index, Procedure 4's marks on B's blocks —
-// falls back to the exhaustive or unpruned form of the same step, and
-// EXPLAIN says so.
+// fetched), and Procedure 4's prune of the unchained joins, which asks a
+// remote B only for neighborhoods. The one step a remote operand cannot
+// feed — Procedure 3's contour, which needs one in-process index — falls
+// back to the exhaustive form of the same step, and EXPLAIN says so.
 type RemoteRelation struct {
 	name     string
 	kind     IndexKind
