@@ -16,8 +16,9 @@
 //     the pushdown is valid and is what the implementation does;
 //   - two unchained kNN-joins sharing their inner relation (UnchainedJoins):
 //     both joins are evaluated independently and intersected on the shared
-//     relation; the second join's outer blocks are pruned against the first
-//     join's b's, and the join order follows cluster coverage;
+//     relation; the second join's outer blocks, then its outer points, are
+//     pruned against the first join's b's, and the join order follows
+//     cluster coverage;
 //   - two chained kNN-joins A→B→C (ChainedJoins): evaluated with the
 //     nested-join plan and a neighborhood cache;
 //   - two kNN-selects over one relation (TwoSelects): evaluated with the
@@ -221,8 +222,8 @@
 // step needs more than a sharded operand has, and falls back — as EXPLAIN
 // reports — to its exhaustive form: Block-Marking's contour early-stop
 // needs one space-tiling outer index. The unchained joins' Procedure 4
-// prunes on every backing, since it asks B only for neighborhoods. The
-// guarantee is exactness, not
+// prunes blocks and tuples on every backing, since it asks B only for
+// neighborhoods and counts. The guarantee is exactness, not
 // approximation: the global k nearest neighbors of any point are a subset
 // of the union of the per-shard k nearest, so the merged answer — and
 // every query shape built on it — is byte-identical to the single-relation

@@ -14,8 +14,9 @@
 //     nearest depots of the store AND among the 3 nearest depots of the
 //     workshop — depots that can serve both. Neither join may be evaluated
 //     over the other's output; the library evaluates them independently,
-//     prunes the second join's outer blocks against the first join's
-//     depots, and picks the join order from cluster coverage.
+//     prunes the second join's outer blocks, then its outer points,
+//     against the first join's depots, and picks the join order from
+//     cluster coverage.
 //
 //     go run ./examples/logistics
 package main

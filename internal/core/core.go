@@ -6,8 +6,8 @@
 //     the Block-Marking algorithm (Procedures 2–3), plus the valid
 //     select-on-outer pushdown;
 //   - Section 4.1: two unchained kNN-joins — the conceptually correct
-//     intersection plan and the Block-Marking plan of Procedure 4 (the
-//     second join as a select-inner-join on the first join's b's), with
+//     intersection plan and the pruned plan of Procedure 4 (the second
+//     join as Auto's select-inner-join on the first join's b's), with
 //     the join-order heuristic of Section 4.1.2;
 //   - Section 4.2: two chained kNN-joins — the three equivalent QEPs
 //     (right-deep, join-intersection, nested join) and the neighborhood

@@ -4,6 +4,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/kernel"
+	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -243,20 +244,15 @@ func ContourApplies(outer Operand) bool {
 }
 
 // markContributingBlocks is the preprocessing phase (Procedure 3), on a
-// probe of its own over inner. It scans the outer blocks in MINDIST order
-// from the selection's focal point for the contour, and in unit order when
-// exhaustive (the contributing units then keep the order an unpruned join
-// would emit them in). A block is Non-Contributing when the
+// probe of its own over inner. A block is Non-Contributing when the
 // selection says so of its center and reach r + diagonal, where r is the
 // distance from the block center to the k⋈-th neighbor of the center in the
-// inner relation. With the contour optimization, scanning stops once a
-// complete cycle of Non-Contributing blocks has been closed: when the scan
-// reaches a block whose MINDIST from the focal point is at least the
-// MAXDIST (M) of the first Non-Contributing block of the current cycle, all
-// remaining blocks are pruned without inspection. The exhaustive form tests
-// each block on its own, so it leaves the empty ones alone: they contribute
-// nothing either way, and a test costs a neighborhood — over remote shards,
-// round trips.
+// inner relation. The contour form scans the outer blocks in MINDIST order
+// from the selection's focal point and stops once a complete cycle of
+// Non-Contributing blocks has been closed: when the scan reaches a block
+// whose MINDIST from the focal point is at least the MAXDIST (M) of the
+// first Non-Contributing block of the current cycle, all remaining blocks
+// are pruned without inspection. The exhaustive form is markEachBlock.
 //
 // The contour's MINDIST scan reuses the iterator of a spare handle of the
 // outer relation, taken after the inner probe and without waiting, so two
@@ -266,51 +262,37 @@ func markContributingBlocks(outer, inner Operand, sel InnerSelection,
 
 	p, _ := inner.Borrow(0, c)
 	defer inner.Return(p)
-
-	exhaustive := opt.Exhaustive || !ContourApplies(outer)
-	// The scan is the contour's block iterator over the one index, or the
-	// units, which are then filtered in place.
-	var scan index.BlockIter
-	var units, contributing []Unit
-	var total int
-	if exhaustive {
-		units = outer.Units()
-		contributing = units[:0]
-	} else {
-		// A spare handle of an in-process relation lends its iterator.
-		ix := outer.Indexes()[0]
-		var h *Relation
-		if r, ok := outer.(interface{ TryAcquire() (*Relation, error) }); ok {
-			h, _ = r.TryAcquire()
-		}
-		if h != nil {
-			defer h.Release()
-			if h.scan == nil {
-				h.scan = index.NewIterPool(h.Ix)
-			}
-			scan = h.scan.MinDist(sel.Focal)
-		} else {
-			scan = index.MinDistOrder(ix, sel.Focal)
-		}
-		total = len(ix.Blocks())
-		contributing = make([]Unit, 0, total)
+	if opt.Exhaustive || !ContourApplies(outer) {
+		return markEachBlock(outer.Units(), p, sel, kJoin, c)
 	}
+
+	// A spare handle of an in-process relation lends its iterator.
+	ix := outer.Indexes()[0]
+	var scan index.BlockIter
+	var h *Relation
+	if r, ok := outer.(interface{ TryAcquire() (*Relation, error) }); ok {
+		h, _ = r.TryAcquire()
+	}
+	if h != nil {
+		defer h.Release()
+		if h.scan == nil {
+			h.scan = index.NewIterPool(h.Ix)
+		}
+		scan = h.scan.MinDist(sel.Focal)
+	} else {
+		scan = index.MinDistOrder(ix, sel.Focal)
+	}
+	total := len(ix.Blocks())
+	contributing := make([]Unit, 0, total)
 
 	mSq := -1.0 // squared MAXDIST of the first NC block of the open cycle; <0: no open cycle
 	scanned := 0
-	for i := 0; scan != nil || i < len(units); i++ {
-		u, minSq := Unit{}, 0.0 // minSq: MINDIST² from the focal point, 0 in unit order
-		if scan == nil {
-			u = units[i]
-		} else if b, keySq, ok := scan.Next(); ok {
-			u, minSq = Unit{Block: b}, keySq
-		} else {
+	for {
+		b, minSq, ok := scan.Next()
+		if !ok {
 			break
 		}
-		if exhaustive && u.Count() == 0 {
-			continue
-		}
-		if !exhaustive && mSq >= 0 && minSq >= mSq {
+		if mSq >= 0 && minSq >= mSq {
 			// Contour closed: every block with MINDIST < M was scanned and
 			// found Non-Contributing; the rest cannot contribute.
 			c.AddBlocksPruned(total - scanned)
@@ -318,25 +300,60 @@ func markContributingBlocks(outer, inner Operand, sel InnerSelection,
 		}
 		scanned++
 
-		bounds := u.Bounds()
-		center := bounds.Center()
+		center := b.Bounds.Center()
 		nbr := p.Neighborhood(center, kJoin, c)
-
-		// The NC guarantee needs a full-size neighborhood: with fewer than
-		// k⋈ inner points inside radius r, the bound on a block point's
-		// k⋈-th-NN distance does not hold.
-		if nbr.Len() == kJoin && sel.NonContributing(center, nbr.FarthestDist()+bounds.Diagonal()) {
+		if nonContributing(sel, kJoin, center, b.Bounds, nbr) {
 			c.AddBlocksPruned(1)
 			if mSq < 0 {
-				mSq = bounds.MaxDistSq(sel.Focal) // first NC block of a new cycle
+				mSq = b.Bounds.MaxDistSq(sel.Focal) // first NC block of a new cycle
 			}
 			continue
 		}
 		mSq = -1 // cycle broken; start over
-		if u.Count() > 0 {
-			contributing = append(contributing, u)
+		if b.Count() > 0 {
+			contributing = append(contributing, Unit{Block: b})
 		}
 	}
 	c.AddBlocksScanned(scanned)
 	return contributing
+}
+
+// markEachBlock is exhaustive marking: every non-empty unit is tested on
+// its own, and the empty ones are left alone — they contribute nothing
+// either way, and a test costs a neighborhood. The tests need no order, so
+// the centres go to the probe as one focal group: over remote shards one
+// gather, not a round trip per block. units is filtered in place, and the
+// contributing units keep the order an unpruned join would emit them in.
+func markEachBlock(units []Unit, p Probe, sel InnerSelection, kJoin int, c *stats.Counters) []Unit {
+	n := 0
+	for _, u := range units {
+		if u.Count() > 0 {
+			units[n] = u
+			n++
+		}
+	}
+	units = units[:n]
+	centres := make([]geom.Point, n)
+	for i, u := range units {
+		centres[i] = u.Bounds().Center()
+	}
+	kept := 0
+	p.Neighborhoods(centres, kJoin, nil, c, func(i int, nbr *locality.Neighborhood) {
+		if nonContributing(sel, kJoin, centres[i], units[i].Bounds(), nbr) {
+			c.AddBlocksPruned(1)
+			return
+		}
+		units[kept] = units[i]
+		kept++
+	})
+	c.AddBlocksScanned(n)
+	return units[:kept]
+}
+
+// nonContributing is Theorem 1's test of one block, given the neighborhood
+// of its center. It needs a full-size neighborhood: with fewer than k⋈
+// inner points inside radius r, the bound on a block point's k⋈-th-NN
+// distance does not hold.
+func nonContributing(sel InnerSelection, kJoin int, center geom.Point, bounds geom.Rect, nbr *locality.Neighborhood) bool {
+	return nbr.Len() == kJoin && sel.NonContributing(center, nbr.FarthestDist()+bounds.Diagonal())
 }

@@ -159,9 +159,9 @@ func TestUnchainedRandomSweep(t *testing.T) {
 
 // TestUnchainedPlansRowExact runs every Unchained plan — either join first,
 // pruning on and off, sequential and fanned out — against the sequential
-// conceptual plan, row for row and in order: pruned blocks and the pairs the
-// second join drops (their b is no b of the first join) can only remove
-// rows that no intersection emits. Every relation holds co-located
+// conceptual plan, row for row and in order: pruned blocks, skipped tuples
+// and the pairs the second join drops (their b is no b of the first join)
+// can only remove rows that no intersection emits. Every relation holds co-located
 // duplicates.
 func TestUnchainedPlansRowExact(t *testing.T) {
 	withDups := func(pts []geom.Point) []geom.Point {

@@ -13,8 +13,9 @@
 //     Procedure 3's contour argument does not hold for the outer operand;
 //   - Section 4.1.2: OrderAuto starts the unchained pair with the more
 //     clustered outer relation and skips preprocessing entirely when both
-//     look uniform; Procedure 4 marks the second join's outer blocks
-//     against the first join's b's, exhaustively, on every backing of B;
+//     look uniform; Procedure 4 runs the second join as Auto's
+//     select-inner-join over the first join's b's — exhaustive block
+//     marking, then the tuple prune — on every backing of B;
 //   - Section 4.2 / Figure 13: ChainedAuto is the nested join with the
 //     neighborhood cache, the paper's winner;
 //   - Section 5: two kNN-selects run the 2-kNN-select unless the conceptual
@@ -266,9 +267,9 @@ func (p *Plan) tree() (head string, root *node, note string) {
 		head = fmt.Sprintf("order: %s (%s)", p.Order, p.reason())
 		ab, cb := join(k0, "", a, b), join(k1, "", c, b)
 		if p.Prune && p.Order == core.OrderCBFirst {
-			ab = join(k0, ", pruned against the b's of (C⋈B)", &node{"mark-blocks", "contributing blocks of A", []*node{a}}, b)
+			ab = join(k0, ", pruned against the b's of (C⋈B), counting prunes tuples", &node{"mark-blocks", "contributing blocks of A", []*node{a}}, b)
 		} else if p.Prune {
-			cb = join(k1, ", pruned against the b's of (A⋈B)", &node{"mark-blocks", "contributing blocks of C", []*node{c}}, b)
+			cb = join(k1, ", pruned against the b's of (A⋈B), counting prunes tuples", &node{"mark-blocks", "contributing blocks of C", []*node{c}}, b)
 		}
 		root = &node{"∩B", "match pairs on the shared B component", []*node{ab, cb}}
 	case chained:

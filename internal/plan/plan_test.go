@@ -120,10 +120,11 @@ func TestPlanBuilders(t *testing.T) {
 		{"select-inner-auto", SelectInnerJoinPlan(Auto, "M", "H", 10, 20, 2, 3),
 			[]string{"strategy: auto (block-marking, then counting", "counting prunes tuples", "mark-blocks [contour"}},
 		{"select-outer", SelectOuterJoin(geom.Point{}, 3, 2), []string{"pushdown valid"}},
-		{"unchained-pruned", decided(Unchained(core.OrderABFirst, 2, 2), (*Plan).chooseOrder), []string{"∩B", "pruned against the b's of (A⋈B)", "contributing blocks of C"}},
+		{"unchained-pruned", decided(Unchained(core.OrderABFirst, 2, 2), (*Plan).chooseOrder), []string{"∩B", "pruned against the b's of (A⋈B), counting prunes tuples", "contributing blocks of C"}},
 		{"unchained-plain", decided(Unchained(core.OrderAuto, 2, 2), func(p *Plan) { p.why.covA, p.why.covC = 0.9, 0.9; p.chooseOrder() }),
 			[]string{"∩B", "both uniform"}},
-		{"unchained-cb", decided(Unchained(core.OrderCBFirst, 2, 2), (*Plan).chooseOrder), []string{"contributing blocks of A"}},
+		{"unchained-cb", decided(Unchained(core.OrderCBFirst, 2, 2), (*Plan).chooseOrder),
+			[]string{"pruned against the b's of (C⋈B), counting prunes tuples", "contributing blocks of A"}},
 		{"chained-rd", Chained(core.ChainedRightDeep, 2, 2), []string{"materialized"}},
 		{"chained-ji", Chained(core.ChainedJoinIntersection, 2, 2), []string{"∩B"}},
 		{"chained-nested", Chained(core.ChainedNestedJoinCached, 2, 2), []string{"cached"}},
@@ -194,7 +195,7 @@ func TestOptimizeFallbacks(t *testing.T) {
 	}
 	p = Unchained(core.OrderABFirst, 2, 2)
 	p.Optimize([3]core.Operand{a, far, a}, true)
-	if out := p.Explain(); !p.Prune || !strings.Contains(out, "pruned against the b's of (A⋈B)") || strings.Contains(out, "pruning: off") {
+	if out := p.Explain(); !p.Prune || !strings.Contains(out, "pruned against the b's of (A⋈B), counting prunes tuples") || strings.Contains(out, "pruning: off") {
 		t.Errorf("Procedure 4 needs only B's neighborhoods: a remote B prunes too:\n%s", out)
 	}
 }

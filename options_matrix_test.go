@@ -184,11 +184,12 @@ func TestOptionsBackingsMatrix(t *testing.T) {
 					})
 			}
 			ab, cb := unchained[twoknn.OrderABFirst], unchained[twoknn.OrderCBFirst]
-			// Procedure 4 tests the second join's outer blocks against the
-			// first join's b's through B's neighborhoods alone, so every
-			// backing prunes, a remote B included. Which relation's blocks
-			// get tested and pruned is the order's whole effect.
-			if !strings.Contains(ab.explain, "pruned against the b's of (A⋈B)") || strings.Contains(ab.explain, "pruning: off") {
+			// Procedure 4 tests the second join's outer blocks, and then
+			// their points, against the first join's b's through B's
+			// neighborhoods and counts alone, so every backing prunes, a
+			// remote B included. Which relation's blocks and points get
+			// tested and pruned is the order's whole effect.
+			if !strings.Contains(ab.explain, "pruned against the b's of (A⋈B), counting prunes tuples") || strings.Contains(ab.explain, "pruning: off") {
 				t.Errorf("unchained ab-first EXPLAIN does not show the pruned second join:\n%s", ab.explain)
 			}
 			if ab.st.Neighborhoods == cb.st.Neighborhoods {

@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	twoknn "repro"
+	"repro/internal/datagen"
 	"repro/internal/fault"
 	"repro/internal/remote"
 	"repro/internal/shard"
@@ -278,6 +280,42 @@ func TestRemoteRoundTripCounts(t *testing.T) {
 	wantPairs, err = twoknn.SelectInnerJoin(kiosks, single, f, 10, 10)
 	must(err)
 	samePairs(t, "SelectInnerJoin", wantPairs, pairs)
+
+	// Unchained, both orders, A clustered and C uniform, counted in
+	// gathers of at most two waves: the first join sends one per non-empty
+	// block of its outer relation; the second join's marking sends the
+	// centres of all the blocks of its outer relation as one, and each
+	// block it keeps costs one of counts and one of neighborhoods. A round
+	// trip per marked block breaks the bound where most blocks are pruned.
+	depots, err := datagen.Clustered(datagen.ClusterConfig{NumClusters: 1, PointsPerCluster: 200, Radius: 40, Bounds: testBounds, Seed: 77})
+	must(err)
+	a := buildSingle(t, "depots", depots, twoknn.GridIndex)
+	for _, order := range []twoknn.JoinOrder{twoknn.OrderABFirst, twoknn.OrderCBFirst} {
+		first, second := twoknn.NonEmptyBlocks(a), twoknn.NonEmptyBlocks(sites)
+		if order == twoknn.OrderCBFirst {
+			first, second = second, first
+		}
+		var st twoknn.Stats
+		rt.reset(0)
+		triples, err := twoknn.UnchainedJoins(a, rr, sites, 4, 4, twoknn.WithJoinOrder(order), twoknn.WithStats(&st))
+		must(err)
+		pruned := int(st.Snapshot().BlocksPruned)
+		if order == twoknn.OrderABFirst && pruned < second/2 {
+			t.Fatalf("UnchainedJoins %s: %d of %d blocks pruned: the case tells the marking's forms apart only when most are", order, pruned, second)
+		}
+		if limit := 3 * 2 * (first + 1 + 2*(second-pruned)); rt.requests > limit {
+			t.Errorf("UnchainedJoins %s: %d requests, want at most %d", order, rt.requests, limit)
+		}
+		t.Logf("UnchainedJoins %s: %d requests (%d + %d blocks, %d pruned)", order, rt.requests, first, second, pruned)
+		rt.oneAtATime(t, "UnchainedJoins")
+		wantTriples, err := twoknn.UnchainedJoins(a, single, sites, 4, 4, twoknn.WithJoinOrder(order))
+		must(err)
+		twoknn.SortTriples(triples)
+		twoknn.SortTriples(wantTriples)
+		if len(wantTriples) == 0 || !reflect.DeepEqual(wantTriples, triples) {
+			t.Errorf("UnchainedJoins %s: %d rows, the single relation's %d", order, len(triples), len(wantTriples))
+		}
+	}
 }
 
 // TestRemoteSpatialWaveSkips holds the wave to the skip rule of the ordered
