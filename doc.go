@@ -22,7 +22,7 @@
 //   - two chained kNN-joins A→B→C (ChainedJoins): evaluated with the
 //     nested-join plan and a neighborhood cache;
 //   - two kNN-selects over one relation (TwoSelects): evaluated with the
-//     2-kNN-select algorithm that clips the larger predicate's locality;
+//     2-kNN-select algorithm that clips the larger predicate's search;
 //   - a rectangular range selection on the inner relation of a kNN-join
 //     (RangeInnerJoin): the paper's footnote-1 extension.
 //
@@ -296,13 +296,19 @@
 // # Performance notes
 //
 // The kNN primitive underneath every query — one neighborhood computation
-// per tuple — is allocation-free in steady state. Each searcher owns its
-// MINDIST/MAXDIST block iterators (reset per query instead of rebuilt), a
+// per tuple — is one best-first walk over the index's blocks in ascending
+// MINDIST, which stops at the first block beyond the running k-th-neighbor
+// distance: it scans exactly the blocks an exact block-based kNN must. The
+// paper's engine, the two-phase locality of its reference [15] (blocks in
+// MAXDIST order until they hold k points, then every block within that
+// bound), finds the same neighborhood but walks two block orders and scans
+// blocks past the k-th distance; the walk replaced it. The walk is allocation-free in steady
+// state. Each searcher owns its MINDIST/MAXDIST block iterators (reset per
+// query instead of rebuilt; MAXDIST order serves Counting's prune), a
 // k-selection buffer, and a single reusable result buffer. The buffer fills
 // unsorted, is heapified once when it reaches k, and is sorted once when the
-// result is extracted; block-level pruning skips blocks whose MINDIST
-// exceeds the running k-th-neighbor distance. Intersecting two
-// neighborhoods binary-searches the second one's sorted order.
+// result is extracted. Intersecting two neighborhoods binary-searches the
+// second one's sorted order.
 //
 // Join rows are written once, at their final size: a sequential kNN-join
 // allocates its |outer|·min(k, |inner|) pairs up front, and the unchained

@@ -327,12 +327,12 @@ var fig26 = Experiment{
 		if scale == ScalePaper {
 			n = 512000
 		}
-		// The conceptual plan's k2-locality spans ever more blocks as k2
-		// grows — the overhead the clipped locality of 2-kNN-select avoids.
+		// The conceptual plan's k2-neighborhood spans ever more blocks as k2
+		// grows — the overhead the clipped walk of 2-kNN-select avoids.
 		// The focal points sit in the densest part of the city (a realistic
 		// query posts its predicates where the data is), close together so
-		// the clipped locality stays at the size of the smaller
-		// neighborhood and the answer is non-empty.
+		// the clipped walk stays at the size of the smaller neighborhood and
+		// the answer is non-empty.
 		rel := BerlinMODRelation("fig26-e", n)
 		f1 := densestCenter(rel)
 		f2 := geom.Point{X: f1.X + 30, Y: f1.Y - 30}
@@ -348,9 +348,6 @@ var fig26 = Experiment{
 					}},
 					{Name: "2-knn-select", Run: func(c *stats.Counters) int {
 						return len(core.TwoSelects(rel, f1, k1, f2, k2, c))
-					}},
-					{Name: "procedure5", Run: func(c *stats.Counters) int {
-						return len(core.TwoSelectsProcedure5(rel, f1, k1, f2, k2, c))
 					}},
 				},
 			})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/fault"
 	"repro/internal/geom"
@@ -37,10 +38,10 @@ type Probe interface {
 	NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *locality.Neighborhood
 
 	// Neighborhoods is the focal-group form of both: emit sees focal i with
-	// its neighborhood, in input order, valid until emit returns. A nil
-	// thresholdsSq asks for Neighborhood; otherwise focal i gets
-	// NeighborhoodWithinSq under thresholdsSq[i], and a negative threshold
-	// an empty neighborhood without a search. A handle loops over its
+	// its neighborhood, in input order, valid until emit returns. Focal i
+	// gets NeighborhoodWithinSq under thresholdsSq[i] — +Inf, i.e.
+	// Neighborhood, when thresholdsSq is nil — and a negative threshold an
+	// empty neighborhood without a search. A handle loops over its
 	// searcher; a probe over remote shards sends the group as one gather.
 	Neighborhoods(focals []geom.Point, k int, thresholdsSq []float64, c *stats.Counters,
 		emit func(i int, nbr *locality.Neighborhood))
@@ -230,14 +231,15 @@ func (r *Relation) Neighborhoods(focals []geom.Point, k int, thresholdsSq []floa
 	emit func(i int, nbr *locality.Neighborhood)) {
 
 	for i, f := range focals {
-		switch {
-		case thresholdsSq == nil:
-			emit(i, r.S.Neighborhood(f, k, c))
-		case thresholdsSq[i] < 0:
-			emit(i, &locality.Neighborhood{Center: f})
-		default:
-			emit(i, r.S.NeighborhoodWithinSq(f, k, thresholdsSq[i], c))
+		thresholdSq := math.Inf(1)
+		if thresholdsSq != nil {
+			thresholdSq = thresholdsSq[i]
 		}
+		if thresholdSq < 0 {
+			emit(i, &locality.Neighborhood{Center: f})
+			continue
+		}
+		emit(i, r.S.NeighborhoodWithinSq(f, k, thresholdSq, c))
 	}
 }
 

@@ -16,9 +16,13 @@ import (
 // output of the other is wrong (Figures 14–15); the correct conceptual plan
 // evaluates both independently and intersects (Figure 16). The 2-kNN-select
 // algorithm (Procedure 5) exploits that the final answer is confined to the
-// smaller neighborhood: the locality of the larger-k predicate is clipped by
-// a search threshold derived from the smaller neighborhood, so its blocks
-// never cover more space than the answer can occupy.
+// smaller neighborhood: the search of the larger-k predicate is clipped by a
+// threshold derived from the smaller neighborhood, so its blocks never cover
+// more space than the answer can occupy. Procedure 5 clips [15]'s two-phase
+// locality, which still counts blocks toward k2 in MAXDIST order; here the
+// clip is the threshold of the one best-first walk (see package locality),
+// which visits only blocks within it, so the second predicate's cost
+// depends on the threshold area and not on k2.
 
 // TwoSelectsConceptual is the conceptually correct QEP of Figure 16: both
 // neighborhoods are computed in full and intersected. It is the slow
@@ -78,11 +82,11 @@ func kClosestTo(pts []geom.Point, q geom.Point, k int) []geom.Point {
 
 // TwoSelects is the 2-kNN-select algorithm (Procedure 5). The predicate with
 // the smaller k runs first (swapping if necessary); its neighborhood bounds
-// the answer, so the second predicate's locality admits a block only if the
+// the answer, so the second predicate's walk admits a block only if the
 // block's MINDIST from the second focal point is within the search threshold
 // — the distance from the second focal point to the farthest point of the
-// first neighborhood. The clipped locality stays small no matter how large
-// the second k grows, which is why Figure 26 shows near-constant cost.
+// first neighborhood. The clipped walk stays small no matter how large the
+// second k grows, which is why Figure 26 shows near-constant cost.
 func TwoSelects(rel Operand, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *stats.Counters) []geom.Point {
 	if k1 <= 0 || k2 <= 0 {
 		return nil
@@ -102,10 +106,8 @@ func TwoSelects(rel Operand, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *st
 	// rounding can land below the exact boundary distance and clip out an
 	// exactly-at-threshold block of a tight-MBR index (fuzz-found).
 	thresholdSq := nbr1.FarthestDistSqTo(f2)
-	// NeighborhoodWithinSq sharpens Procedure 5's clipped locality: only
-	// blocks within the search threshold are visited at all — per shard, over
-	// a group — so the cost of the second predicate depends on the threshold
-	// area, not on k2.
+	// Only blocks within the search threshold are visited — per shard, over
+	// a group.
 	nbr2 := p.NeighborhoodWithinSq(f2, k2, thresholdSq, c)
 	return nbr1.Intersect(nbr2)
 }
@@ -145,24 +147,4 @@ func TwoSelectsBatch(rel Operand, f1s []geom.Point, k1 int, f2s []geom.Point, k2
 		rows[i] = nbr1.Intersect(nbr2)
 	})
 	return rows
-}
-
-// TwoSelectsProcedure5 evaluates the same query with the paper's Procedure
-// 5 verbatim (count-to-k2 locality construction with threshold clipping).
-// It is kept for faithfulness comparisons and ablation benchmarks; the
-// default TwoSelects strengthens the clipping, see above.
-func TwoSelectsProcedure5(rel *Relation, f1 geom.Point, k1 int, f2 geom.Point, k2 int, c *stats.Counters) []geom.Point {
-	if k1 <= 0 || k2 <= 0 {
-		return nil
-	}
-	if k1 > k2 {
-		f1, f2 = f2, f1
-		k1, k2 = k2, k1
-	}
-	nbr1 := rel.S.Neighborhood(f1, k1, c).Clone() // survives the second query below
-	if nbr1.Len() == 0 {
-		return nil
-	}
-	nbr2 := rel.S.NeighborhoodClippedSq(f2, k2, nbr1.FarthestDistSqTo(f2), c)
-	return nbr1.Intersect(nbr2)
 }

@@ -40,12 +40,6 @@ func TestTwoSelectsEquivalence(t *testing.T) {
 						t.Fatalf("%s/%s k1=%d k2=%d f1=%v f2=%v: 2-kNN-select differs (%d vs %d points)",
 							name, kind, ks.k1, ks.k2, f1, f2, len(got), len(want))
 					}
-					p5 := core.TwoSelectsProcedure5(rel, f1, ks.k1, f2, ks.k2, nil)
-					core.SortPoints(p5)
-					if !pointsEqual(p5, want) {
-						t.Fatalf("%s/%s k1=%d k2=%d f1=%v f2=%v: Procedure-5 variant differs (%d vs %d points)",
-							name, kind, ks.k1, ks.k2, f1, f2, len(p5), len(want))
-					}
 				}
 			}
 		}

@@ -60,17 +60,15 @@ func TestNeighborhoodWithinZeroAllocsSteadyState(t *testing.T) {
 				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 					for _, q := range queries {
 						s.NeighborhoodWithinSq(q, k, 150*150, nil)
-						s.NeighborhoodClippedSq(q, k, 150*150, nil)
 					}
 					i := 0
 					avg := testutil.AllocsPerRun(t, 200, func() {
 						q := queries[i%len(queries)]
 						s.NeighborhoodWithinSq(q, k, 150*150, nil)
-						s.NeighborhoodClippedSq(q, k, 150*150, nil)
 						i++
 					})
 					if avg != 0 {
-						t.Errorf("%s k=%d: clipped neighborhoods allocate %v per call in steady state, want 0", kind, k, avg)
+						t.Errorf("%s k=%d: within-threshold neighborhoods allocate %v per call in steady state, want 0", kind, k, avg)
 					}
 				})
 			}

@@ -1,24 +1,30 @@
 // Package locality implements neighborhood (k-nearest-neighbor) computation
-// through the locality algorithm of Sankaranarayanan, Samet and Varshney
-// ("A fast all nearest neighbor algorithm for applications involving large
-// point-clouds", Computers & Graphics 2007), reference [15] of the paper and
-// the kNN engine used throughout its experiments.
+// over a block-based index, the kNN engine underneath every algorithm of the
+// paper. Definitions follow the paper's Section 2: the *neighborhood* of a
+// point p is the set of its k nearest data points, in ascending
+// (distance, X, Y) order. Every algorithm of the paper consumes only that
+// answer, never the block set that produced it.
 //
-// Definitions follow the paper's Section 2: the *neighborhood* of a point p
-// is the set of its k nearest data points; the *locality* of p is a set of
-// index blocks guaranteed to contain that neighborhood. The locality is
-// built in two phases over block counts only:
+// There is one search: a best-first walk over the index's blocks in
+// ascending MINDIST from p (Hjaltason and Samet, "Distance browsing in
+// spatial databases", TODS 1999). Each block's points feed a bounded
+// k-selection heap; once the heap holds k candidates, the walk stops at the
+// first block whose MINDIST exceeds the running k-th distance, since no
+// point of it or of any later block can enter the answer. It visits
+// exactly the blocks with MINDIST at most the final k-th distance (all of
+// them when the index holds fewer than k points) — the blocks any exact
+// block-based kNN must touch.
 //
-//  1. blocks are consumed in increasing MAXDIST order from p until the
-//     accumulated point count reaches k; the MAXDIST bound M of the last
-//     consumed block is recorded (the k-th nearest neighbor is at distance
-//     at most M);
-//  2. every remaining block with MINDIST ≤ M is added (such blocks may hold
-//     points closer than M that displace phase-1 candidates).
+// The paper's engine, the locality algorithm of [15] (Sankaranarayanan,
+// Samet and Varshney, Computers & Graphics 2007), built a *locality* in two
+// phases instead: blocks in MAXDIST order until their counts reached k,
+// recording the bound M, then every block with MINDIST ≤ M. It returns the
+// same neighborhood, but walks two block orders and visits blocks between
+// the k-th distance and M; the best-first walk replaced it.
 //
-// The neighborhood is then selected from the points of the locality blocks
-// alone. Section 5 of the paper clips this construction with a search
-// threshold to evaluate two kNN-select predicates; see NeighborhoodClippedSq.
+// A search threshold (NeighborhoodWithinSq) additionally stops the walk at
+// the first block beyond it. Section 5's 2-kNN-select uses it to confine the
+// larger-k predicate to the area the smaller neighborhood bounds.
 //
 // Ownership contract: a Searcher owns mutable scratch (iterator pools, the
 // selection heap, one reusable Neighborhood result) and is single-threaded
@@ -247,9 +253,8 @@ func NaiveKNN(pts []geom.Point, p geom.Point, k int) *Neighborhood {
 // iterators, the selection heap and the result arrays all live in the
 // Searcher. Callers that retain a result across queries must Clone it.
 type Searcher struct {
-	ix     index.Index
-	blocks []*index.Block
-	iters  *index.IterPool
+	ix    index.Index
+	iters *index.IterPool
 
 	// ctx/done/expired carry the cooperative-cancellation binding of the
 	// current query (see Bind): done is ctx's channel, saved for the
@@ -263,16 +268,14 @@ type Searcher struct {
 	stopWatch chan struct{}
 
 	// scratch buffers, reused across queries
-	heap    maxKHeap
-	result  Neighborhood
-	inLoc   []bool // per-block locality membership, cleared via touched
-	touched []int  // block IDs marked in inLoc during the current query
-	span    spanScratch
+	heap   maxKHeap
+	result Neighborhood
+	span   spanScratch
 }
 
 // NewSearcher returns a Searcher over ix.
 func NewSearcher(ix index.Index) *Searcher {
-	return &Searcher{ix: ix, blocks: ix.Blocks(), iters: index.NewIterPool(ix)}
+	return &Searcher{ix: ix, iters: index.NewIterPool(ix)}
 }
 
 // Clone returns an independent Searcher over the same index, for concurrent
@@ -363,39 +366,23 @@ func (s *Searcher) pollContext() {
 	}
 }
 
-// Neighborhood returns the k nearest neighbors of p using the two-phase
-// locality construction. c may be nil.
+// Neighborhood returns the k nearest neighbors of p: the best-first MINDIST
+// walk with no threshold (see the package comment). c may be nil.
 func (s *Searcher) Neighborhood(p geom.Point, k int, c *stats.Counters) *Neighborhood {
-	return s.neighborhood(p, k, math.Inf(1), c)
+	return s.NeighborhoodWithinSq(p, k, math.Inf(1), c)
 }
 
-// NeighborhoodClippedSq is Neighborhood with the Section 5 refinement
-// exactly as in the paper's Procedure 5: the two-phase locality
-// construction runs unchanged (blocks are counted toward k in MAXDIST
-// order, M is recorded), but a block enters the locality only if its
-// squared MINDIST from p is at most thresholdSq. The returned set is the k
-// closest points among the clipped locality — NOT in general the true
-// k-nearest neighbors of p. Its guarantee (enforced by tests): intersecting
-// it with any point set whose members all lie within the threshold of p
-// yields the same result as intersecting with the true neighborhood. The
-// clipping removes only blocks with MINDIST beyond the threshold, all of
-// whose points are farther from p than any such member q; so the locality
-// points ranked ahead of q are the same with and without clipping, q keeps
-// its rank, and it makes the clipped top k exactly when it makes the true
-// one. The threshold travels squared: squaring a sqrt-derived threshold can
-// round below the exact value and clip out an exactly-at-threshold block.
-func (s *Searcher) NeighborhoodClippedSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *Neighborhood {
-	return s.neighborhood(p, k, thresholdSq, c)
-}
-
-// NeighborhoodWithinSq strengthens NeighborhoodClippedSq: it admits exactly
-// the blocks with MINDIST²(p) ≤ thresholdSq, skipping Procedure 5's
-// count-to-k phase entirely, so its cost depends only on the threshold
-// area — not on k. It provides the same guarantee as NeighborhoodClippedSq
-// (same proof: any point ranked closer to p than a within-threshold
-// candidate is itself within threshold, hence its block is admitted), which
-// is all the 2-kNN-select intersection needs. This is the repository's
-// implementation refinement over Procedure 5.
+// NeighborhoodWithinSq is Neighborhood over only the blocks whose squared
+// MINDIST from p is at most thresholdSq; a negative threshold admits none.
+// The result is the k closest points of those blocks — NOT in general the
+// true k nearest neighbors of p. Its guarantee (enforced by tests), which
+// is all the 2-kNN-select intersection needs: intersecting it with any
+// point set whose members all lie within the threshold of p yields the same
+// result as intersecting with the true neighborhood. Any point ranked ahead
+// of such a member q is at least as close to p, hence in an admitted block,
+// so q keeps its rank. The threshold travels squared: squaring a
+// sqrt-derived threshold can round below the exact value and cut off an
+// exactly-at-threshold block.
 func (s *Searcher) NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *Neighborhood {
 	if k <= 0 {
 		return s.emptyResult(p)
@@ -452,87 +439,6 @@ func (s *Searcher) CountStrictlyCloser(p geom.Point, k int, thresholdSq float64,
 	}
 	c.AddBlocksScanned(scanned)
 	return count
-}
-
-func (s *Searcher) neighborhood(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *Neighborhood {
-	if k <= 0 {
-		return s.emptyResult(p)
-	}
-	if len(s.inLoc) < len(s.blocks) {
-		s.inLoc = make([]bool, len(s.blocks))
-	}
-	s.touched = s.touched[:0]
-	s.heap.reset(k)
-	examined := 0
-
-	// Phase 1: MAXDIST order until the accumulated count reaches k. The
-	// iterator is incremental where the index supports it, so only blocks
-	// near p are touched. Admitted blocks feed the selection heap directly;
-	// once the heap is full, a block whose MINDIST exceeds the running k-th
-	// distance is marked consumed without examining its points.
-	maxIt := s.iters.MaxDist(p)
-	count := 0
-	mSq := math.Inf(1) // bound on the k-th NN distance, squared
-	scanned := 0
-	for count < k {
-		s.Checkpoint()
-		b, maxSq, ok := maxIt.Next()
-		if !ok {
-			break // fewer than k points in the whole data set
-		}
-		scanned++
-		if b.Count() == 0 {
-			continue
-		}
-		count += b.Count()
-		mSq = maxSq
-		minSq := b.Bounds.MinDistSq(p)
-		if minSq <= thresholdSq {
-			s.inLoc[b.ID] = true
-			s.touched = append(s.touched, b.ID)
-			if !s.heap.full() || minSq <= s.heap.boundSq() {
-				examined += s.scanSpan(b, p)
-			}
-		}
-	}
-
-	// Phase 2: remaining blocks in MINDIST order may hold closer points.
-	// The stop bound starts at M ([15]'s optimal-locality criterion) and
-	// tightens to the heap's running k-th distance as soon as the heap is
-	// full — far-but-qualifying blocks under M are skipped entirely.
-	if count >= k {
-		minIt := s.iters.MinDist(p)
-		for {
-			s.Checkpoint()
-			b, minSq, ok := minIt.Next()
-			if !ok {
-				break
-			}
-			bound := mSq
-			if s.heap.full() && s.heap.boundSq() < bound {
-				bound = s.heap.boundSq()
-			}
-			if minSq > bound {
-				break
-			}
-			scanned++
-			if b.Count() == 0 || s.inLoc[b.ID] {
-				continue
-			}
-			if minSq <= thresholdSq {
-				examined += s.scanSpan(b, p)
-			}
-		}
-	}
-	c.AddBlocksScanned(scanned)
-
-	// Clear the membership scratch for the next query.
-	for _, id := range s.touched {
-		s.inLoc[id] = false
-	}
-
-	c.AddNeighborhood(examined)
-	return s.heap.extractInto(&s.result, p)
 }
 
 // emptyResult resets and returns the reusable result as an empty

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/index"
+	"repro/internal/index/overlay"
 	"repro/internal/kernel"
 	"repro/internal/locality"
 	"repro/internal/stats"
@@ -252,8 +254,11 @@ func countOf(pts []geom.Point, p geom.Point) int {
 // fills (k ≥ n), on both span-scan paths — the fused scalar loop (capacity
 // 16, below every kernel's batch grain) and the batched kernels (capacity
 // 128) — under every available kernel, over co-located duplicates and exact
-// distance ties. Neighborhood must equal NaiveKNN, and NeighborhoodWithinSq
-// the k closest points of the blocks within the threshold.
+// distance ties, on both index families and an overlay snapshot whose
+// inserts and removals add delta chunks and patched base blocks.
+// Neighborhood must equal NaiveKNN and scan only the blocks it must (see
+// mustScan), and NeighborhoodWithinSq must equal the k closest points of the
+// blocks within the threshold.
 func TestSelectionAtHeapBoundary(t *testing.T) {
 	pts := duplicateHeavyPoints(1500, 50, 61)
 	rng := rand.New(rand.NewSource(62))
@@ -270,23 +275,24 @@ func TestSelectionAtHeapBoundary(t *testing.T) {
 			}
 			defer restore()
 			for _, capacity := range []int{16, 128} {
-				for _, kind := range testutil.AllIndexKinds {
-					ix, err := testutil.NewIndexCapacity(kind, pts, capacity)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s := locality.NewSearcher(ix)
-					for _, k := range []int{1, 10, capacity - 1, capacity, capacity + 1, 640, len(pts), len(pts) + 3} {
+				for _, tc := range heapBoundaryIndexes(t, pts, capacity) {
+					s := locality.NewSearcher(tc.ix)
+					n := len(tc.pts)
+					for _, k := range []int{1, 10, capacity - 1, capacity, capacity + 1, 640, n, n + 3} {
 						for _, f := range focals {
 							label := func(what string) string {
-								return fmt.Sprintf("%s cap=%d %s k=%d f=%v: %s", kind, capacity, kname, k, f, what)
+								return fmt.Sprintf("%s cap=%d %s k=%d f=%v: %s", tc.name, capacity, kname, k, f, what)
 							}
-							want := locality.NaiveKNN(pts, f, k)
-							sameNeighborhood(t, label("Neighborhood"), s.Neighborhood(f, k, nil), want)
+							want := locality.NaiveKNN(tc.pts, f, k)
+							var c stats.Counters
+							sameNeighborhood(t, label("Neighborhood"), s.Neighborhood(f, k, &c), want)
+							if must := mustScan(tc.ix, f, want, k); c.BlocksScanned != must {
+								t.Fatalf("%s", label(fmt.Sprintf("Neighborhood scanned %d blocks, want %d", c.BlocksScanned, must)))
+							}
 							mid := want.Points[len(want.Points)/2]
 							for _, thrSq := range []float64{mid.DistSq(f), rng.Float64() * 150 * 150} {
 								var admitted []geom.Point
-								for _, b := range ix.Blocks() {
+								for _, b := range tc.ix.Blocks() {
 									if b.Bounds.MinDistSq(f) <= thrSq {
 										admitted = b.AppendPoints(admitted)
 									}
@@ -302,6 +308,67 @@ func TestSelectionAtHeapBoundary(t *testing.T) {
 	}
 }
 
+// heapBoundaryIndex is one index of TestSelectionAtHeapBoundary with the
+// points it holds.
+type heapBoundaryIndex struct {
+	name string
+	ix   index.Index
+	pts  []geom.Point
+}
+
+// heapBoundaryIndexes builds both index families over pts at the given
+// block capacity, plus an overlay snapshot of the quadtree in which every
+// seventh point is removed and 60 points are inserted — half of them copies
+// of base points, so the delta chunks add exact ties.
+func heapBoundaryIndexes(t *testing.T, pts []geom.Point, capacity int) []heapBoundaryIndex {
+	t.Helper()
+	var out []heapBoundaryIndex
+	for _, kind := range testutil.AllIndexKinds {
+		ix, err := testutil.NewIndexCapacity(kind, pts, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, heapBoundaryIndex{name: string(kind), ix: ix, pts: pts})
+	}
+	st := overlay.NewStore(out[len(out)-1].ix, capacity)
+	var live []geom.Point
+	for id, p := range pts {
+		if id%7 != 3 {
+			live = append(live, p)
+		} else if !st.Remove(int32(id)) {
+			t.Fatalf("overlay: removing stable ID %d found nothing", id)
+		}
+	}
+	rng := rand.New(rand.NewSource(63))
+	for j := 0; j < 60; j++ {
+		p := pts[rng.Intn(len(pts))]
+		if j%2 == 1 {
+			p = geom.Point{X: math.Round(rng.Float64() * 1000), Y: math.Round(rng.Float64() * 1000)}
+		}
+		st.Insert(p, int32(len(pts)+j))
+		live = append(live, p)
+	}
+	return append(out, heapBoundaryIndex{name: out[len(out)-1].name + "+overlay", ix: st.Snapshot(), pts: live})
+}
+
+// mustScan counts the blocks an exact block-based kNN of f must scan: those
+// index.MinDistOrder yields with MINDIST² at most the squared distance of
+// the k-th neighbor in nbr — every block when nbr holds fewer than k points.
+// A block beyond it holds no point that can enter the neighborhood, and a
+// block within it may.
+func mustScan(ix index.Index, f geom.Point, nbr *locality.Neighborhood, k int) int64 {
+	limitSq := math.Inf(1)
+	if nbr.Len() == k {
+		limitSq = nbr.Farthest().DistSq(f)
+	}
+	n := int64(0)
+	for it := index.MinDistOrder(ix, f); ; n++ {
+		if _, keySq, ok := it.Next(); !ok || keySq > limitSq {
+			return n
+		}
+	}
+}
+
 func sameNeighborhood(t *testing.T, label string, got, want *locality.Neighborhood) {
 	t.Helper()
 	same := got.Center == want.Center && got.Len() == want.Len() && len(got.Dists) == len(want.Dists)
@@ -313,10 +380,11 @@ func sameNeighborhood(t *testing.T, label string, got, want *locality.Neighborho
 	}
 }
 
-// TestClippedNeighborhoodGuarantee encodes the 2-kNN-select soundness
-// property argued at Searcher.NeighborhoodClippedSq: for any point set P whose members all lie within
-// `threshold` of the query point, P ∩ clipped = P ∩ trueKNN.
-func TestClippedNeighborhoodGuarantee(t *testing.T) {
+// TestWithinNeighborhoodSoundForTwoSelects is the soundness proof of
+// TwoSelects' second predicate, argued at Searcher.NeighborhoodWithinSq: for
+// any point set P whose members all lie within the threshold of the query
+// point, P ∩ within = P ∩ trueKNN.
+func TestWithinNeighborhoodSoundForTwoSelects(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 500, 500)
 	pts := testutil.ClusteredPoints(800, 5, 30, bounds, 31)
 	rng := rand.New(rand.NewSource(32))
@@ -328,9 +396,6 @@ func TestClippedNeighborhoodGuarantee(t *testing.T) {
 			threshold := rng.Float64() * 300
 			thresholdSq := threshold * threshold
 
-			// Clone: both results come from the same searcher's reusable
-			// buffer, and clipped must survive the within query.
-			clipped := s.NeighborhoodClippedSq(q, k, thresholdSq, nil).Clone()
 			within := s.NeighborhoodWithinSq(q, k, thresholdSq, nil)
 			truth := locality.NaiveKNN(pts, q, k)
 
@@ -338,10 +403,6 @@ func TestClippedNeighborhoodGuarantee(t *testing.T) {
 			for _, p := range pts {
 				if p.DistSq(q) > thresholdSq {
 					continue
-				}
-				if clipped.Contains(p) != truth.Contains(p) {
-					t.Fatalf("%s: point %v within threshold %v: clipped=%v truth=%v (k=%d q=%v)",
-						kind, p, threshold, clipped.Contains(p), truth.Contains(p), k, q)
 				}
 				if within.Contains(p) != truth.Contains(p) {
 					t.Fatalf("%s: point %v within threshold %v: within=%v truth=%v (k=%d q=%v)",

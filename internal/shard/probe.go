@@ -21,10 +21,11 @@ import (
 // How the per-shard candidates are fetched depends on what the members are,
 // which the group knows (Prober.Local). In-process members are searcher
 // handles, and the probe walks them point by point in ascending MINDIST²,
-// tightening the skip limit after every shard (neighborhood, below): that
-// walk is CPU-bound and allocation-free, and nothing can be won by
-// overlapping it. Remote members cost a round trip per call, so the same
-// queries go out as focal groups in concurrent waves instead (gather.go).
+// tightening the skip limit after every shard (neighborhoodWithinSq,
+// below): that walk is CPU-bound and allocation-free, and nothing can be
+// won by overlapping it. Remote members cost a round trip per call, so the
+// same queries go out as focal groups in concurrent waves instead
+// (gather.go).
 //
 // Per-shard operation counts accumulate in the probe's delta counters and
 // are folded into the group's lifetime per-shard counters (and the query's
@@ -143,14 +144,15 @@ func (pr *probe) Neighborhoods(focals []geom.Point, k int, thresholdsSq []float6
 		return
 	}
 	for i, f := range focals {
-		switch {
-		case thresholdsSq == nil:
-			emit(i, pr.neighborhood(f, k))
-		case thresholdsSq[i] < 0:
-			emit(i, &locality.Neighborhood{Center: f})
-		default:
-			emit(i, pr.neighborhoodWithinSq(f, k, thresholdsSq[i]))
+		thresholdSq := math.Inf(1)
+		if thresholdsSq != nil {
+			thresholdSq = thresholdsSq[i]
 		}
+		if thresholdSq < 0 {
+			emit(i, &locality.Neighborhood{Center: f})
+			continue
+		}
+		emit(i, pr.neighborhoodWithinSq(f, k, thresholdSq))
 	}
 }
 
@@ -224,65 +226,15 @@ func (pr *probe) release(ctr *stats.Counters) {
 }
 
 // neighborhood returns the exact global k nearest neighbors of p across all
-// shards: each shard contributes its local top-k (same locality algorithm,
-// same (distance, X, Y) tie order as the single-relation path), and the
-// merge re-selects the global k from the ≤ S·k candidates. The result is
-// reused across calls; callers retain it only via Clone.
-//
-// Shards are probed in ascending MINDIST² of their index bounds, and a
-// shard is skipped outright once an earlier shard has already produced k
-// candidates whose k-th squared distance is below the shard's MINDIST²:
-// every point of the skipped shard is then strictly farther than k known
-// candidates, so it cannot enter the global top-k regardless of
-// tie-breaking. Under spatial partitioning this is what keeps distant tiles
-// cheap — most probes touch one or two shards; under hash partitioning
-// shard bounds all cover the data extent and every shard is probed. Over
-// remote members the same skip rule runs wave by wave instead of shard by
-// shard (gather).
+// shards: each shard contributes its local top-k (same walk, same
+// (distance, X, Y) tie order as the single-relation path), and the merge
+// re-selects the global k from the ≤ S·k candidates. The result is reused
+// across calls; callers retain it only via Clone.
 func (pr *probe) neighborhood(p geom.Point, k int) *locality.Neighborhood {
 	if pr.remote != nil {
 		return pr.gatherOne(p, k, nil)
 	}
-	if len(pr.handles) == 1 {
-		if fault.Armed() {
-			fault.OnShardProbe(0)
-		}
-		return pr.handles[0].Local().S.Neighborhood(p, k, pr.deltas[0])
-	}
-	limit := pr.probeOrder(p)
-	for _, s := range pr.order {
-		if pr.minSqs[s] > limit {
-			pr.nbrs[s] = &pr.emptyNbr
-			continue
-		}
-		if fault.Armed() {
-			fault.OnShardProbe(s)
-		}
-		nbr := pr.handles[s].Local().S.Neighborhood(p, k, pr.deltas[s])
-		pr.nbrs[s] = nbr
-		if len(nbr.Points) == k {
-			if b := nbr.Points[k-1].DistSq(p); b < limit {
-				limit = b
-			}
-		}
-	}
-	return pr.merge(p, k)
-}
-
-// probeOrder fills pr.order with shard indices in ascending MINDIST² of
-// their index bounds from p (insertion sort; S is small) and returns +Inf as
-// the initial skip limit.
-func (pr *probe) probeOrder(p geom.Point) float64 {
-	for s, h := range pr.handles {
-		pr.minSqs[s] = h.Bounds().MinDistSq(p)
-		pr.order[s] = s
-	}
-	for i := 1; i < len(pr.order); i++ {
-		for j := i; j > 0 && pr.minSqs[pr.order[j]] < pr.minSqs[pr.order[j-1]]; j-- {
-			pr.order[j], pr.order[j-1] = pr.order[j-1], pr.order[j]
-		}
-	}
-	return math.Inf(1)
+	return pr.neighborhoodWithinSq(p, k, math.Inf(1))
 }
 
 // neighborhoodWithinSq is the sharded form of Searcher.NeighborhoodWithinSq:
@@ -293,6 +245,17 @@ func (pr *probe) probeOrder(p geom.Point) float64 {
 // true neighborhood — because every point closer to p than a
 // within-threshold candidate is itself within threshold, hence admitted by
 // its own shard and ranked ahead in the merge.
+//
+// Shards are probed in ascending MINDIST² of their index bounds, and a
+// shard is skipped outright once its MINDIST² exceeds the skip limit: the
+// threshold at first, lowered to the k-th squared distance of each earlier
+// shard that produced k candidates. Every point of a skipped shard is then
+// strictly farther than k known candidates, or beyond the threshold, so it
+// cannot enter the global top-k regardless of tie-breaking. Under spatial
+// partitioning this is what keeps distant tiles cheap — most probes touch
+// one or two shards; under hash partitioning shard bounds all cover the
+// data extent and every shard is probed. Over remote members the same skip
+// rule runs wave by wave instead of shard by shard (gather).
 func (pr *probe) neighborhoodWithinSq(p geom.Point, k int, thresholdSq float64) *locality.Neighborhood {
 	if pr.remote != nil {
 		return pr.gatherOne(p, k, []float64{thresholdSq})
@@ -304,7 +267,7 @@ func (pr *probe) neighborhoodWithinSq(p geom.Point, k int, thresholdSq float64) 
 		return pr.handles[0].Local().S.NeighborhoodWithinSq(p, k, thresholdSq, pr.deltas[0])
 	}
 	pr.probeOrder(p)
-	limit := thresholdSq // blocks past the threshold are never admitted
+	limit := thresholdSq
 	for _, s := range pr.order {
 		if pr.minSqs[s] > limit {
 			pr.nbrs[s] = &pr.emptyNbr
@@ -322,6 +285,20 @@ func (pr *probe) neighborhoodWithinSq(p geom.Point, k int, thresholdSq float64) 
 		}
 	}
 	return pr.merge(p, k)
+}
+
+// probeOrder fills pr.order with shard indices in ascending MINDIST² of
+// their index bounds from p (insertion sort; S is small).
+func (pr *probe) probeOrder(p geom.Point) {
+	for s, h := range pr.handles {
+		pr.minSqs[s] = h.Bounds().MinDistSq(p)
+		pr.order[s] = s
+	}
+	for i := 1; i < len(pr.order); i++ {
+		for j := i; j > 0 && pr.minSqs[pr.order[j]] < pr.minSqs[pr.order[j-1]]; j-- {
+			pr.order[j], pr.order[j-1] = pr.order[j-1], pr.order[j]
+		}
+	}
 }
 
 // merge k-selects from the per-shard sorted candidate lists in pr.nbrs into

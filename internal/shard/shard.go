@@ -26,8 +26,8 @@
 // their local search quickly.
 //
 // The locality bounds of the source paper (Aly, Aref, Ouzzani; VLDB 2012)
-// carry over per shard: each shard's searcher runs the unchanged two-phase
-// locality construction over its own blocks, and the gather re-selects the
+// carry over per shard: each shard's searcher runs the single-relation
+// best-first kNN walk over its own blocks, and the gather re-selects the
 // global k among the ≤ S·k per-shard candidates. Exactness of that merge is
 // the subset property of top-k under disjoint union: the global k nearest
 // neighbors of any point are contained in the union of the per-shard k
